@@ -31,7 +31,9 @@ SOUND_MOD_P = "mod-p-lower-bound"
 SOUND_CLOSED_FORM = "closed-form"
 
 # Above this cell count, exact-Q elimination stops being the obvious
-# default and certification falls back to the sound multi-prime route.
+# default and certification of an integer matrix falls back to the sound
+# multi-prime route.  A matrix with non-integer entries always takes exact
+# Q, the one route that accepts it.
 _AUTO_EXACT_CELLS = 4_000_000
 
 
@@ -87,7 +89,7 @@ def tensor_descriptor(t: Tensor3) -> dict:
 def _auto_strategy(matrix: SparseMatrix) -> MultiPrime | ExactQ:
     if not matrix.field.is_q:
         return MultiPrime((matrix.field.p,))
-    if matrix.rows * matrix.cols <= _AUTO_EXACT_CELLS:
+    if matrix.rows * matrix.cols <= _AUTO_EXACT_CELLS or not matrix.is_integral():
         return ExactQ()
     return MultiPrime()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import InvalidDimension
@@ -87,12 +88,11 @@ class KoszulMatrix:
 
     Row index of (k, S') is colex(S')*c + k; column index of (j, S) is
     colex(S)*b + j.  At p = 0 this reproduces the classical mode-B
-    flattening including its row order.
+    flattening including its row order.  The labels are built on first
+    access: rank computations never read them.
     """
 
     matrix: SparseMatrix
-    row_labels: tuple[tuple[int, SubsetIndex], ...]
-    col_labels: tuple[tuple[int, SubsetIndex], ...]
     a: int
     b: int
     c: int
@@ -105,6 +105,16 @@ class KoszulMatrix:
     @property
     def cols(self) -> int:
         return self.matrix.cols
+
+    @cached_property
+    def row_labels(self) -> tuple[tuple[int, SubsetIndex], ...]:
+        return tuple((k, SubsetIndex(s, self.a))
+                     for s in _colex_tuples(self.a, self.p + 1) for k in range(self.c))
+
+    @cached_property
+    def col_labels(self) -> tuple[tuple[int, SubsetIndex], ...]:
+        return tuple((j, SubsetIndex(s, self.a))
+                     for s in _colex_tuples(self.a, self.p) for j in range(self.b))
 
     def labels_json(self) -> dict:
         """Row/column labels as JSON-ready lists: [factor index, subset]."""
@@ -151,26 +161,17 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
             merged = s[:pos] + (i,) + s[pos:]
             inserts[i].append((q, rank_of_big[merged], -1 if pos % 2 else 1))
 
-    field = t.field
-    zero = field.zero()
-    cells: dict[tuple[int, int], object] = {}
+    # Entry (i, j, k) and subset S fix the cell, and the cell gives back
+    # S, j, k and i = S' \ S, so every cell is written at most once and
+    # holds +-v: nothing accumulates and no stored zero can arise.
+    # SparseMatrix still rejects duplicates, so a broken table fails loudly.
+    p_mod = None if t.field.is_q else t.field.p
+    entries = []
+    append = entries.append
     for (i, j, k), v in t._cells.items():
-        neg_v = field.neg(v)
+        neg_v = -v if p_mod is None else p_mod - v
         for qcol, qrow, sign in inserts[i]:
-            key = (qrow * c + k, qcol * b + j)
-            x = field.add(cells.get(key, zero), v if sign > 0 else neg_v)
-            if x == zero:
-                cells.pop(key, None)
-            else:
-                cells[key] = x
+            append((qrow * c + k, qcol * b + j, v if sign > 0 else neg_v))
 
-    matrix = SparseMatrix(
-        c * comb(a, p + 1), b * comb(a, p),
-        ((r, col, v) for (r, col), v in cells.items()),
-        field,
-    )
-    col_labels = tuple(
-        (j, SubsetIndex(s, a)) for s in small for j in range(b))
-    row_labels = tuple(
-        (k, SubsetIndex(s, a)) for s in _colex_tuples(a, p + 1) for k in range(c))
-    return KoszulMatrix(matrix, row_labels, col_labels, a, b, c, p)
+    matrix = SparseMatrix(c * comb(a, p + 1), b * comb(a, p), entries, t.field)
+    return KoszulMatrix(matrix, a, b, c, p)

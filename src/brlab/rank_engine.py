@@ -33,30 +33,33 @@ _DENSE_MIN_FILL = 0.05
 class SparseMatrix:
     """Immutable sparse matrix over an exact field.
 
-    Entries are kept as a map (row, col) -> nonzero value; duplicate
-    coordinates and stored zeros are rejected at construction.
+    Entries are kept as a map (row, col) -> nonzero value in the field's raw
+    form (see `FieldTag.coerce`); duplicate coordinates and stored zeros are
+    rejected at construction.  The row-block partition is computed on first
+    use and shared by every rank pass over the matrix.
     """
 
-    __slots__ = ("rows", "cols", "field", "_cells")
+    __slots__ = ("rows", "cols", "field", "_cells", "_blocks")
 
     def __init__(self, rows: int, cols: int, entries, field: FieldTag):
         if rows < 0 or cols < 0:
             raise InvalidDimension(f"negative shape {rows}x{cols}")
         cells = {}
-        zero = field.zero()
+        coerce = field.coerce
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise InvalidDimension(f"entry ({r},{c}) outside {rows}x{cols}")
             if (r, c) in cells:
                 raise FormatError(f"duplicate entry at ({r},{c})")
-            v = field.coerce(v)
-            if v == zero:
+            v = coerce(v)
+            if v == 0:
                 raise FormatError(f"stored zero at ({r},{c})")
             cells[(r, c)] = v
         self.rows = rows
         self.cols = cols
         self.field = field
         self._cells = cells
+        self._blocks = None
 
     @property
     def nnz(self) -> int:
@@ -84,10 +87,42 @@ class SparseMatrix:
         return rows
 
     def is_integral(self) -> bool:
-        """True when every entry is an integer (denominator 1 over Q)."""
+        """True when every entry is an integer (stored as int over Q)."""
         if not self.field.is_q:
             return True
-        return all(v.denominator == 1 for v in self._cells.values())
+        return all(type(v) is int for v in self._cells.values())
+
+    def _row_blocks(self) -> list[list[int]]:
+        """Nonempty rows grouped into connected components of the row/column
+        bipartite graph, each an increasing list of row indices.
+
+        A block-diagonal split (after row/column permutation) lets elimination
+        run per block; ranks add.  Blocks come out ordered by their smallest
+        row index, so the split is deterministic.  Entries only vanish under
+        reduction mod p, so the split stays valid for every prime.
+        """
+        if self._blocks is not None:
+            return self._blocks
+        parent = list(range(self.rows))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        col_owner: dict[int, int] = {}
+        for r, c in self._cells:
+            owner = col_owner.setdefault(c, r)
+            if owner != r:
+                ra, rb = find(owner), find(r)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        groups: dict[int, list[int]] = {}
+        for r in sorted({r for r, _ in self._cells}):
+            groups.setdefault(find(r), []).append(r)
+        self._blocks = [groups[k] for k in sorted(groups)]
+        return self._blocks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -124,37 +159,6 @@ class ExactQ:
 # ---------------------------------------------------------------------------
 # elimination cores
 # ---------------------------------------------------------------------------
-
-def _split_components(rows: list[dict[int, object]]) -> list[list[dict[int, object]]]:
-    """Group rows into connected components of the row/column bipartite graph.
-
-    A block-diagonal split (after row/column permutation) lets elimination
-    run per block; ranks add.  Components come out ordered by their smallest
-    row index, so the split is deterministic.
-    """
-    parent = list(range(len(rows)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    col_owner: dict[int, int] = {}
-    for ri, row in enumerate(rows):
-        for c in row:
-            if c in col_owner:
-                ra, rb = find(col_owner[c]), find(ri)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                col_owner[c] = ri
-    groups: dict[int, list[dict[int, object]]] = {}
-    for ri, row in enumerate(rows):
-        if row:
-            groups.setdefault(find(ri), []).append(row)
-    return [groups[k] for k in sorted(groups)]
-
 
 def _rank_sparse_modp(rows: list[dict[int, int]], p: int) -> int:
     """Sparse Gaussian elimination over F_p on row dicts (consumed)."""
@@ -305,29 +309,38 @@ def _rank_dense_modp(mat: list[list[int]], p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _rows_mod_p(m: SparseMatrix, p: int) -> list[dict[int, int]]:
+    if not m.field.is_q and m.field.p != p:
+        raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
+    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
     if m.field.is_q:
-        rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
         for (r, c), v in m._cells.items():
-            den = v.denominator % p
-            if den == 0:
-                raise BadPrime(f"denominator {v.denominator} at ({r},{c}) vanishes mod {p}")
-            x = v.numerator % p if den == 1 else v.numerator * pow(den, -1, p) % p
+            if type(v) is int:
+                x = v % p
+            else:
+                den = v.denominator % p
+                if den == 0:
+                    raise BadPrime(
+                        f"denominator {v.denominator} at ({r},{c}) vanishes mod {p}")
+                x = v.numerator * pow(den, -1, p) % p
             if x:
                 rows[r][c] = x
         return rows
-    if m.field.p != p:
-        raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
-    rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m._cells.items():
         rows[r][c] = v
     return rows
 
 
+def _blocks_of(m: SparseMatrix, rows: list[dict]) -> list[list[dict]]:
+    """Fresh row dicts of m grouped by its cached row-block partition."""
+    return [[rows[r] for r in block] for block in m._row_blocks()]
+
+
 def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     """Exact rank over F_p.
 
-    Certified as a lower bound on the rank over Q exactly when the entries
-    are integers (an integer matrix's mod-p rank never exceeds its Q-rank).
+    Certified as a lower bound on the rank over Q exactly when the matrix is
+    over Q with integer entries (an integer matrix's mod-p rank never exceeds
+    its Q-rank); a matrix given over F_p has no Q lift to bound.
     """
     tag = FieldTag.prime_field(p)
     rows = _rows_mod_p(m, p)
@@ -342,9 +355,9 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
         rank = _rank_dense_modp(dense, p)
         method = METHOD_DENSE
     else:
-        rank = sum(_rank_sparse_modp(comp, p) for comp in _split_components(rows))
+        rank = sum(_rank_sparse_modp(block, p) for block in _blocks_of(m, rows))
         method = METHOD_SPARSE
-    return RankResult(rank, tag, method, m.is_integral())
+    return RankResult(rank, tag, method, m.field.is_q and m.is_integral())
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
@@ -357,10 +370,12 @@ def rank_exact_q(m: SparseMatrix) -> RankResult:
     rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
     denoms: list[int] = [1] * m.rows
     for (r, c), v in m._cells.items():
-        denoms[r] = denoms[r] * v.denominator // gcd(denoms[r], v.denominator)
+        if type(v) is not int:
+            denoms[r] = denoms[r] * v.denominator // gcd(denoms[r], v.denominator)
     for (r, c), v in m._cells.items():
-        rows[r][c] = v.numerator * (denoms[r] // v.denominator)
-    rank = sum(_rank_sparse_fraction_free(comp) for comp in _split_components(rows))
+        d = denoms[r]
+        rows[r][c] = v * d if type(v) is int else v.numerator * (d // v.denominator)
+    rank = sum(_rank_sparse_fraction_free(block) for block in _blocks_of(m, rows))
     return RankResult(rank, FieldTag.rationals(), METHOD_FRACTION_FREE, True)
 
 
@@ -369,7 +384,10 @@ def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult
 
     MultiPrime: max of ranks over the strategy's primes (default list when
     unset); sound for lower-bound certificates on integer matrices because
-    each mod-p rank is at most the Q-rank.  ExactQ delegates to rank_exact_q.
+    each mod-p rank is at most the Q-rank.  The primes run in order and stop
+    at the first one whose rank reaches min(rows, cols): the Q-rank cannot
+    exceed that, so no further prime can raise the max.  ExactQ delegates
+    to rank_exact_q.
     """
     if isinstance(strategy, ExactQ):
         return rank_exact_q(m)
@@ -380,11 +398,14 @@ def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult
     primes = strategy.primes if strategy.primes is not None else certification_primes()
     if not primes:
         raise BadPrime("empty prime list")
+    full = min(m.rows, m.cols)
     best: RankResult | None = None
     for p in primes:
         res = rank_mod_p(m, p)
         if best is None or res.rank > best.rank:
             best = res
+        if best.rank == full:
+            break
     return best
 
 

@@ -1,10 +1,13 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields F_p.
 
-Rationals are `fractions.Fraction`, which is already canonical (positive
-denominator, fully reduced, zero is 0/1).  Prime-field values are plain ints
-in [0, p) with the modulus carried by a `FieldTag` context; the thin
-`PrimeFieldElement` wrapper is available where a self-describing element is
-more convenient than a (value, context) pair.
+A rational value is stored as a plain `int` when it is an integer and as a
+`fractions.Fraction` (canonical: positive denominator, fully reduced) only
+when it is not, so integer data, which is all that flattenings of integer
+tensors carry, stays on Python's fast int arithmetic.  `FieldTag.coerce`
+produces that form; an int and the equal `Fraction` compare and hash alike.
+Prime-field values are plain ints in [0, p) with the modulus carried by a
+`FieldTag` context; the thin `PrimeFieldElement` wrapper is available where
+a self-describing element is more convenient than a (value, context) pair.
 
 All values are immutable and safe to share between threads.
 """
@@ -107,8 +110,8 @@ def parse_rational(s: str) -> Fraction:
 class FieldTag:
     """Field of computation: the rationals ("Q") or F_p for a checked prime.
 
-    Carries the arithmetic on raw values (Fraction for Q, int in [0, p) for
-    F_p) so bulk code can work with unwrapped scalars.
+    Carries the arithmetic on raw values (int or non-integral Fraction for
+    Q, int in [0, p) for F_p) so bulk code can work with unwrapped scalars.
     """
 
     kind: str
@@ -157,10 +160,10 @@ class FieldTag:
     # -- arithmetic on raw values --------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.is_q else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.is_q else 1
+        return 1
 
     def add(self, x, y):
         return x + y if self.is_q else (x + y) % self.p
@@ -185,9 +188,15 @@ class FieldTag:
         return pow(x, -1, self.p)
 
     def coerce(self, v):
-        """Bring an int or Fraction into this field's raw representation."""
+        """Bring an int or Fraction into this field's raw representation.
+
+        Over Q that is an int for integral values and a Fraction otherwise.
+        """
         if self.is_q:
-            return Fraction(v)
+            if isinstance(v, int):
+                return int(v)
+            q = Fraction(v)
+            return q.numerator if q.denominator == 1 else q
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return v.numerator % self.p
@@ -195,11 +204,11 @@ class FieldTag:
         return v % self.p
 
     def from_int(self, n: int):
-        return Fraction(n) if self.is_q else n % self.p
+        return n if self.is_q else n % self.p
 
     def from_fraction(self, q: Fraction):
         if self.is_q:
-            return Fraction(q)
+            return self.coerce(q)
         den = q.denominator % self.p
         if den == 0:
             raise BadPrime(f"denominator {q.denominator} vanishes mod {self.p}")

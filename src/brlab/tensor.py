@@ -250,9 +250,13 @@ def tensor_to_json(t: Tensor3) -> dict:
 
 def tensor_from_json(doc: dict) -> Tensor3:
     try:
+        if not isinstance(doc["field"], str):
+            raise TypeError(f"field must be a string, got {doc['field']!r}")
         field = FieldTag.from_string(doc["field"])
         dims = tuple(int(x) for x in doc["dims"])
         raw = doc["entries"]
+        if not isinstance(raw, list):
+            raise TypeError(f"entries must be a list, got {type(raw).__name__}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed tensor document: {exc}") from exc
     if len(dims) != 3:
@@ -260,9 +264,12 @@ def tensor_from_json(doc: dict) -> Tensor3:
     entries = []
     prev = None
     for item in raw:
-        if len(item) != 4:
+        if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise FormatError(f"bad entry {item!r}")
-        i, j, k = int(item[0]), int(item[1]), int(item[2])
+        try:
+            i, j, k = int(item[0]), int(item[1]), int(item[2])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad index in entry {item!r}") from exc
         if prev is not None and (i, j, k) <= prev:
             raise FormatError(f"entries not strictly sorted at ({i},{j},{k})")
         prev = (i, j, k)
@@ -280,6 +287,8 @@ def load_tensor(path) -> Tensor3:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not an ASCII file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise FormatError(f"not JSON: {exc}") from exc
     return tensor_from_json(doc)

@@ -264,3 +264,38 @@ def test_determinism_same_flags(capsys):
     doc1, doc2 = json.loads(out1), json.loads(out2)
     doc1.pop("timings_ms"), doc2.pop("timings_ms")
     assert code1 == code2 == 0 and doc1 == doc2
+
+
+@pytest.mark.parametrize("content", [
+    b'{"field": "Q", "dims": [2, 2, 2], "entries": [["x", 0, 0, "1"]]}',
+    b'{"field": "Q", "dims": [2, 2, 2], "entries": [7]}',
+    b'{"field": "Q", "dims": [2, 2, 2], "entries": [[0, 0, 0, "\xc3\xa9"]]}',
+    b'{"field": 5, "dims": [2, 2, 2], "entries": []}',
+], ids=["non-integer-index", "non-list-entry", "non-ascii-byte", "non-string-field"])
+def test_bound_malformed_tensor_file_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "bound", "--method", "classical", "--tensor", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_bound_large_rational_tensor_takes_exact_q(tmp_path, capsys):
+    # 5940 x 2640 flattening: above the auto cell limit, but its entries
+    # are not integers, so only exact Q can rank it.
+    from fractions import Fraction
+    import random
+    from brlab.scalars import FieldTag
+    from brlab.tensor import Tensor3, save_tensor
+    rng = random.Random(12)
+    cells = sorted(rng.sample(range(12 ** 3), 35))
+    entries = [(x // 144, x // 12 % 12, x % 12, Fraction(rng.choice((-7, 5, 8)), 3))
+               for x in cells]
+    path = tmp_path / "sparse-rat.json"
+    save_tensor(Tensor3((12, 12, 12), entries, FieldTag.rationals()), path)
+    code, out, _ = run(capsys, "bound", "--method", "koszul", "--p", "3",
+                       "--tensor", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rows"], doc["cols"]) == (5940, 2640)
+    assert doc["field"] == "Q" and doc["soundness"] == "exact-Q"

@@ -191,3 +191,18 @@ def test_koszul_labels_json_export():
     assert doc["params"] == {"a": 4, "b": 2, "c": 2, "p": 1}
     assert doc["cols"][0] == [0, [0]]
     assert len(doc["rows"]) == km.rows
+
+
+def test_koszul_over_fp_is_q_flattening_mod_p():
+    rng = random.Random(17)
+    for prime in (3, 65521):
+        fp = FieldTag.prime_field(prime)
+        for dims in [(4, 2, 3), (5, 3, 2)]:
+            t = _random_tensor(rng, dims)
+            t_fp = Tensor3(t.dims, [(i, j, k, v % prime) for i, j, k, v in t.items()
+                                    if v % prime], fp)
+            for p in range(redundancy_cap(dims[0]) + 1):
+                km_q = koszul_flattening(t, p).matrix
+                km_fp = koszul_flattening(t_fp, p).matrix
+                reduced = [(r, c, v % prime) for r, c, v in km_q.items() if v % prime]
+                assert km_fp.items() == reduced

@@ -236,3 +236,67 @@ def test_koszul_file_round_trip(tmp_path):
     back = read_matrix(path)
     assert back == km.matrix
     assert rank_exact_q(back).rank == 16
+
+
+def test_q_storage_int_or_fraction():
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(2, 1)), (1, 1, Fraction(1, 3))], Q)
+    assert type(m.value(0, 0)) is int
+    assert type(m.value(1, 1)) is Fraction
+    assert m == SparseMatrix(2, 2, [(0, 0, 2), (1, 1, Fraction(1, 3))], Q)
+    assert SparseMatrix(1, 1, [(0, 0, Fraction(4, 2))], Q).is_integral()
+    with pytest.raises(FormatError):
+        SparseMatrix(1, 1, [(0, 0, Fraction(0, 5))], Q)
+
+
+def test_multiprime_stops_at_full_rank(monkeypatch):
+    import brlab.rank_engine as rank_engine
+    calls = []
+    original = rank_engine.rank_mod_p
+
+    def counting(m, p):
+        calls.append(p)
+        return original(m, p)
+
+    monkeypatch.setattr(rank_engine, "rank_mod_p", counting)
+    primes = DEFAULT_CERTIFICATION_PRIMES
+    assert rank_certified(_identity(4), MultiPrime(primes)).rank == 4
+    assert calls == [primes[0]]
+
+    calls.clear()
+    unlucky = SparseMatrix(3, 3, [(0, 0, 65521), (1, 1, 1), (2, 2, 1)], Q)
+    res = rank_certified(unlucky, MultiPrime((65521,) + primes[:2]))
+    assert res.rank == 3 and res.field == FieldTag.prime_field(primes[0])
+    assert calls == [65521, primes[0]]
+
+    calls.clear()
+    singular = SparseMatrix(2, 3, [(0, 0, 1), (1, 0, 2)], Q)
+    assert rank_certified(singular, MultiPrime(primes)).rank == 1
+    assert calls == list(primes)
+
+
+def test_block_diagonal_rank_is_sum_over_three_primes():
+    rng = random.Random(99)
+    blocks = [_random_matrix(rng, r, c, fill=0.6) for r, c in ((5, 4), (3, 6), (7, 7))]
+    entries, r0, c0 = [], 0, 0
+    for blk in blocks:
+        entries += [(r0 + r, c0 + c, v) for r, c, v in blk.items()]
+        r0, c0 = r0 + blk.rows, c0 + blk.cols
+    # Zero rows and columns past the blocks keep the matrix on the sparse path.
+    big = SparseMatrix(r0 + 200, c0 + 200, entries, Q)
+    expected = sum(rank_gauss_fractions(dense_rows(blk)) for blk in blocks)
+    for p in DEFAULT_CERTIFICATION_PRIMES:
+        res = rank_mod_p(big, p)
+        assert res.method == METHOD_SPARSE
+        assert res.rank == expected
+    assert rank_certified(big, MultiPrime()).rank == expected
+    assert rank_exact_q(big).rank == expected
+    assert big._row_blocks() is big._row_blocks()
+
+
+def test_prime_field_matrix_not_certified_over_q():
+    fp = FieldTag.prime_field(7)
+    m = SparseMatrix(2, 2, [(0, 0, 3), (1, 1, 5)], fp)
+    res = rank_mod_p(m, 7)
+    assert res.rank == 2
+    assert not res.certified_lower_bound_over_q
+    assert rank_mod_p(_identity(2), 7).certified_lower_bound_over_q
