@@ -5,6 +5,15 @@ matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
 (possibly loose) input to a lower-bound certificate, while an exact-Q rank
 is tight for the matrix at hand.
 
+Sparse ranks run per row block: a matrix that is block diagonal after a
+row and column permutation has the sum of its blocks' ranks.  Blocks that
+are identical up to a column relabelling (checked entry by entry, never by
+hash alone) are ranked once and their rank is multiplied by their count.
+That is exact over every field: equal exact entries reduce to equal values
+mod p, so the copies have equal ranks mod every prime too.  The flattenings
+of matrix multiplication repeat blocks heavily (the third index alone gives
+l identical copies), so most of their blocks are never eliminated.
+
 Elimination is deterministic: pivots are chosen on the sparsest active
 column, ties broken by lowest column index, then sparsest row, then lowest
 row index.  Repeated runs give identical results.
@@ -35,11 +44,13 @@ class SparseMatrix:
 
     Entries are kept as a map (row, col) -> nonzero value in the field's raw
     form (see `FieldTag.coerce`); duplicate coordinates and stored zeros are
-    rejected at construction.  The row-block partition is computed on first
-    use and shared by every rank pass over the matrix.
+    rejected at construction.  The row-block partition and the grouping of
+    identical blocks into classes are computed together on first use and
+    shared by every rank pass over the matrix; the sparse rank paths
+    eliminate one representative per class.
     """
 
-    __slots__ = ("rows", "cols", "field", "_cells", "_blocks")
+    __slots__ = ("rows", "cols", "field", "_cells", "_blocks", "_classes")
 
     def __init__(self, rows: int, cols: int, entries, field: FieldTag):
         if rows < 0 or cols < 0:
@@ -60,6 +71,7 @@ class SparseMatrix:
         self.field = field
         self._cells = cells
         self._blocks = None
+        self._classes = None
 
     @property
     def nnz(self) -> int:
@@ -101,28 +113,85 @@ class SparseMatrix:
         row index, so the split is deterministic.  Entries only vanish under
         reduction mod p, so the split stays valid for every prime.
         """
-        if self._blocks is not None:
-            return self._blocks
-        parent = list(range(self.rows))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        col_owner: dict[int, int] = {}
-        for r, c in self._cells:
-            owner = col_owner.setdefault(c, r)
-            if owner != r:
-                ra, rb = find(owner), find(r)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for r in sorted({r for r, _ in self._cells}):
-            groups.setdefault(find(r), []).append(r)
-        self._blocks = [groups[k] for k in sorted(groups)]
+        if self._blocks is None:
+            self._split()
         return self._blocks
+
+    def _block_classes(self) -> list[tuple[tuple, int]]:
+        """Identical row blocks grouped by content, as (block, count) pairs.
+
+        Blocks fall in one class only when their content keys are equal.  A
+        key lists the block's rows in increasing order: the entry count of
+        each row, then every entry's column relabelled in order of first
+        appearance in the block, then every value.  Equal keys mean equal
+        blocks up to a column permutation, hence equal ranks over every
+        field (equal exact values also reduce to equal values mod p).  Keys
+        are compared by full tuple equality, entry by entry, so a hash
+        collision cannot merge different blocks.  Each class keeps its first
+        block as the representative, as a tuple of rows of (local column,
+        value) pairs.  Classes come out in order of their first block.
+        """
+        if self._classes is None:
+            self._split()
+        return self._classes
+
+    def _split(self) -> None:
+        """Compute the row blocks and their content classes together."""
+        # One pass over the cells collects each row's entries in insertion
+        # order, as a flat [col, value, col, value, ...] list, and joins each
+        # row to the first row seen in each of its columns (union-find with
+        # path halving; the root of a component is its smallest row).
+        parent = list(range(self.rows))
+        col_owner: dict[int, int] = {}
+        owner_of = col_owner.setdefault
+        row_entries: dict[int, list] = {}
+        entries_of = row_entries.get
+        for (r, c), v in self._cells.items():
+            e = entries_of(r)
+            if e is None:
+                row_entries[r] = [c, v]
+            else:
+                e.append(c)
+                e.append(v)
+            o = owner_of(c, r)
+            if o != r:
+                while parent[o] != o:
+                    parent[o] = o = parent[parent[o]]
+                x = r
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if o < x:
+                    parent[x] = o
+                elif x < o:
+                    parent[o] = x
+        groups: dict[int, list[int]] = {}
+        for r in sorted(row_entries):
+            root = r
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(r)
+        blocks = [groups[k] for k in sorted(groups)]
+        classes: dict[tuple, list] = {}
+        for block in blocks:
+            flat, lens = [], []
+            for r in block:
+                e = row_entries[r]
+                flat += e
+                lens.append(len(e) // 2)
+            cols, vals = flat[::2], flat[1::2]
+            labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
+            key = (tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals))
+            cls = classes.get(key)
+            if cls is None:
+                local, rep, i = key[1], [], 0
+                for k in lens:
+                    rep.append(tuple(zip(local[i:i + k], vals[i:i + k])))
+                    i += k
+                classes[key] = [tuple(rep), 1]
+            else:
+                cls[1] += 1
+        self._blocks = blocks
+        self._classes = [(rep, count) for rep, count in classes.values()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -308,31 +377,51 @@ def _rank_dense_modp(mat: list[list[int]], p: int) -> int:
 # public rank operations
 # ---------------------------------------------------------------------------
 
+def _fraction_mod_p(v, p: int) -> int:
+    den = v.denominator % p
+    if den == 0:
+        raise BadPrime(f"denominator {v.denominator} vanishes mod {p}")
+    return v.numerator * pow(den, -1, p) % p
+
+
 def _rows_mod_p(m: SparseMatrix, p: int) -> list[dict[int, int]]:
-    if not m.field.is_q and m.field.p != p:
-        raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
+    """Whole-matrix row dicts mod p, for the dense path."""
     rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-    if m.field.is_q:
-        for (r, c), v in m._cells.items():
-            if type(v) is int:
-                x = v % p
-            else:
-                den = v.denominator % p
-                if den == 0:
-                    raise BadPrime(
-                        f"denominator {v.denominator} at ({r},{c}) vanishes mod {p}")
-                x = v.numerator * pow(den, -1, p) % p
-            if x:
-                rows[r][c] = x
-        return rows
     for (r, c), v in m._cells.items():
-        rows[r][c] = v
+        x = v % p if type(v) is int else _fraction_mod_p(v, p)
+        if x:
+            rows[r][c] = x
     return rows
 
 
-def _blocks_of(m: SparseMatrix, rows: list[dict]) -> list[list[dict]]:
-    """Fresh row dicts of m grouped by its cached row-block partition."""
-    return [[rows[r] for r in block] for block in m._row_blocks()]
+def _block_mod_p(block: tuple, p: int) -> list[dict[int, int]]:
+    """Fresh row dicts of a class representative, reduced mod p."""
+    rows = []
+    for row in block:
+        d = {}
+        for c, v in row:
+            x = v % p if type(v) is int else _fraction_mod_p(v, p)
+            if x:
+                d[c] = x
+        rows.append(d)
+    return rows
+
+
+def _block_integral(block: tuple) -> list[dict[int, int]]:
+    """Fresh row dicts of a class representative over Q, each row scaled by
+    the lcm of its denominators (rank-preserving)."""
+    rows = []
+    for row in block:
+        d = 1
+        for _, v in row:
+            if type(v) is not int:
+                d = d * v.denominator // gcd(d, v.denominator)
+        if d == 1:
+            rows.append(dict(row))
+        else:
+            rows.append({c: v * d if type(v) is int else v.numerator * (d // v.denominator)
+                         for c, v in row})
+    return rows
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
@@ -343,39 +432,36 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     its Q-rank); a matrix given over F_p has no Q lift to bound.
     """
     tag = FieldTag.prime_field(p)
-    rows = _rows_mod_p(m, p)
+    if not m.field.is_q and m.field.p != p:
+        raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
+    certified = m.field.is_q and m.is_integral()
     cells = m.rows * m.cols
-    nnz = sum(len(r) for r in rows)
-    if cells <= _DENSE_SMALL_CELLS or (
-            cells <= _DENSE_CELL_LIMIT and nnz >= _DENSE_MIN_FILL * cells):
-        dense = [[0] * m.cols for _ in range(m.rows)]
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                dense[r][c] = v
-        rank = _rank_dense_modp(dense, p)
-        method = METHOD_DENSE
-    else:
-        rank = sum(_rank_sparse_modp(block, p) for block in _blocks_of(m, rows))
-        method = METHOD_SPARSE
-    return RankResult(rank, tag, method, m.field.is_q and m.is_integral())
+    small = cells <= _DENSE_SMALL_CELLS
+    # Reduction mod p only drops entries, so a matrix whose nnz is below the
+    # fill threshold stays below it mod p and goes straight to the sparse path.
+    if small or (cells <= _DENSE_CELL_LIMIT and m.nnz >= _DENSE_MIN_FILL * cells):
+        rows = _rows_mod_p(m, p)
+        if small or sum(map(len, rows)) >= _DENSE_MIN_FILL * cells:
+            dense = [[0] * m.cols for _ in range(m.rows)]
+            for r, row in enumerate(rows):
+                for c, v in row.items():
+                    dense[r][c] = v
+            return RankResult(_rank_dense_modp(dense, p), tag, METHOD_DENSE, certified)
+    rank = sum(count * _rank_sparse_modp(_block_mod_p(block, p), p)
+               for block, count in m._block_classes())
+    return RankResult(rank, tag, METHOD_SPARSE, certified)
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
     """Exact rank over Q via fraction-free integer elimination.
 
-    Rational rows are scaled integral first (rank-preserving).
+    Rational rows are scaled integral first (rank-preserving), and each
+    class of identical blocks is eliminated once.
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-    denoms: list[int] = [1] * m.rows
-    for (r, c), v in m._cells.items():
-        if type(v) is not int:
-            denoms[r] = denoms[r] * v.denominator // gcd(denoms[r], v.denominator)
-    for (r, c), v in m._cells.items():
-        d = denoms[r]
-        rows[r][c] = v * d if type(v) is int else v.numerator * (d // v.denominator)
-    rank = sum(_rank_sparse_fraction_free(block) for block in _blocks_of(m, rows))
+    rank = sum(count * _rank_sparse_fraction_free(_block_integral(block))
+               for block, count in m._block_classes())
     return RankResult(rank, FieldTag.rationals(), METHOD_FRACTION_FREE, True)
 
 
@@ -423,26 +509,32 @@ def write_matrix(m: SparseMatrix, path) -> None:
 
 
 def read_matrix(path) -> SparseMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise FormatError(f"bad matrix header {header!r}")
-        try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise FormatError(f"bad matrix header {header!r}") from exc
-        field = FieldTag.from_string(header[2])
-        entries = []
-        prev = None
-        for line in fh:
-            if not line.strip():
-                continue
-            toks = line.split()
-            if len(toks) != 3:
-                raise FormatError(f"bad matrix line {line!r}")
-            r, c = int(toks[0]), int(toks[1])
-            if prev is not None and (r, c) <= prev:
-                raise FormatError(f"entries not sorted at ({r},{c})")
-            prev = (r, c)
-            entries.append((r, c, field.parse(toks[2])))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise FormatError(f"bad matrix header {header!r}")
+            try:
+                rows, cols = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise FormatError(f"bad matrix header {header!r}") from exc
+            field = FieldTag.from_string(header[2])
+            entries = []
+            prev = None
+            for line in fh:
+                if not line.strip():
+                    continue
+                toks = line.split()
+                if len(toks) != 3:
+                    raise FormatError(f"bad matrix line {line!r}")
+                try:
+                    r, c = int(toks[0]), int(toks[1])
+                except ValueError as exc:
+                    raise FormatError(f"bad index in matrix line {line!r}") from exc
+                if prev is not None and (r, c) <= prev:
+                    raise FormatError(f"entries not sorted at ({r},{c})")
+                prev = (r, c)
+                entries.append((r, c, field.parse(toks[2])))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not an ASCII file: {exc}") from exc
     return SparseMatrix(rows, cols, entries, field)

@@ -257,7 +257,7 @@ def tensor_from_json(doc: dict) -> Tensor3:
         raw = doc["entries"]
         if not isinstance(raw, list):
             raise TypeError(f"entries must be a list, got {type(raw).__name__}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed tensor document: {exc}") from exc
     if len(dims) != 3:
         raise FormatError(f"dims must have length 3, got {dims}")
@@ -268,7 +268,7 @@ def tensor_from_json(doc: dict) -> Tensor3:
             raise FormatError(f"bad entry {item!r}")
         try:
             i, j, k = int(item[0]), int(item[1]), int(item[2])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad index in entry {item!r}") from exc
         if prev is not None and (i, j, k) <= prev:
             raise FormatError(f"entries not strictly sorted at ({i},{j},{k})")

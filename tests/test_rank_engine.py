@@ -300,3 +300,91 @@ def test_prime_field_matrix_not_certified_over_q():
     assert res.rank == 2
     assert not res.certified_lower_bound_over_q
     assert rank_mod_p(_identity(2), 7).certified_lower_bound_over_q
+
+
+def test_matrix_file_bad_index_and_non_ascii(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2 Q\n0 x 1\n")
+    with pytest.raises(FormatError):
+        read_matrix(path)
+    path.write_bytes(b"2 2 Q\n0 0 \xe9\n")
+    with pytest.raises(FormatError):
+        read_matrix(path)
+
+
+def _place_copies(blocks, counts, rng, pad, shuffle_rows):
+    """Block-diagonal matrix holding counts[i] copies of blocks[i].
+
+    Copies land at interleaved rows and randomly permuted columns.  Rows of
+    each copy keep their relative order unless shuffle_rows is set; entries
+    of every copy are written in the same order as in its block.
+    """
+    copies = [b for b, k in zip(blocks, counts) for _ in range(k)]
+    nrows = sum(b.rows for b in copies)
+    ncols = sum(b.cols for b in copies)
+    row_slots = list(range(nrows))
+    rng.shuffle(row_slots)
+    col_slots = list(range(ncols))
+    rng.shuffle(col_slots)
+    entries, r0, c0 = [], 0, 0
+    for blk in copies:
+        rows = row_slots[r0:r0 + blk.rows]
+        if not shuffle_rows:
+            rows.sort()
+        cols = col_slots[c0:c0 + blk.cols]
+        entries += [(rows[r], cols[c], v) for r, c, v in blk.items()]
+        r0, c0 = r0 + blk.rows, c0 + blk.cols
+    return SparseMatrix(nrows + pad, ncols + pad, entries, Q)
+
+
+def test_repeated_blocks_rank_matches_oracle():
+    rng = random.Random(4242)
+    blocks = [_random_matrix(rng, r, c, fill=0.6) for r, c in ((4, 5), (6, 3), (5, 5))]
+    blocks.append(SparseMatrix(3, 3, [(0, 0, Fraction(1, 2)), (0, 2, 3), (1, 1, Fraction(-2, 3)),
+                                      (2, 0, 1), (2, 2, Fraction(5, 4))], Q))
+    counts = (3, 1, 4, 2)
+    expected = sum(k * rank_gauss_fractions(dense_rows(b)) for b, k in zip(blocks, counts))
+    single = _place_copies(blocks, (1, 1, 1, 1), rng, 0, False)
+    for shuffle_rows in (False, True):
+        # Zero padding keeps the matrix on the sparse path.
+        m = _place_copies(blocks, counts, rng, 300, shuffle_rows)
+        assert rank_exact_q(m).rank == expected
+        for p in DEFAULT_CERTIFICATION_PRIMES:
+            res = rank_mod_p(m, p)
+            assert res.method == METHOD_SPARSE
+            assert res.rank == expected
+        classes = m._block_classes()
+        assert sum(k for _, k in classes) == len(m._row_blocks())
+        if not shuffle_rows:
+            assert len(classes) == len(single._block_classes())
+        assert m._block_classes() is classes
+
+
+def test_same_pattern_different_value_not_merged():
+    ones = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    other = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)]
+    m = SparseMatrix(200, 200, ones + [(r + 2, c + 2, v) for r, c, v in other], Q)
+    assert len(m._block_classes()) == 2
+    assert rank_exact_q(m).rank == 3
+    for p in DEFAULT_CERTIFICATION_PRIMES:
+        res = rank_mod_p(m, p)
+        assert res.method == METHOD_SPARSE and res.rank == 3
+
+
+def test_bad_prime_inside_repeated_block():
+    block = [(0, 0, Fraction(1, 5)), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    entries = [(r + 2 * k, c + 2 * k, v) for k in range(3) for r, c, v in block]
+    m = SparseMatrix(200, 200, entries, Q)
+    assert len(m._block_classes()) == 1
+    with pytest.raises(BadPrime):
+        rank_mod_p(m, 5)
+    assert rank_mod_p(m, 7).rank == 6
+    assert rank_exact_q(m).rank == 6
+
+
+def test_block_class_counts_of_flattenings():
+    from brlab.binaryforms import restricted_koszul
+    m = restricted_koszul(4, 4, 4).matrix
+    assert (len(m._row_blocks()), len(m._block_classes())) == (64, 16)
+    m = koszul_flattening(matmul_tensor(3, 3, 3), 4).matrix
+    assert (len(m._row_blocks()), len(m._block_classes())) == (351, 37)

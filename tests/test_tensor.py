@@ -244,6 +244,19 @@ def test_json_rejects_unsorted_and_malformed():
         tensor_from_json(bad)
 
 
+def test_json_rejects_infinite_dimension_or_index():
+    # JSON "Infinity" parses to a float that no int conversion accepts.
+    doc = tensor_to_json(matmul_tensor(2, 2, 1))
+    bad = json.loads(json.dumps(doc))
+    bad["dims"][0] = float("inf")
+    with pytest.raises(FormatError):
+        tensor_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["entries"][0][0] = float("inf")
+    with pytest.raises(FormatError):
+        tensor_from_json(bad)
+
+
 def test_rational_values_round_trip(tmp_path):
     t = Tensor3((2, 2, 2), [(0, 0, 0, Fraction(-3, 7)), (1, 1, 1, Fraction(5, 2))], Q)
     path = tmp_path / "q.json"
