@@ -18,7 +18,6 @@ from .bounds import (
     lickteig_square,
 )
 from .binaryforms import (
-    BinaryForm,
     RestrictedSetup,
     dual_surjectivity_check,
     restricted_koszul,
@@ -27,10 +26,7 @@ from .binaryforms import (
 from .errors import BrlabError
 from .exterior import (
     KoszulMatrix,
-    SubsetIndex,
-    enumerate_subsets,
     koszul_flattening,
-    wedge_insert,
 )
 from .rank_engine import (
     ExactQ,
@@ -57,10 +53,8 @@ from .repcomb import (
 from .scalars import (
     DEFAULT_CERTIFICATION_PRIMES,
     FieldTag,
-    PrimeFieldElement,
     Rational,
     certification_primes,
-    field_inverse,
     normalize,
 )
 from .tensor import (
@@ -80,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCertificate",
-    "BinaryForm",
     "BrlabError",
     "DEFAULT_CERTIFICATION_PRIMES",
     "ExactQ",
@@ -89,12 +82,10 @@ __all__ = [
     "IsotypicSummand",
     "KoszulMatrix",
     "MultiPrime",
-    "PrimeFieldElement",
     "RankResult",
     "Rational",
     "RestrictedSetup",
     "SparseMatrix",
-    "SubsetIndex",
     "Tensor3",
     "add_tensors",
     "bound_classical",
@@ -108,9 +99,7 @@ __all__ = [
     "corollary_2nl",
     "dim_schur",
     "dual_surjectivity_check",
-    "enumerate_subsets",
     "equation_degree",
-    "field_inverse",
     "flatten_classical",
     "kernel_dim_formula",
     "kernel_dim_pieri",
@@ -131,6 +120,5 @@ __all__ = [
     "restriction_projector",
     "save_tensor",
     "scale_tensor",
-    "wedge_insert",
     "write_matrix",
 ]

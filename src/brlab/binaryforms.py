@@ -1,129 +1,24 @@
-"""Binary forms and the multiplication projection onto the top summand.
+"""The binary-form multiplication projection onto the top summand.
 
-A form of degree d is stored by its d + 1 coefficients on the monomial
+A form of degree d is represented by its d + 1 coefficients on the monomial
 basis x^d, x^{d-1}y, ..., y^d.  The projection of the mn-dimensional first
 factor of the matrix multiplication tensor onto the (m+n-1)-dimensional
-space of degree-(m+n-2) forms is plain monomial multiplication: composing
-it with the wedge-power flattening at p = n-1 yields a map that is
-injective for all n <= m, which is what turns the column count into a
-border-rank bound.
+space of degree-(m+n-2) forms is plain monomial multiplication, a 0/1
+matrix: composing it with the wedge-power flattening at p = n-1 yields a
+map that is injective for all n <= m, which is what turns the column count
+into a border-rank bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .errors import DegreeMismatch, DimensionMismatch, FieldMismatch, OrderViolation
+from .errors import OrderViolation
 from .exterior import KoszulMatrix, koszul_flattening
 from .rank_engine import rank_mod_p
 from .scalars import FieldTag, certification_primes
 from .tensor import FactorMap, Tensor3, matmul_tensor, project_factor_A
-
-
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous polynomial of fixed degree in two variables."""
-
-    degree: int
-    coefficients: tuple
-    field: FieldTag = FieldTag("Q")
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise DimensionMismatch(f"negative degree {self.degree}")
-        if len(self.coefficients) != self.degree + 1:
-            raise DimensionMismatch(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {len(self.coefficients)}")
-        object.__setattr__(
-            self, "coefficients",
-            tuple(self.field.coerce(c) for c in self.coefficients))
-
-    @staticmethod
-    def from_coefficients(coeffs, field: FieldTag | None = None) -> "BinaryForm":
-        field = field if field is not None else FieldTag.rationals()
-        coeffs = tuple(coeffs)
-        return BinaryForm(len(coeffs) - 1, coeffs, field)
-
-    @staticmethod
-    def linear(lam, mu, field: FieldTag | None = None) -> "BinaryForm":
-        """The linear form lam*x + mu*y."""
-        field = field if field is not None else FieldTag.rationals()
-        return BinaryForm(1, (lam, mu), field)
-
-    def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(c == zero for c in self.coefficients)
-
-    def evaluate(self, lam, mu):
-        """Value at the point with coordinates (lam, mu)."""
-        f = self.field
-        lam, mu = f.coerce(lam), f.coerce(mu)
-        acc = f.zero()
-        for i, c in enumerate(self.coefficients):
-            term = f.mul(c, f.mul(_power(f, lam, self.degree - i), _power(f, mu, i)))
-            acc = f.add(acc, term)
-        return acc
-
-
-def _power(field: FieldTag, x, e: int):
-    acc = field.one()
-    for _ in range(e):
-        acc = field.mul(acc, x)
-    return acc
-
-
-def multiply(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Polynomial product; coefficient lists convolve."""
-    if f.field != g.field:
-        raise FieldMismatch(f"fields {f.field} != {g.field}")
-    fl = f.field
-    out = [fl.zero()] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coefficients):
-        for j, b in enumerate(g.coefficients):
-            out[i + j] = fl.add(out[i + j], fl.mul(a, b))
-    return BinaryForm(f.degree + g.degree, tuple(out), fl)
-
-
-def power(f: BinaryForm, e: int) -> BinaryForm:
-    acc = BinaryForm(0, (f.field.one(),), f.field)
-    for _ in range(e):
-        acc = multiply(acc, f)
-    return acc
-
-
-def contract(g: BinaryForm, f: BinaryForm) -> BinaryForm:
-    """Apolar contraction of a degree-alpha form f by a dual degree-beta form g.
-
-    Normalized so that for a linear form l, contracting l^alpha by g gives
-    g(l) * l^(alpha-beta): the result of degree alpha - beta has
-    coefficients
-
-      c_k = sum_i g_i f_{k+i} * (alpha-beta)! (alpha-k-i)! (k+i)!
-                               / (alpha! (alpha-beta-k)! k!)
-    """
-    if g.field != f.field:
-        raise FieldMismatch(f"fields {g.field} != {f.field}")
-    alpha, beta = f.degree, g.degree
-    if beta > alpha:
-        raise DegreeMismatch(f"contraction degree {beta} exceeds form degree {alpha}")
-    fl = f.field
-    out = []
-    for k in range(alpha - beta + 1):
-        acc = fl.zero()
-        for i in range(beta + 1):
-            gi, fki = g.coefficients[i], f.coefficients[k + i]
-            if gi == fl.zero() or fki == fl.zero():
-                continue
-            ratio = Fraction(
-                factorial(alpha - beta) * factorial(alpha - k - i) * factorial(k + i),
-                factorial(alpha) * factorial(alpha - beta - k) * factorial(k),
-            )
-            acc = fl.add(acc, fl.mul(fl.mul(gi, fki), fl.from_fraction(ratio)))
-        out.append(acc)
-    return BinaryForm(alpha - beta, tuple(out), fl)
 
 
 @dataclass(frozen=True)

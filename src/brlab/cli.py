@@ -56,8 +56,28 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _parse_strategy(spec: str | None):
-    """Map a --field flag to a rank strategy (None means auto-select)."""
+def _field_flag(*words: str):
+    """argparse type for --field: one of `words`, or "fp:P" with P an integer.
+
+    Returns the word, or P as an int.  Whether P is prime is checked where
+    the field is built, so a well-formed non-prime P is an arithmetic
+    failure (exit 3) while a malformed flag is a usage error (exit 2).
+    """
+    def parse(text: str):
+        if text in words:
+            return text
+        if text.startswith("fp:"):
+            try:
+                return int(text[3:])
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(
+            f"bad field {text!r} (want {', '.join(words)} or fp:P)")
+    return parse
+
+
+def _parse_strategy(spec: str | int | None):
+    """Map a parsed --field flag to a rank strategy (None means auto-select)."""
     if spec is None:
         return None
     if spec == "q":
@@ -66,14 +86,7 @@ def _parse_strategy(spec: str | None):
         return MultiPrime()
     if spec == "fp":
         return MultiPrime((certification_primes()[0],))
-    if spec.startswith("fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise BadPrime(f"bad prime in field flag {spec!r}")
-        FieldTag.prime_field(p)
-        return MultiPrime((p,))
-    raise argparse.ArgumentTypeError(f"bad field {spec!r} (want q, fp[:P], multiprime)")
+    return MultiPrime((FieldTag.prime_field(spec).p,))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -99,20 +112,10 @@ def _parse_vector(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    field = FieldTag.rationals()
-    if args.field is not None:
-        if args.field == "q":
-            field = FieldTag.rationals()
-        elif args.field.startswith("fp:"):
-            try:
-                field = FieldTag.prime_field(int(args.field[3:]))
-            except ValueError:
-                print(f"bad field {args.field!r} for tensor construction",
-                      file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            print(f"bad field {args.field!r} for tensor construction", file=sys.stderr)
-            return EXIT_USAGE
+    if args.field in (None, "q"):
+        field = FieldTag.rationals()
+    else:
+        field = FieldTag.prime_field(args.field)
     if args.kind == "matmul":
         t = matmul_tensor(args.m, args.n, args.l, field)
     elif args.kind == "rank-one":
@@ -240,6 +243,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="progress notes on stderr")
 
 
+_TENSOR_FIELD = _field_flag("q")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brlab",
@@ -255,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     t_mm.add_argument("--m", type=_positive_int, required=True)
     t_mm.add_argument("--n", type=_positive_int, required=True)
     t_mm.add_argument("--l", type=_positive_int, required=True)
-    t_mm.add_argument("--field", default=None, help="q (default) or fp:P")
+    t_mm.add_argument("--field", type=_TENSOR_FIELD, default=None,
+                      help="q (default) or fp:P")
     t_mm.add_argument("--out", default=None)
     _add_common_flags(t_mm)
     t_mm.set_defaults(func=_cmd_tensor)
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_r1.add_argument("--u", required=True, help="comma-separated values")
     t_r1.add_argument("--v", required=True)
     t_r1.add_argument("--w", required=True)
-    t_r1.add_argument("--field", default=None)
+    t_r1.add_argument("--field", type=_TENSOR_FIELD, default=None)
     t_r1.add_argument("--out", default=None)
     _add_common_flags(t_r1)
     t_r1.set_defaults(func=_cmd_tensor)
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_re.add_argument("--m", type=_positive_int, required=True)
     t_re.add_argument("--n", type=_positive_int, required=True)
     t_re.add_argument("--l", type=_positive_int, default=1)
-    t_re.add_argument("--field", default=None)
+    t_re.add_argument("--field", type=_TENSOR_FIELD, default=None)
     t_re.add_argument("--out", default=None)
     _add_common_flags(t_re)
     t_re.set_defaults(func=_cmd_tensor)
@@ -290,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--m", type=_positive_int, default=None)
     p_bound.add_argument("--n", type=_positive_int, default=None)
     p_bound.add_argument("--l", type=_positive_int, default=None)
-    p_bound.add_argument("--field", default=None,
-                         help="q | fp[:PRIME] | multiprime (default: auto)")
+    p_bound.add_argument("--field", type=_field_flag("q", "fp", "multiprime"),
+                         default=None, help="q | fp[:PRIME] | multiprime (default: auto)")
     p_bound.add_argument("--out", default=None)
     _add_common_flags(p_bound)
     p_bound.set_defaults(func=_cmd_bound)

@@ -33,10 +33,6 @@ class ZeroScalar(BrlabError, ValueError):
     """Scaling by zero is rejected: stored zeros are structurally forbidden."""
 
 
-class DegreeMismatch(BrlabError, ValueError):
-    """Contraction degree exceeds the degree of the contracted form."""
-
-
 class OrderViolation(BrlabError, ValueError):
     """Parameters violate the required ordering n <= m."""
 

@@ -27,24 +27,6 @@ class WedgeRangeWarning(UserWarning):
     """p exceeds ceil(a/2) - 1: the flattening duplicates a complementary one."""
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Strictly increasing index subset of [0, ambient)."""
-
-    elements: tuple[int, ...]
-    ambient: int
-
-    def __post_init__(self) -> None:
-        e = self.elements
-        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-            raise InvalidDimension(f"subset {e} not strictly increasing")
-        if e and not (0 <= e[0] and e[-1] < self.ambient):
-            raise InvalidDimension(f"subset {e} outside ambient {self.ambient}")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def subset_rank(elements: tuple[int, ...]) -> int:
     """Colexicographic position of a strictly increasing subset."""
     return sum(comb(s, idx + 1) for idx, s in enumerate(elements))
@@ -57,29 +39,6 @@ def _colex_tuples(a: int, p: int):
     for top in range(p - 1, a):
         for rest in _colex_tuples(top, p - 1):
             yield rest + (top,)
-
-
-def enumerate_subsets(a: int, p: int) -> list[SubsetIndex]:
-    """All C(a, p) subsets in colexicographic order; position = basis index."""
-    if not (0 <= p <= a):
-        raise InvalidDimension(f"need 0 <= p <= a, got p={p}, a={a}")
-    return [SubsetIndex(t, a) for t in _colex_tuples(a, p)]
-
-
-def wedge_insert(i: int, s: SubsetIndex) -> tuple[int, SubsetIndex] | None:
-    """Wedge basis vector i onto subset s from the left.
-
-    Returns (sign, enlarged subset), or None when i already occurs (the
-    wedge is zero).  sign = (-1)^(number of elements of s below i).
-    """
-    if not (0 <= i < s.ambient):
-        raise InvalidDimension(f"index {i} outside ambient {s.ambient}")
-    pos = bisect_left(s.elements, i)
-    if pos < len(s.elements) and s.elements[pos] == i:
-        return None
-    sign = -1 if pos % 2 else 1
-    merged = s.elements[:pos] + (i,) + s.elements[pos:]
-    return sign, SubsetIndex(merged, s.ambient)
 
 
 @dataclass(frozen=True)
@@ -107,21 +66,21 @@ class KoszulMatrix:
         return self.matrix.cols
 
     @cached_property
-    def row_labels(self) -> tuple[tuple[int, SubsetIndex], ...]:
-        return tuple((k, SubsetIndex(s, self.a))
-                     for s in _colex_tuples(self.a, self.p + 1) for k in range(self.c))
+    def row_labels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(k, S') per row: factor index and increasing (p+1)-subset."""
+        return tuple((k, s) for s in _colex_tuples(self.a, self.p + 1) for k in range(self.c))
 
     @cached_property
-    def col_labels(self) -> tuple[tuple[int, SubsetIndex], ...]:
-        return tuple((j, SubsetIndex(s, self.a))
-                     for s in _colex_tuples(self.a, self.p) for j in range(self.b))
+    def col_labels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(j, S) per column: factor index and increasing p-subset."""
+        return tuple((j, s) for s in _colex_tuples(self.a, self.p) for j in range(self.b))
 
     def labels_json(self) -> dict:
         """Row/column labels as JSON-ready lists: [factor index, subset]."""
         return {
             "params": {"a": self.a, "b": self.b, "c": self.c, "p": self.p},
-            "rows": [[k, list(s.elements)] for k, s in self.row_labels],
-            "cols": [[j, list(s.elements)] for j, s in self.col_labels],
+            "rows": [[k, list(s)] for k, s in self.row_labels],
+            "cols": [[j, list(s)] for j, s in self.col_labels],
         }
 
 

@@ -14,9 +14,12 @@ mod p, so the copies have equal ranks mod every prime too.  The flattenings
 of matrix multiplication repeat blocks heavily (the third index alone gives
 l identical copies), so most of their blocks are never eliminated.
 
-Elimination is deterministic: pivots are chosen on the sparsest active
-column, ties broken by lowest column index, then sparsest row, then lowest
-row index.  Repeated runs give identical results.
+One sparse elimination loop serves both fields; it differs between F_p and
+Q only in how the pivot row is prepared and how an updated row is reduced
+(mod p, or by its integer content).  Elimination is deterministic: pivots
+are chosen on the sparsest active column, ties broken by lowest column
+index, then sparsest row, then lowest row index.  Repeated runs give
+identical results.
 """
 
 from __future__ import annotations
@@ -28,15 +31,8 @@ from math import gcd
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from .scalars import FieldTag, certification_primes
 
-METHOD_DENSE = "DenseElimination"
 METHOD_SPARSE = "SparseElimination"
 METHOD_FRACTION_FREE = "FractionFree"
-
-# Strategy auto-selection: dense elimination only for small matrices or
-# genuinely filled ones (>= 5% nonzero within the cell cap).
-_DENSE_CELL_LIMIT = 4_000_000
-_DENSE_SMALL_CELLS = 10_000
-_DENSE_MIN_FILL = 0.05
 
 
 class SparseMatrix:
@@ -46,8 +42,8 @@ class SparseMatrix:
     form (see `FieldTag.coerce`); duplicate coordinates and stored zeros are
     rejected at construction.  The row-block partition and the grouping of
     identical blocks into classes are computed together on first use and
-    shared by every rank pass over the matrix; the sparse rank paths
-    eliminate one representative per class.
+    shared by every rank pass over the matrix; every rank pass eliminates
+    one representative per class.
     """
 
     __slots__ = ("rows", "cols", "field", "_cells", "_blocks", "_classes")
@@ -90,13 +86,6 @@ class SparseMatrix:
             ((c, r, v) for (r, c), v in self._cells.items()),
             self.field,
         )
-
-    def row_dicts(self) -> list[dict[int, object]]:
-        """Fresh row-major copy: one {col: value} dict per row."""
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self._cells.items():
-            rows[r][c] = v
-        return rows
 
     def is_integral(self) -> bool:
         """True when every entry is an integer (stored as int over Q)."""
@@ -226,56 +215,8 @@ class ExactQ:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# elimination core
 # ---------------------------------------------------------------------------
-
-def _rank_sparse_modp(rows: list[dict[int, int]], p: int) -> int:
-    """Sparse Gaussian elimination over F_p on row dicts (consumed)."""
-    col_rows: dict[int, set[int]] = {}
-    for ri, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(ri)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        cnt, c = heapq.heappop(heap)
-        rs = col_rows.get(c)
-        if rs is None:
-            continue
-        if not rs:
-            del col_rows[c]
-            continue
-        if len(rs) != cnt:
-            heapq.heappush(heap, (len(rs), c))
-            continue
-        r = min(rs, key=lambda rr: (len(rows[rr]), rr))
-        inv = pow(rows[r][c], -1, p)
-        piv = {cc: vv * inv % p for cc, vv in rows[r].items()}
-        for rr in list(rs):
-            if rr == r:
-                continue
-            row = rows[rr]
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                x = (row.get(cc, 0) - f * vv) % p
-                if x:
-                    if cc not in row:
-                        col_rows[cc].add(rr)
-                    row[cc] = x
-                elif cc in row:
-                    del row[cc]
-                    col_rows[cc].discard(rr)
-        for cc in piv:
-            if cc != c:
-                col_rows[cc].discard(r)
-        rows[r] = {}
-        del col_rows[c]
-        rank += 1
-    return rank
-
 
 def _strip_content(row: dict[int, int]) -> None:
     g = 0
@@ -288,11 +229,14 @@ def _strip_content(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def _rank_sparse_fraction_free(rows: list[dict[int, int]]) -> int:
-    """Integer-preserving elimination on row dicts (consumed); rank over Q.
+def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
+    """Sparse Gaussian elimination on integer row dicts (consumed): the rank
+    over F_p, or over Q when p is None.
 
-    Row update is row <- g*row - f*piv followed by removal of the row's
-    integer content, so entries stay integers with no exactness caveats.
+    Over F_p the pivot row is scaled to a unit pivot and every update is
+    reduced mod p.  Over Q the pivot row loses its integer content, and the
+    update row <- g*row - f*piv (g the pivot entry) is followed by removal of
+    the row's content, so entries stay integers with no exactness caveats.
     """
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(rows):
@@ -314,20 +258,28 @@ def _rank_sparse_fraction_free(rows: list[dict[int, int]]) -> int:
             continue
         r = min(rs, key=lambda rr: (len(rows[rr]), rr))
         piv = rows[r]
-        _strip_content(piv)
-        g = piv[c]
-        for rr in list(rs):
+        if p is None:
+            _strip_content(piv)
+            g = piv[c]
+        else:
+            g = 1
+            inv = pow(piv[c], -1, p)
+            if inv != 1:
+                piv = {cc: vv * inv % p for cc, vv in piv.items()}
+        for rr in rs:
             if rr == r:
                 continue
             row = rows[rr]
             f = row.pop(c)
-            col_rows[c].discard(rr)
-            for cc in row:
-                row[cc] *= g
+            if g != 1:
+                for cc in row:
+                    row[cc] *= g
             for cc, vv in piv.items():
                 if cc == c:
                     continue
                 x = row.get(cc, 0) - f * vv
+                if p is not None:
+                    x %= p
                 if x:
                     if cc not in row:
                         col_rows[cc].add(rr)
@@ -335,41 +287,14 @@ def _rank_sparse_fraction_free(rows: list[dict[int, int]]) -> int:
                 elif cc in row:
                     del row[cc]
                     col_rows[cc].discard(rr)
-            _strip_content(row)
+            if p is None:
+                _strip_content(row)
         for cc in piv:
             if cc != c:
                 col_rows[cc].discard(r)
         rows[r] = {}
         del col_rows[c]
         rank += 1
-    return rank
-
-
-def _rank_dense_modp(mat: list[list[int]], p: int) -> int:
-    """Dense elimination over F_p on a list of row lists (consumed)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = pow(prow[c], -1, p)
-        if inv != 1:
-            prow = mat[rank] = [x * inv % p for x in prow]
-        for r in range(rank + 1, nrows):
-            f = mat[r][c]
-            if f:
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -382,16 +307,6 @@ def _fraction_mod_p(v, p: int) -> int:
     if den == 0:
         raise BadPrime(f"denominator {v.denominator} vanishes mod {p}")
     return v.numerator * pow(den, -1, p) % p
-
-
-def _rows_mod_p(m: SparseMatrix, p: int) -> list[dict[int, int]]:
-    """Whole-matrix row dicts mod p, for the dense path."""
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-    for (r, c), v in m._cells.items():
-        x = v % p if type(v) is int else _fraction_mod_p(v, p)
-        if x:
-            rows[r][c] = x
-    return rows
 
 
 def _block_mod_p(block: tuple, p: int) -> list[dict[int, int]]:
@@ -425,7 +340,7 @@ def _block_integral(block: tuple) -> list[dict[int, int]]:
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
-    """Exact rank over F_p.
+    """Exact rank over F_p, one elimination per class of identical blocks.
 
     Certified as a lower bound on the rank over Q exactly when the matrix is
     over Q with integer entries (an integer matrix's mod-p rank never exceeds
@@ -434,22 +349,9 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     tag = FieldTag.prime_field(p)
     if not m.field.is_q and m.field.p != p:
         raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
-    certified = m.field.is_q and m.is_integral()
-    cells = m.rows * m.cols
-    small = cells <= _DENSE_SMALL_CELLS
-    # Reduction mod p only drops entries, so a matrix whose nnz is below the
-    # fill threshold stays below it mod p and goes straight to the sparse path.
-    if small or (cells <= _DENSE_CELL_LIMIT and m.nnz >= _DENSE_MIN_FILL * cells):
-        rows = _rows_mod_p(m, p)
-        if small or sum(map(len, rows)) >= _DENSE_MIN_FILL * cells:
-            dense = [[0] * m.cols for _ in range(m.rows)]
-            for r, row in enumerate(rows):
-                for c, v in row.items():
-                    dense[r][c] = v
-            return RankResult(_rank_dense_modp(dense, p), tag, METHOD_DENSE, certified)
-    rank = sum(count * _rank_sparse_modp(_block_mod_p(block, p), p)
+    rank = sum(count * _eliminate(_block_mod_p(block, p), p)
                for block, count in m._block_classes())
-    return RankResult(rank, tag, METHOD_SPARSE, certified)
+    return RankResult(rank, tag, METHOD_SPARSE, m.field.is_q and m.is_integral())
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
@@ -460,7 +362,7 @@ def rank_exact_q(m: SparseMatrix) -> RankResult:
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
-    rank = sum(count * _rank_sparse_fraction_free(_block_integral(block))
+    rank = sum(count * _eliminate(_block_integral(block), None)
                for block, count in m._block_classes())
     return RankResult(rank, FieldTag.rationals(), METHOD_FRACTION_FREE, True)
 

@@ -6,8 +6,8 @@ when it is not, so integer data, which is all that flattenings of integer
 tensors carry, stays on Python's fast int arithmetic.  `FieldTag.coerce`
 produces that form; an int and the equal `Fraction` compare and hash alike.
 Prime-field values are plain ints in [0, p) with the modulus carried by a
-`FieldTag` context; the thin `PrimeFieldElement` wrapper is available where
-a self-describing element is more convenient than a (value, context) pair.
+`FieldTag` context.  Rational literals in files take one form only: an
+optional sign, decimal digits, and an optional "/digits" denominator.
 
 All values are immutable and safe to share between threads.
 """
@@ -15,6 +15,7 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,12 +98,20 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(s: str) -> Fraction:
+    """Parse "[sign]digits[/digits]"; nothing else (no decimal point, no
+    exponent, no underscore, no whitespace) is a rational literal."""
+    if _RATIONAL_LITERAL.fullmatch(s) is None:
+        raise FormatError(f"bad rational literal {s!r}")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError as exc:
         raise DivisionByZero(f"zero denominator in {s!r}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise FormatError(f"bad rational literal {s!r}") from exc
 
 
@@ -228,56 +237,3 @@ class FieldTag:
             return int(s) % self.p
         except ValueError as exc:
             raise FormatError(f"bad F_{self.p} literal {s!r}") from exc
-
-
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """Self-describing element of F_p; the value is reduced into [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not (2 <= self.p < PRIME_MODULUS_CAP) or not is_prime(self.p):
-            raise BadPrime(f"modulus {self.p} is not a usable prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise BadPrime(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        return int(other) % self.p
-
-    def __add__(self, other):
-        return PrimeFieldElement((self.value + self._coerce(other)) % self.p, self.p)
-
-    def __sub__(self, other):
-        return PrimeFieldElement((self.value - self._coerce(other)) % self.p, self.p)
-
-    def __mul__(self, other):
-        return PrimeFieldElement(self.value * self._coerce(other) % self.p, self.p)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value % self.p, self.p)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise DivisionByZero("inverse of zero")
-        return PrimeFieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = PrimeFieldElement(self._coerce(other), self.p)
-        return self * o.inverse()
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def field_inverse(x):
-    """Multiplicative inverse of a Fraction, int, or PrimeFieldElement."""
-    if isinstance(x, PrimeFieldElement):
-        return x.inverse()
-    if x == 0:
-        raise DivisionByZero("inverse of zero")
-    return 1 / Fraction(x)

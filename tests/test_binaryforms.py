@@ -1,7 +1,5 @@
-"""Binary forms, apolar contraction, and the multiplication projection."""
+"""The binary-form multiplication projection and the restricted flattening."""
 
-import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,96 +7,13 @@ import pytest
 from oracles import dense_rows, rank_gauss_fractions
 
 from brlab.binaryforms import (
-    BinaryForm,
-    contract,
     dual_surjectivity_check,
-    multiply,
-    power,
     restrict_matmul,
     restricted_koszul,
     restriction_projector,
 )
-from brlab.errors import DegreeMismatch, OrderViolation
+from brlab.errors import OrderViolation
 from brlab.rank_engine import rank_exact_q, rank_mod_p
-from brlab.scalars import FieldTag
-
-Q = FieldTag.rationals()
-X = BinaryForm.from_coefficients([1, 0])
-Y = BinaryForm.from_coefficients([0, 1])
-ONE = BinaryForm.from_coefficients([1])
-
-
-def test_multiply_examples():
-    xy = multiply(X, Y)
-    assert xy.degree == 2 and xy.coefficients == (0, 1, 0)
-
-    f = multiply(BinaryForm.linear(1, 1), BinaryForm.linear(1, -1))
-    assert f.coefficients == (1, 0, -1)
-
-    g = BinaryForm.from_coefficients([2, -1, 3])
-    assert multiply(ONE, g) == g
-
-
-def test_multiply_commutative_degree_additive():
-    rng = random.Random(314)
-    for _ in range(30):
-        d1, d2 = rng.randint(0, 4), rng.randint(0, 4)
-        f = BinaryForm.from_coefficients([rng.randint(-3, 3) for _ in range(d1 + 1)])
-        g = BinaryForm.from_coefficients([rng.randint(-3, 3) for _ in range(d2 + 1)])
-        fg = multiply(f, g)
-        assert fg == multiply(g, f)
-        assert fg.degree == d1 + d2
-
-
-def test_contract_examples():
-    # x* on x^2 gives x
-    x2 = BinaryForm.from_coefficients([1, 0, 0])
-    assert contract(X, x2).coefficients == (1, 0)
-    # y* on x^2 vanishes
-    assert contract(Y, x2).is_zero()
-    # (x* y*) on (x+y)^3 gives 1*(x+y)
-    g = BinaryForm.from_coefficients([0, 1, 0])
-    f = power(BinaryForm.linear(1, 1), 3)
-    assert contract(g, f).coefficients == (1, 1)
-
-
-def test_contract_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        contract(BinaryForm.from_coefficients([1, 0, 0]), X)
-
-
-def test_contract_power_law_randomized():
-    rng = random.Random(2718)
-    for _ in range(100):
-        alpha = rng.randint(1, 6)
-        beta = rng.randint(0, alpha)
-        lam, mu = rng.randint(-3, 3), rng.randint(-3, 3)
-        if lam == 0 and mu == 0:
-            lam = 1
-        line = BinaryForm.linear(lam, mu)
-        g = BinaryForm.from_coefficients([rng.randint(-3, 3) for _ in range(beta + 1)])
-        lhs = contract(g, power(line, alpha))
-        scale = g.evaluate(lam, mu)
-        target = power(line, alpha - beta)
-        expected = tuple(Fraction(scale) * c for c in target.coefficients)
-        assert lhs.coefficients == expected
-
-
-def test_contract_power_law_prime_field():
-    fp = FieldTag.prime_field(65521)
-    rng = random.Random(99)
-    for _ in range(20):
-        alpha = rng.randint(1, 5)
-        beta = rng.randint(0, alpha)
-        lam, mu = rng.randint(0, 11), rng.randint(1, 11)
-        line = BinaryForm.linear(lam, mu, fp)
-        g = BinaryForm.from_coefficients(
-            [rng.randint(0, 11) for _ in range(beta + 1)], fp)
-        lhs = contract(g, power(line, alpha))
-        scale = g.evaluate(lam, mu)
-        target = power(line, alpha - beta)
-        expected = tuple(fp.mul(scale, c) for c in target.coefficients)
-        assert lhs.coefficients == expected
 
 
 def test_restriction_projector_22():

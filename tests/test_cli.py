@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, JSON output, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -299,3 +300,39 @@ def test_bound_large_rational_tensor_takes_exact_q(tmp_path, capsys):
     doc = json.loads(out)
     assert (doc["rows"], doc["cols"]) == (5940, 2640)
     assert doc["field"] == "Q" and doc["soundness"] == "exact-Q"
+
+
+def _exit_code(capsys, *argv):
+    """cli.main's exit code, counting argparse's SystemExit as its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_FIELD_COMMANDS = {
+    "bound": ["bound", "--method", "koszul", "--p", "1", "--m", "2", "--n", "2", "--l", "2"],
+    "tensor": ["tensor", "matmul", "--m", "2", "--n", "2", "--l", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIELD_COMMANDS))
+@pytest.mark.parametrize("flag,expected", [
+    ("r", 2), ("fp:abc", 2), ("fp:", 2), ("fp:6", 3), ("fp:65521", 0), ("q", 0)])
+def test_field_flag_exit_codes(capsys, command, flag, expected):
+    code, _, err = _exit_code(capsys, *_FIELD_COMMANDS[command], "--field", flag)
+    assert code == expected
+    if expected:
+        assert "error:" in err
+
+
+def test_bound_exponent_literal_exit_2_promptly(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text('{"field": "Q", "dims": [2, 2, 2], "entries": [[0, 0, 0, "1e3000000"]]}')
+    start = time.perf_counter()
+    code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "0",
+                       "--tensor", str(path))
+    assert code == 2 and err.startswith("error:")
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
-"""Wedge-basis enumeration, insertion signs, and the wedge-power flattening."""
+"""Wedge-basis enumeration and the wedge-power flattening."""
 
 import random
+import warnings
 from math import comb
 
 import pytest
@@ -9,13 +10,11 @@ from oracles import dense_rows, rank_gauss_fractions
 
 from brlab.errors import InvalidDimension
 from brlab.exterior import (
-    SubsetIndex,
     WedgeRangeWarning,
-    enumerate_subsets,
+    _colex_tuples,
     koszul_flattening,
     redundancy_cap,
     subset_rank,
-    wedge_insert,
 )
 from brlab.rank_engine import rank_exact_q
 from brlab.scalars import FieldTag
@@ -25,51 +24,50 @@ Q = FieldTag.rationals()
 
 
 def test_enumerate_subsets_colex_examples():
-    subs = enumerate_subsets(3, 2)
-    assert [s.elements for s in subs] == [(0, 1), (0, 2), (1, 2)]
+    assert list(_colex_tuples(3, 2)) == [(0, 1), (0, 2), (1, 2)]
 
-    assert [s.elements for s in enumerate_subsets(5, 0)] == [()]
+    assert list(_colex_tuples(5, 0)) == [()]
 
-    subs = enumerate_subsets(4, 2)
+    subs = list(_colex_tuples(4, 2))
     assert len(subs) == 6
-    assert subs[4].elements == (1, 3)
-
-    with pytest.raises(InvalidDimension):
-        enumerate_subsets(3, 4)
-    with pytest.raises(InvalidDimension):
-        enumerate_subsets(3, -1)
+    assert subs[4] == (1, 3)
 
 
 def test_subset_rank_matches_enumeration():
     for a, p in [(4, 2), (6, 3), (7, 0), (7, 7), (9, 4)]:
-        for pos, s in enumerate(enumerate_subsets(a, p)):
-            assert subset_rank(s.elements) == pos
+        for pos, s in enumerate(_colex_tuples(a, p)):
+            assert subset_rank(s) == pos
+
+
+def _single_vector_flattening(a, p, indices):
+    """Flattening of sum_i e_i (x) e_0 (x) e_0: cells keyed by (row subset,
+    column subset), since b = c = 1 makes rows and columns subset positions."""
+    t = Tensor3((a, 1, 1), [(i, 0, 0, 1) for i in indices], Q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WedgeRangeWarning)
+        km = koszul_flattening(t, p)
+    big, small = list(_colex_tuples(a, p + 1)), list(_colex_tuples(a, p))
+    return {(big[r], small[c]): v for r, c, v in km.matrix.items()}
 
 
 def test_wedge_insert_examples():
-    s = SubsetIndex((0, 2), 4)
-    sign, merged = wedge_insert(1, s)
-    assert sign == -1 and merged.elements == (0, 1, 2)
-
-    sign, merged = wedge_insert(0, SubsetIndex((1, 2), 4))
-    assert sign == 1 and merged.elements == (0, 1, 2)
-
-    assert wedge_insert(2, SubsetIndex((0, 2), 4)) is None
+    # a_1 ^ (a_0 ^ a_2) = -(a_0 ^ a_1 ^ a_2): one element of S lies below 1
+    cells = _single_vector_flattening(5, 2, [1])
+    assert cells[((0, 1, 2), (0, 2))] == -1
+    cells = _single_vector_flattening(5, 2, [0])
+    assert cells[((0, 1, 2), (1, 2))] == 1
+    # a_2 ^ (a_0 ^ a_2) = 0: no cell in that column
+    cells = _single_vector_flattening(5, 2, [2])
+    assert not any(col == (0, 2) for _, col in cells)
 
 
 def test_wedge_insert_double_annihilation():
     for a in range(2, 6):
         for p in range(a):
-            for s in enumerate_subsets(a, p):
-                for i in s.elements:
-                    assert wedge_insert(i, s) is None
-
-
-def test_subset_index_validation():
-    with pytest.raises(InvalidDimension):
-        SubsetIndex((2, 1), 4)
-    with pytest.raises(InvalidDimension):
-        SubsetIndex((0, 4), 4)
+            cells = _single_vector_flattening(a, p, range(a))
+            for s in _colex_tuples(a, p):
+                rows = {row for row, col in cells if col == s}
+                assert rows == {tuple(sorted(s + (i,))) for i in range(a) if i not in s}
 
 
 def _random_tensor(rng, dims, fill=0.5):
@@ -178,11 +176,11 @@ def test_koszul_labels_canonical_order():
     t = matmul_tensor(2, 2, 1)
     km = koszul_flattening(t, 1)
     # column labels: subset-major in colex order, factor index within
-    assert km.col_labels[0] == (0, SubsetIndex((0,), 4))
-    assert km.col_labels[1] == (1, SubsetIndex((0,), 4))
-    assert km.col_labels[2] == (0, SubsetIndex((1,), 4))
-    subsets = [lab[1].elements for lab in km.row_labels[:: t.dims[2]]]
-    assert subsets == [s.elements for s in enumerate_subsets(4, 2)]
+    assert km.col_labels[0] == (0, (0,))
+    assert km.col_labels[1] == (1, (0,))
+    assert km.col_labels[2] == (0, (1,))
+    subsets = [lab[1] for lab in km.row_labels[:: t.dims[2]]]
+    assert subsets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 def test_koszul_labels_json_export():

@@ -11,7 +11,6 @@ from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from brlab.exterior import koszul_flattening
 from brlab.rank_engine import (
-    METHOD_DENSE,
     METHOD_FRACTION_FREE,
     METHOD_SPARSE,
     ExactQ,
@@ -188,7 +187,7 @@ def test_determinism_repeated_runs():
 
 def test_method_selection():
     small = _identity(5)
-    assert rank_mod_p(small, 7).method == METHOD_DENSE
+    assert rank_mod_p(small, 7).method == METHOD_SPARSE
     big = SparseMatrix(3000, 3000, [(i, i, 1) for i in range(3000)], Q)
     assert rank_mod_p(big, 7).method == METHOD_SPARSE
     assert rank_exact_q(small).method == METHOD_FRACTION_FREE
