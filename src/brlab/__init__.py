@@ -18,14 +18,13 @@ from .bounds import (
     lickteig_square,
 )
 from .binaryforms import (
-    RestrictedSetup,
     dual_surjectivity_check,
     restricted_koszul,
-    restriction_projector,
 )
 from .errors import BrlabError
 from .exterior import (
     KoszulMatrix,
+    flatten_classical,
     koszul_flattening,
 )
 from .rank_engine import (
@@ -53,18 +52,13 @@ from .repcomb import (
 from .scalars import (
     DEFAULT_CERTIFICATION_PRIMES,
     FieldTag,
-    Rational,
     certification_primes,
-    normalize,
 )
 from .tensor import (
-    FactorMap,
     Tensor3,
     add_tensors,
-    flatten_classical,
     load_tensor,
     matmul_tensor,
-    project_factor_A,
     rank_one_tensor,
     save_tensor,
     scale_tensor,
@@ -77,14 +71,11 @@ __all__ = [
     "BrlabError",
     "DEFAULT_CERTIFICATION_PRIMES",
     "ExactQ",
-    "FactorMap",
     "FieldTag",
     "IsotypicSummand",
     "KoszulMatrix",
     "MultiPrime",
     "RankResult",
-    "Rational",
-    "RestrictedSetup",
     "SparseMatrix",
     "Tensor3",
     "add_tensors",
@@ -108,16 +99,13 @@ __all__ = [
     "lickteig_square",
     "load_tensor",
     "matmul_tensor",
-    "normalize",
     "pieri_add_box",
-    "project_factor_A",
     "rank_certified",
     "rank_exact_q",
     "rank_mod_p",
     "rank_one_tensor",
     "read_matrix",
     "restricted_koszul",
-    "restriction_projector",
     "save_tensor",
     "scale_tensor",
     "write_matrix",

@@ -15,16 +15,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
 from .binaryforms import restricted_koszul
 from .errors import InvalidDimension, OrderViolation
-from .exterior import koszul_flattening, redundancy_cap
-from .rank_engine import ExactQ, MultiPrime, RankResult, SparseMatrix, rank_certified
+from .exterior import flatten_classical, koszul_flattening, redundancy_cap
+from .rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
 from .scalars import certification_primes
-from .tensor import Tensor3, flatten_classical, tensor_to_json
+from .tensor import Tensor3, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
 SOUND_MOD_P = "mod-p-lower-bound"
@@ -35,6 +35,10 @@ SOUND_CLOSED_FORM = "closed-form"
 # multi-prime route.  A matrix with non-integer entries always takes exact
 # Q, the one route that accepts it.
 _AUTO_EXACT_CELLS = 4_000_000
+
+# compare_table computes the restricted bound when the map has at most this
+# many columns.
+_TABLE_RANK_COLS = 600
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ class BoundCertificate:
     bound: int
     field_label: str
     soundness: str
-    rank_result: RankResult | None = None
     p: int | None = None
     flags: tuple[str, ...] = ()
     timings_ms: float = 0.0
@@ -111,39 +114,41 @@ def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _rank_with_timing(matrix: SparseMatrix, strategy) -> tuple[RankResult, float]:
+def _certificate(method: str, descriptor: dict, matrix: SparseMatrix,
+                 strategy: MultiPrime | ExactQ | None, divisor: int = 1,
+                 p: int | None = None, flags: tuple[str, ...] = ()) -> BoundCertificate:
+    """Rank `matrix` (auto-selecting the strategy when None), time the rank,
+    and record the bound ceil(rank / divisor) with its labels."""
+    strat = strategy if strategy is not None else _auto_strategy(matrix)
     t0 = time.perf_counter()
-    result = rank_certified(matrix, strategy)
-    return result, (time.perf_counter() - t0) * 1000.0
+    rank = rank_certified(matrix, strat).rank
+    ms = (time.perf_counter() - t0) * 1000.0
+    return BoundCertificate(
+        method=method,
+        descriptor=descriptor,
+        rows=matrix.rows,
+        cols=matrix.cols,
+        rank=rank,
+        divisor=divisor,
+        quotient=Fraction(rank, divisor),
+        bound=_ceil_div(rank, divisor),
+        field_label=_field_label(strat),
+        soundness=_soundness(strat),
+        p=p,
+        flags=flags,
+        timings_ms=ms,
+    )
 
 
 def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
-    """Best of the three classical flattening ranks; divisor 1."""
-    best = None
-    total_ms = 0.0
-    for mode in ("A", "B", "C"):
-        matrix = flatten_classical(t, mode)
-        strat = strategy if strategy is not None else _auto_strategy(matrix)
-        result, ms = _rank_with_timing(matrix, strat)
-        total_ms += ms
-        if best is None or result.rank > best[1].rank:
-            best = (matrix, result, strat)
-    matrix, result, strat = best
-    return BoundCertificate(
-        method="classical",
-        descriptor=descriptor if descriptor is not None else tensor_descriptor(t),
-        rows=matrix.rows,
-        cols=matrix.cols,
-        rank=result.rank,
-        divisor=1,
-        quotient=Fraction(result.rank, 1),
-        bound=result.rank,
-        field_label=_field_label(strat),
-        soundness=_soundness(strat),
-        rank_result=result,
-        timings_ms=total_ms,
-    )
+    """Best of the three classical flattening ranks (the first on a tie);
+    divisor 1.  The recorded time is that of all three ranks."""
+    descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
+    certs = [_certificate("classical", descriptor, flatten_classical(t, mode), strategy)
+             for mode in "ABC"]
+    best = max(certs, key=lambda cert: cert.rank)
+    return replace(best, timings_ms=sum(cert.timings_ms for cert in certs))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,
@@ -154,28 +159,11 @@ def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None
     """
     a = t.dims[0]
     km = koszul_flattening(t, p)
-    strat = strategy if strategy is not None else _auto_strategy(km.matrix)
-    result, ms = _rank_with_timing(km.matrix, strat)
-    divisor = comb(a - 1, p)
-    flags = ()
-    if p > redundancy_cap(a):
-        flags = ("outside-recommended-p-range",)
-    return BoundCertificate(
-        method="strassen" if p == 1 else "koszul",
-        descriptor=descriptor if descriptor is not None else tensor_descriptor(t),
-        rows=km.matrix.rows,
-        cols=km.matrix.cols,
-        rank=result.rank,
-        divisor=divisor,
-        quotient=Fraction(result.rank, divisor),
-        bound=_ceil_div(result.rank, divisor),
-        field_label=_field_label(strat),
-        soundness=_soundness(strat),
-        rank_result=result,
-        p=p,
-        flags=flags,
-        timings_ms=ms,
-    )
+    return _certificate(
+        "strassen" if p == 1 else "koszul",
+        descriptor if descriptor is not None else tensor_descriptor(t),
+        km.matrix, strategy, comb(a - 1, p), p,
+        ("outside-recommended-p-range",) if p > redundancy_cap(a) else ())
 
 
 def bound_matmul_restricted(m: int, n: int, l: int,
@@ -186,27 +174,9 @@ def bound_matmul_restricted(m: int, n: int, l: int,
     When the restricted map has full column rank (it does for all n <= m)
     the bound equals ceil(nl (n+m-1) / m).
     """
-    if n > m:
-        raise OrderViolation(f"need n <= m, got n={n}, m={m}")
-    km = restricted_koszul(m, n, l, n - 1)
-    strat = strategy if strategy is not None else _auto_strategy(km.matrix)
-    result, ms = _rank_with_timing(km.matrix, strat)
-    divisor = comb(m + n - 2, n - 1)
-    return BoundCertificate(
-        method="koszul-restricted",
-        descriptor={"m": m, "n": n, "l": l},
-        rows=km.matrix.rows,
-        cols=km.matrix.cols,
-        rank=result.rank,
-        divisor=divisor,
-        quotient=Fraction(result.rank, divisor),
-        bound=_ceil_div(result.rank, divisor),
-        field_label=_field_label(strat),
-        soundness=_soundness(strat),
-        rank_result=result,
-        p=n - 1,
-        timings_ms=ms,
-    )
+    km = restricted_koszul(m, n, l)
+    return _certificate("koszul-restricted", {"m": m, "n": n, "l": l}, km.matrix,
+                        strategy, comb(m + n - 2, n - 1), n - 1)
 
 
 def bound_formula_theorem1(m: int, n: int, l: int) -> int:
@@ -259,28 +229,27 @@ def formula_certificate(method: str, m: int, n: int, l: int) -> BoundCertificate
     )
 
 
-def compare_table(n_min: int, n_max: int, l_rule: str | int = "equal_n",
-                  max_rank_cols: int = 600) -> list[dict]:
-    """One row per n juxtaposing the classical, commutator-era, Lickteig
-    and restricted-map bounds; the last column holds a bound computed from
-    an actual rank when the matrix is within the size budget."""
+def compare_table(n_min: int, n_max: int) -> list[dict]:
+    """One row per square size n = l juxtaposing the classical,
+    commutator-era, Lickteig and restricted-map bounds; the last column
+    holds a bound computed from an actual rank when the map has at most
+    _TABLE_RANK_COLS columns."""
     if n_min > n_max:
         raise InvalidDimension(f"need n_min <= n_max, got {n_min} > {n_max}")
     if n_min < 1:
         raise InvalidDimension(f"need n_min >= 1, got {n_min}")
     rows = []
     for n in range(n_min, n_max + 1):
-        l = n if l_rule == "equal_n" else int(l_rule)
         row = {
             "n": n,
-            "l": l,
-            "classical": max(n * n, n * l),
+            "l": n,
+            "classical": n * n,
             "strassen_era": _ceil_div(3 * n * n, 2),
-            "lickteig": lickteig_square(n) if l == n else None,
-            "theorem1": bound_formula_theorem1(n, n, l),
+            "lickteig": lickteig_square(n),
+            "theorem1": bound_formula_theorem1(n, n, n),
             "computed": None,
         }
-        if n * l * comb(2 * n - 1, n - 1) <= max_rank_cols:
-            row["computed"] = bound_matmul_restricted(n, n, l).bound
+        if n * n * comb(2 * n - 1, n - 1) <= _TABLE_RANK_COLS:
+            row["computed"] = bound_matmul_restricted(n, n, n).bound
         rows.append(row)
     return rows

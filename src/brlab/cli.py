@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .binaryforms import restrict_matmul
 from .bounds import (
@@ -19,7 +20,7 @@ from .bounds import (
     compare_table,
     formula_certificate,
 )
-from .errors import BadPrime, BrlabError, DivisionByZero
+from .errors import BadPrime, BrlabError, DivisionByZero, FormatError
 from .exterior import koszul_flattening
 from .rank_engine import ExactQ, MultiPrime, rank_certified
 from .repcomb import (
@@ -27,7 +28,7 @@ from .repcomb import (
     kernel_dim_formula,
     kernel_dim_pieri,
 )
-from .scalars import FieldTag, certification_primes
+from .scalars import FieldTag, certification_primes, parse_modulus
 from .tensor import load_tensor, matmul_tensor, rank_one_tensor, save_tensor, tensor_to_json
 
 EXIT_OK = 0
@@ -57,7 +58,8 @@ def _nonneg_int(text: str) -> int:
 
 
 def _field_flag(*words: str):
-    """argparse type for --field: one of `words`, or "fp:P" with P an integer.
+    """argparse type for --field: one of `words`, or "fp:P" with P in ASCII
+    decimal digits (the rule for "Fp:P" in files).
 
     Returns the word, or P as an int.  Whether P is prime is checked where
     the field is built, so a well-formed non-prime P is an arithmetic
@@ -68,8 +70,8 @@ def _field_flag(*words: str):
             return text
         if text.startswith("fp:"):
             try:
-                return int(text[3:])
-            except ValueError:
+                return parse_modulus(text[3:])
+            except FormatError:
                 pass
         raise argparse.ArgumentTypeError(
             f"bad field {text!r} (want {', '.join(words)} or fp:P)")
@@ -101,6 +103,12 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def _note(args: argparse.Namespace, message: str) -> None:
     if getattr(args, "verbose", False):
         print(message, file=sys.stderr)
+
+
+def _show_note(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning (such as a wedge power outside the recommended
+    range) as one "note:" line on stderr, without a source location."""
+    print(f"note: {message}", file=sys.stderr)
 
 
 def _parse_vector(text: str) -> list:
@@ -329,7 +337,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_note
+            return args.func(args)
     except (BadPrime, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC

@@ -1,9 +1,10 @@
-"""Exterior-algebra index machinery and the wedge-power flattening.
+"""The wedge-power flattening, and the classical flattenings as its p = 0 case.
 
 Basis vectors of the p-th exterior power of the first tensor factor are
 labeled by strictly increasing index subsets, enumerated in
-*colexicographic* order: a subset's position is then a plain sum of
-binomials, so no lookup table is needed even at a = 16, p = 7 scale.
+*colexicographic* order.  `koszul_flattening` builds one lookup table from
+(p+1)-subsets to their positions and, from it, a per-index insertion table,
+so each tensor entry is spread over its cells without any subset search.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -25,11 +26,6 @@ from .tensor import Tensor3
 
 class WedgeRangeWarning(UserWarning):
     """p exceeds ceil(a/2) - 1: the flattening duplicates a complementary one."""
-
-
-def subset_rank(elements: tuple[int, ...]) -> int:
-    """Colexicographic position of a strictly increasing subset."""
-    return sum(comb(s, idx + 1) for idx, s in enumerate(elements))
 
 
 def _colex_tuples(a: int, p: int):
@@ -134,3 +130,23 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
 
     matrix = SparseMatrix(c * comb(a, p + 1), b * comb(a, p), entries, t.field)
     return KoszulMatrix(matrix, a, b, c, p)
+
+
+def flatten_classical(t: Tensor3, mode: str) -> SparseMatrix:
+    """Classical flattening: the tensor as a linear map out of one factor's dual.
+
+    It is the p = 0 wedge flattening of t with the chosen factor moved to
+    the second place, the other two keeping their (A, B, C) order:
+      mode "A": (b*c) x a, entry at row j*c + k, column i (first two factors swapped)
+      mode "B": (a*c) x b, entry at row i*c + k, column j (t itself)
+      mode "C": (a*b) x c, entry at row i*b + j, column k (last two factors swapped)
+    """
+    a, b, c = t.dims
+    cells = t._cells.items()
+    if mode == "A":
+        t = Tensor3((b, a, c), ((j, i, k, v) for (i, j, k), v in cells), t.field)
+    elif mode == "C":
+        t = Tensor3((a, c, b), ((i, k, j, v) for (i, j, k), v in cells), t.field)
+    elif mode != "B":
+        raise InvalidDimension(f"mode must be A, B or C, got {mode!r}")
+    return koszul_flattening(t, 0).matrix

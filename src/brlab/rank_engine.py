@@ -31,9 +31,6 @@ from math import gcd
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from .scalars import FieldTag, certification_primes
 
-METHOD_SPARSE = "SparseElimination"
-METHOD_FRACTION_FREE = "FractionFree"
-
 
 class SparseMatrix:
     """Immutable sparse matrix over an exact field.
@@ -78,7 +75,7 @@ class SparseMatrix:
         return [(r, c, self._cells[(r, c)]) for r, c in sorted(self._cells)]
 
     def value(self, r: int, c: int):
-        return self._cells.get((r, c), self.field.zero())
+        return self._cells.get((r, c), 0)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -198,7 +195,6 @@ class RankResult:
 
     rank: int
     field: FieldTag
-    method: str
     certified_lower_bound_over_q: bool
 
 
@@ -302,20 +298,14 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 # public rank operations
 # ---------------------------------------------------------------------------
 
-def _fraction_mod_p(v, p: int) -> int:
-    den = v.denominator % p
-    if den == 0:
-        raise BadPrime(f"denominator {v.denominator} vanishes mod {p}")
-    return v.numerator * pow(den, -1, p) % p
-
-
-def _block_mod_p(block: tuple, p: int) -> list[dict[int, int]]:
+def _block_mod_p(block: tuple, tag: FieldTag) -> list[dict[int, int]]:
     """Fresh row dicts of a class representative, reduced mod p."""
+    p = tag.p
     rows = []
     for row in block:
         d = {}
         for c, v in row:
-            x = v % p if type(v) is int else _fraction_mod_p(v, p)
+            x = v % p if type(v) is int else tag.coerce(v)
             if x:
                 d[c] = x
         rows.append(d)
@@ -349,9 +339,9 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     tag = FieldTag.prime_field(p)
     if not m.field.is_q and m.field.p != p:
         raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
-    rank = sum(count * _eliminate(_block_mod_p(block, p), p)
+    rank = sum(count * _eliminate(_block_mod_p(block, tag), p)
                for block, count in m._block_classes())
-    return RankResult(rank, tag, METHOD_SPARSE, m.field.is_q and m.is_integral())
+    return RankResult(rank, tag, m.field.is_q and m.is_integral())
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
@@ -364,7 +354,7 @@ def rank_exact_q(m: SparseMatrix) -> RankResult:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
     rank = sum(count * _eliminate(_block_integral(block), None)
                for block, count in m._block_classes())
-    return RankResult(rank, FieldTag.rationals(), METHOD_FRACTION_FREE, True)
+    return RankResult(rank, FieldTag.rationals(), True)
 
 
 def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult:

@@ -6,8 +6,10 @@ when it is not, so integer data, which is all that flattenings of integer
 tensors carry, stays on Python's fast int arithmetic.  `FieldTag.coerce`
 produces that form; an int and the equal `Fraction` compare and hash alike.
 Prime-field values are plain ints in [0, p) with the modulus carried by a
-`FieldTag` context.  Rational literals in files take one form only: an
-optional sign, decimal digits, and an optional "/digits" denominator.
+`FieldTag` context.  Literals in files take one form only, in ASCII
+decimal digits: a rational is an optional sign, digits, and an optional
+"/digits" denominator; an F_p value is an optional sign and digits; a
+modulus ("Fp:<p>") is digits alone.
 
 All values are immutable and safe to share between threads.
 """
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrime, DivisionByZero, FormatError
-
-Rational = Fraction
 
 # Moduli are capped below 2^62 so a product of two reduced values stays
 # below 2^124; Python ints at that size still use fast fixed paths.
@@ -70,8 +70,8 @@ def certification_primes() -> tuple[int, ...]:
     if raw is None:
         return DEFAULT_CERTIFICATION_PRIMES
     try:
-        primes = tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
+        primes = tuple(parse_modulus(tok) for tok in raw.replace(",", " ").split())
+    except FormatError as exc:
         raise BadPrime(f"BRLAB_PRIMES is not a list of integers: {raw!r}") from exc
     if not primes:
         raise BadPrime("BRLAB_PRIMES is set but empty")
@@ -83,13 +83,6 @@ def certification_primes() -> tuple[int, ...]:
     return primes
 
 
-def normalize(n: int, d: int) -> Fraction:
-    """Canonical rational n/d: reduced, positive denominator, zero is 0/1."""
-    if d == 0:
-        raise DivisionByZero("zero denominator")
-    return Fraction(n, d)
-
-
 def format_rational(q: Fraction | int) -> str:
     """Serialize as "num/den", with the denominator omitted when it is 1."""
     q = Fraction(q)
@@ -99,6 +92,8 @@ def format_rational(q: Fraction | int) -> str:
 
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
+_MODULUS_LITERAL = re.compile(r"[0-9]+")
 
 
 def parse_rational(s: str) -> Fraction:
@@ -115,12 +110,26 @@ def parse_rational(s: str) -> Fraction:
         raise FormatError(f"bad rational literal {s!r}") from exc
 
 
+def parse_modulus(s: str) -> int:
+    """Parse a field modulus: ASCII decimal digits and nothing else.
+
+    Whether the value is a usable prime is checked where the field is built.
+    """
+    if _MODULUS_LITERAL.fullmatch(s) is None:
+        raise FormatError(f"bad modulus {s!r}")
+    try:
+        return int(s)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"bad modulus {s!r}") from exc
+
+
 @dataclass(frozen=True)
 class FieldTag:
     """Field of computation: the rationals ("Q") or F_p for a checked prime.
 
-    Carries the arithmetic on raw values (int or non-integral Fraction for
-    Q, int in [0, p) for F_p) so bulk code can work with unwrapped scalars.
+    Values stay unwrapped (int or non-integral Fraction for Q, int in [0, p)
+    for F_p); the tag brings values into that form and reads and writes them
+    as text.  Arithmetic on them is plain Python followed by `coerce`.
     """
 
     kind: str
@@ -149,15 +158,12 @@ class FieldTag:
 
     @staticmethod
     def from_string(s: str) -> "FieldTag":
-        """Parse "Q" or "Fp:<p>"."""
+        """Parse "Q" or "Fp:<digits>"; anything else is a FormatError."""
         if s == "Q":
             return FieldTag.rationals()
         if s.startswith("Fp:"):
-            try:
-                return FieldTag.prime_field(int(s[3:]))
-            except ValueError as exc:
-                raise BadPrime(f"bad field string {s!r}") from exc
-        raise BadPrime(f"bad field string {s!r}")
+            return FieldTag.prime_field(parse_modulus(s[3:]))
+        raise FormatError(f"bad field string {s!r}")
 
     def __str__(self) -> str:
         return "Q" if self.kind == "Q" else f"Fp:{self.p}"
@@ -165,36 +171,6 @@ class FieldTag:
     @property
     def is_q(self) -> bool:
         return self.kind == "Q"
-
-    # -- arithmetic on raw values --------------------------------------
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, x, y):
-        return x + y if self.is_q else (x + y) % self.p
-
-    def sub(self, x, y):
-        return x - y if self.is_q else (x - y) % self.p
-
-    def mul(self, x, y):
-        return x * y if self.is_q else (x * y) % self.p
-
-    def neg(self, x):
-        return -x if self.is_q else (-x) % self.p
-
-    def inv(self, x):
-        if self.is_q:
-            if x == 0:
-                raise DivisionByZero("inverse of zero")
-            return 1 / Fraction(x)
-        x %= self.p
-        if x == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(x, -1, self.p)
 
     def coerce(self, v):
         """Bring an int or Fraction into this field's raw representation.
@@ -207,21 +183,11 @@ class FieldTag:
             q = Fraction(v)
             return q.numerator if q.denominator == 1 else q
         if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return v.numerator % self.p
-            return self.from_fraction(v)
+            den = v.denominator % self.p
+            if den == 0:
+                raise BadPrime(f"denominator {v.denominator} vanishes mod {self.p}")
+            return v.numerator * pow(den, -1, self.p) % self.p
         return v % self.p
-
-    def from_int(self, n: int):
-        return n if self.is_q else n % self.p
-
-    def from_fraction(self, q: Fraction):
-        if self.is_q:
-            return self.coerce(q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise BadPrime(f"denominator {q.denominator} vanishes mod {self.p}")
-        return q.numerator * pow(den, -1, self.p) % self.p
 
     # -- element serialization ("num/den" over Q, decimal over F_p) ----
 
@@ -231,9 +197,12 @@ class FieldTag:
         return str(x % self.p)
 
     def parse(self, s: str):
+        """Read "[sign]digits" over F_p, a rational literal over Q."""
         if self.is_q:
             return parse_rational(s)
+        if _INTEGER_LITERAL.fullmatch(s) is None:
+            raise FormatError(f"bad F_{self.p} literal {s!r}")
         try:
             return int(s) % self.p
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise FormatError(f"bad F_{self.p} literal {s!r}") from exc

@@ -73,7 +73,7 @@ def test_criterion_3_restricted_full_rank_grid():
     for m in range(1, 7):
         for n in range(1, m + 1):
             for l in (1, 2):
-                km = restricted_koszul(m, n, l, n - 1)
+                km = restricted_koszul(m, n, l)
                 expected_cols = n * l * comb(m + n - 1, n - 1)
                 assert km.cols == expected_cols
                 cert = bound_matmul_restricted(m, n, l, strategy)

@@ -21,14 +21,7 @@ from brlab.bounds import (
 from brlab.errors import InvalidDimension, OrderViolation
 from brlab.rank_engine import ExactQ, MultiPrime
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
-from brlab.tensor import (
-    FactorMap,
-    Tensor3,
-    add_tensors,
-    matmul_tensor,
-    project_factor_A,
-    rank_one_tensor,
-)
+from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
 
 Q = FieldTag.rationals()
 FIRST_PRIME = MultiPrime((DEFAULT_CERTIFICATION_PRIMES[0],))
@@ -119,19 +112,19 @@ def _nonzero_vec(rng, k):
 
 
 def test_projection_bound_respects_known_decomposition():
+    # Projecting the first factor of sum_i u_i (x) v_i (x) w_i by P gives
+    # sum_i (P u_i) (x) v_i (x) w_i: still at most `terms` rank-one terms.
     rng = random.Random(955)
     for _ in range(10):
         terms = rng.randint(2, 5)
-        parts = [rank_one_tensor(_nonzero_vec(rng, 4), _nonzero_vec(rng, 3),
-                                 _nonzero_vec(rng, 3)) for _ in range(terms)]
-        total = parts[0]
-        for t in parts[1:]:
-            total = add_tensors(total, t)
-        if total.is_zero():
-            continue
-        proj = FactorMap(4, 3, tuple(
-            tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(3)))
-        projected = project_factor_A(total, proj)
+        factors = [(_nonzero_vec(rng, 4), _nonzero_vec(rng, 3), _nonzero_vec(rng, 3))
+                   for _ in range(terms)]
+        proj = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)]
+        projected = Tensor3((3, 3, 3), [], Q)
+        for u, v, w in factors:
+            pu = [sum(row[i] * u[i] for i in range(4)) for row in proj]
+            if any(pu):
+                projected = add_tensors(projected, rank_one_tensor(pu, v, w))
         if projected.is_zero():
             continue
         for p in (0, 1):

@@ -320,7 +320,8 @@ _FIELD_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(_FIELD_COMMANDS))
 @pytest.mark.parametrize("flag,expected", [
-    ("r", 2), ("fp:abc", 2), ("fp:", 2), ("fp:6", 3), ("fp:65521", 0), ("q", 0)])
+    ("r", 2), ("fp:abc", 2), ("fp:", 2), ("fp:6", 3), ("fp:65521", 0), ("q", 0),
+    ("fp:6_5521", 2), ("fp:+7", 2), ("fp: 7", 2), ("fp:\u0663", 2)])
 def test_field_flag_exit_codes(capsys, command, flag, expected):
     code, _, err = _exit_code(capsys, *_FIELD_COMMANDS[command], "--field", flag)
     assert code == expected
@@ -336,3 +337,34 @@ def test_bound_exponent_literal_exit_2_promptly(tmp_path, capsys):
                        "--tensor", str(path))
     assert code == 2 and err.startswith("error:")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("Fp:7_0", "1", 2), ("R", "1", 2), ("Fp:", "1", 2), ("Fp:6", "1", 3),
+    ("Fp:7", "1_002", 2), ("Fp:7", " 5", 2), ("Fp:7", "-6", 0)])
+def test_tensor_file_field_rule_exit_codes(tmp_path, capsys, field, value, expected):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": field, "dims": [2, 2, 2],
+                                "entries": [[0, 0, 0, value], [1, 1, 1, "1"]]}))
+    code, out, err = run(capsys, "bound", "--method", "classical", "--tensor", str(path))
+    assert code == expected
+    if expected:
+        assert err.startswith("error:") and not out
+    else:
+        assert json.loads(out)["field"] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--method", "koszul", "--p", "2", "--m", "2", "--n", "2", "--l", "1"],
+    ["kernel-dim", "--m", "2", "--n", "2", "--p", "2", "--l", "1", "--check", "rank"],
+], ids=["bound", "kernel-dim"])
+def test_range_warning_is_one_note_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ("note: p=2 exceeds ceil(a/2)-1=1; "
+                   "the bound is still valid but duplicates a smaller power\n")
+    doc = json.loads(out)
+    if argv[0] == "bound":
+        assert doc["flags"] == ["outside-recommended-p-range"]
+    else:
+        assert doc["agree"] and doc["rank"] == 8

@@ -11,8 +11,6 @@ from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from brlab.exterior import koszul_flattening
 from brlab.rank_engine import (
-    METHOD_FRACTION_FREE,
-    METHOD_SPARSE,
     ExactQ,
     MultiPrime,
     SparseMatrix,
@@ -73,7 +71,7 @@ def test_permutation_matrix_full_rank():
 
 def test_rank_exact_q_examples():
     from brlab.binaryforms import restricted_koszul
-    km = restricted_koszul(3, 3, 1, 2)
+    km = restricted_koszul(3, 3, 1)
     assert rank_exact_q(km.matrix).rank == 30
     km = koszul_flattening(matmul_tensor(3, 3, 1), 4)
     assert rank_exact_q(km.matrix).rank == 306
@@ -114,7 +112,6 @@ def test_multiprime_equals_exact_q_on_koszul_322():
     mp = rank_certified(km.matrix, MultiPrime())
     xq = rank_certified(km.matrix, ExactQ())
     assert mp.rank == xq.rank
-    assert xq.method == METHOD_FRACTION_FREE
 
 
 def test_multiprime_requires_integer_entries():
@@ -185,14 +182,6 @@ def test_determinism_repeated_runs():
     assert rank_exact_q(m) == q1
 
 
-def test_method_selection():
-    small = _identity(5)
-    assert rank_mod_p(small, 7).method == METHOD_SPARSE
-    big = SparseMatrix(3000, 3000, [(i, i, 1) for i in range(3000)], Q)
-    assert rank_mod_p(big, 7).method == METHOD_SPARSE
-    assert rank_exact_q(small).method == METHOD_FRACTION_FREE
-
-
 def test_sparse_matrix_validation():
     with pytest.raises(InvalidDimension):
         SparseMatrix(2, 2, [(0, 2, 1)], Q)
@@ -226,6 +215,18 @@ def test_matrix_file_rejects_bad_input(tmp_path):
     path.write_text("2 2 Q\n0 0 1 9\n")
     with pytest.raises(FormatError):
         read_matrix(path)
+    # F_p values and moduli are ASCII decimal digits, as in tensor files.
+    for text in ["2 2 Fp:5\n0 0 1_001\n", "2 2 Fp:5\n0 0 +-1\n", "2 2 Fp:7_0\n0 0 1\n",
+                 "2 2 R\n0 0 1\n", "2 2 Fp:\n0 0 1\n", "2 2 Fp:+5\n0 0 1\n"]:
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_matrix(path)
+    path.write_text("2 2 Fp:6\n0 0 1\n")
+    with pytest.raises(BadPrime):
+        read_matrix(path)
+    path.write_text("2 2 Fp:5\n0 0 -6\n1 1 +7\n")
+    m = read_matrix(path)
+    assert (m.value(0, 0), m.value(1, 1)) == (4, 2)
 
 
 def test_koszul_file_round_trip(tmp_path):
@@ -284,9 +285,7 @@ def test_block_diagonal_rank_is_sum_over_three_primes():
     big = SparseMatrix(r0 + 200, c0 + 200, entries, Q)
     expected = sum(rank_gauss_fractions(dense_rows(blk)) for blk in blocks)
     for p in DEFAULT_CERTIFICATION_PRIMES:
-        res = rank_mod_p(big, p)
-        assert res.method == METHOD_SPARSE
-        assert res.rank == expected
+        assert rank_mod_p(big, p).rank == expected
     assert rank_certified(big, MultiPrime()).rank == expected
     assert rank_exact_q(big).rank == expected
     assert big._row_blocks() is big._row_blocks()
@@ -349,9 +348,7 @@ def test_repeated_blocks_rank_matches_oracle():
         m = _place_copies(blocks, counts, rng, 300, shuffle_rows)
         assert rank_exact_q(m).rank == expected
         for p in DEFAULT_CERTIFICATION_PRIMES:
-            res = rank_mod_p(m, p)
-            assert res.method == METHOD_SPARSE
-            assert res.rank == expected
+            assert rank_mod_p(m, p).rank == expected
         classes = m._block_classes()
         assert sum(k for _, k in classes) == len(m._row_blocks())
         if not shuffle_rows:
@@ -366,8 +363,7 @@ def test_same_pattern_different_value_not_merged():
     assert len(m._block_classes()) == 2
     assert rank_exact_q(m).rank == 3
     for p in DEFAULT_CERTIFICATION_PRIMES:
-        res = rank_mod_p(m, p)
-        assert res.method == METHOD_SPARSE and res.rank == 3
+        assert rank_mod_p(m, p).rank == 3
 
 
 def test_bad_prime_inside_repeated_block():

@@ -9,22 +9,21 @@ import pytest
 from oracles import dense_rows, rank_gauss_fractions
 
 from brlab.errors import (
+    BadPrime,
     DimensionMismatch,
     FormatError,
     InvalidDimension,
     ZeroFactor,
     ZeroScalar,
 )
+from brlab.exterior import flatten_classical
 from brlab.rank_engine import rank_exact_q
 from brlab.scalars import FieldTag
 from brlab.tensor import (
-    FactorMap,
     Tensor3,
     add_tensors,
-    flatten_classical,
     load_tensor,
     matmul_tensor,
-    project_factor_A,
     rank_one_tensor,
     save_tensor,
     scale_tensor,
@@ -128,6 +127,12 @@ def test_flatten_conventions_explicit():
     assert fc.value(1 * 3 + 2, 3) == 5
     with pytest.raises(InvalidDimension):
         flatten_classical(t, "D")
+    t = _random_tensor(random.Random(23), (2, 3, 5), fill=0.6)
+    expected = {"A": {(j * 5 + k, i, v) for i, j, k, v in t.items()},
+                "B": {(i * 5 + k, j, v) for i, j, k, v in t.items()},
+                "C": {(i * 3 + j, k, v) for i, j, k, v in t.items()}}
+    for mode, cells in expected.items():
+        assert set(flatten_classical(t, mode).items()) == cells
 
 
 def test_flatten_matmul_222_mode_b():
@@ -166,18 +171,15 @@ def test_flatten_subadditive_on_random_pairs():
             assert r_sum <= r_s + r_t
 
 
-def test_project_identity_and_zero():
-    rng = random.Random(3)
-    t = _random_tensor(rng, (3, 2, 2))
-    assert project_factor_A(t, FactorMap.identity(3)) == t
-    empty = project_factor_A(t, FactorMap.zero(3, 3))
-    assert empty.is_zero() and empty.dims == t.dims
-
-
-def test_project_dimension_mismatch():
-    t = matmul_tensor(2, 2, 1)
-    with pytest.raises(DimensionMismatch):
-        project_factor_A(t, FactorMap.identity(3))
+def _project_first_factor(t, proj):
+    """T'_{rjk} = sum_i P_{ri} T_{ijk} for a dense matrix P, accumulated."""
+    cells = {}
+    for i, j, k, v in t.items():
+        for r, row in enumerate(proj):
+            if row[i]:
+                cells[(r, j, k)] = cells.get((r, j, k), 0) + row[i] * v
+    return Tensor3((len(proj),) + t.dims[1:],
+                   [(i, j, k, v) for (i, j, k), v in cells.items() if v], t.field)
 
 
 def test_projection_never_increases_flattening_rank():
@@ -185,9 +187,8 @@ def test_projection_never_increases_flattening_rank():
     for _ in range(15):
         t = _random_tensor(rng, (4, 3, 3))
         # rank-deficient projector: 2 x 4 random
-        p = FactorMap(4, 2, tuple(
-            tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(2)))
-        proj = project_factor_A(t, p)
+        p = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
+        proj = _project_first_factor(t, p)
         for mode in "ABC":
             assert rank_exact_q(flatten_classical(proj, mode)).rank <= \
                 rank_exact_q(flatten_classical(t, mode)).rank
@@ -242,6 +243,27 @@ def test_json_rejects_unsorted_and_malformed():
     bad["entries"][0][3] = "0"
     with pytest.raises(FormatError):
         tensor_from_json(bad)
+
+
+def test_json_field_and_values_are_ascii_digits():
+    doc = tensor_to_json(matmul_tensor(2, 2, 1, FieldTag.prime_field(7)))
+    for field in ["R", "Fp:", "Fp:7_0", "Fp: 7", "Fp:+7", "Fp:\u0663", "fp:7"]:
+        bad = json.loads(json.dumps(doc))
+        bad["field"] = field
+        with pytest.raises(FormatError):
+            tensor_from_json(bad)
+    for value in ["1_002", " 5", "5 ", "\u0663", "1/2", "0x1"]:
+        bad = json.loads(json.dumps(doc))
+        bad["entries"][0][3] = value
+        with pytest.raises(FormatError):
+            tensor_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["field"] = "Fp:6"
+    with pytest.raises(BadPrime):
+        tensor_from_json(bad)
+    good = json.loads(json.dumps(doc))
+    good["entries"][0][3] = "-13"
+    assert tensor_from_json(good).value(0, 0, 0) == 1
 
 
 def test_json_rejects_infinite_dimension_or_index():
