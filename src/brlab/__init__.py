@@ -43,7 +43,6 @@ from .repcomb import (
     cauchy_wedge,
     conjugate,
     dim_schur,
-    equation_degree,
     kernel_dim_formula,
     kernel_dim_pieri,
     kernel_modules,
@@ -90,7 +89,6 @@ __all__ = [
     "corollary_2nl",
     "dim_schur",
     "dual_surjectivity_check",
-    "equation_degree",
     "flatten_classical",
     "kernel_dim_formula",
     "kernel_dim_pieri",

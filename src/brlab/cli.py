@@ -28,7 +28,7 @@ from .repcomb import (
     kernel_dim_formula,
     kernel_dim_pieri,
 )
-from .scalars import FieldTag, certification_primes, parse_modulus
+from .scalars import FieldTag, certification_primes, parse_natural
 from .tensor import load_tensor, matmul_tensor, rank_one_tensor, save_tensor, tensor_to_json
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _field_flag(*words: str):
             return text
         if text.startswith("fp:"):
             try:
-                return parse_modulus(text[3:])
+                return parse_natural(text[3:])
             except FormatError:
                 pass
         raise argparse.ArgumentTypeError(

@@ -120,15 +120,16 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     # S, j, k and i = S' \ S, so every cell is written at most once and
     # holds +-v: nothing accumulates and no stored zero can arise.
     # SparseMatrix still rejects duplicates, so a broken table fails loudly.
+    # The entries stream into it: no list of them is ever held.
     p_mod = None if t.field.is_q else t.field.p
-    entries = []
-    append = entries.append
-    for (i, j, k), v in t._cells.items():
-        neg_v = -v if p_mod is None else p_mod - v
-        for qcol, qrow, sign in inserts[i]:
-            append((qrow * c + k, qcol * b + j, v if sign > 0 else neg_v))
 
-    matrix = SparseMatrix(c * comb(a, p + 1), b * comb(a, p), entries, t.field)
+    def entries():
+        for (i, j, k), v in t._cells.items():
+            neg_v = -v if p_mod is None else p_mod - v
+            for qcol, qrow, sign in inserts[i]:
+                yield qrow * c + k, qcol * b + j, v if sign > 0 else neg_v
+
+    matrix = SparseMatrix(c * comb(a, p + 1), b * comb(a, p), entries(), t.field)
     return KoszulMatrix(matrix, a, b, c, p)
 
 

@@ -5,14 +5,19 @@ matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
 (possibly loose) input to a lower-bound certificate, while an exact-Q rank
 is tight for the matrix at hand.
 
-Sparse ranks run per row block: a matrix that is block diagonal after a
-row and column permutation has the sum of its blocks' ranks.  Blocks that
-are identical up to a column relabelling (checked entry by entry, never by
-hash alone) are ranked once and their rank is multiplied by their count.
-That is exact over every field: equal exact entries reduce to equal values
-mod p, so the copies have equal ranks mod every prime too.  The flattenings
-of matrix multiplication repeat blocks heavily (the third index alone gives
-l identical copies), so most of their blocks are never eliminated.
+A `SparseMatrix` holds one form from construction to elimination: a
+{col: value} map per nonempty row, filled in one validating pass that may
+read its entries from a generator.  Sparse ranks run per row block: a
+matrix that is block diagonal after a row and column permutation has the
+sum of its blocks' ranks.  The split is made on the exact entries and
+stays valid mod every prime, since reduction mod p can only make entries
+vanish, never create new ones.  Blocks that are identical up to a column
+relabelling (checked entry by entry, never by hash alone) are ranked once
+and their rank is multiplied by their count.  That is exact over every
+field: equal exact entries reduce to equal values mod p, so the copies
+have equal ranks mod every prime too.  The flattenings of matrix
+multiplication repeat blocks heavily (the third index alone gives l
+identical copies), so most of their blocks are never eliminated.
 
 One sparse elimination loop serves both fields; it differs between F_p and
 Q only in how the pivot row is prepared and how an updated row is reduced
@@ -29,82 +34,80 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .scalars import FieldTag, certification_primes
+from .scalars import FieldTag, certification_primes, parse_natural
 
 
 class SparseMatrix:
     """Immutable sparse matrix over an exact field.
 
-    Entries are kept as a map (row, col) -> nonzero value in the field's raw
-    form (see `FieldTag.coerce`); duplicate coordinates and stored zeros are
-    rejected at construction.  The row-block partition and the grouping of
-    identical blocks into classes are computed together on first use and
-    shared by every rank pass over the matrix; every rank pass eliminates
-    one representative per class.
+    Each nonempty row is kept as a {col: nonzero value} map in the order its
+    entries were given, values in the field's raw form (see
+    `FieldTag.coerce`).  One pass over the entries validates them (range,
+    duplicate coordinates, stored zeros) and records the entry count and
+    whether every entry is an integer, so rank passes never rescan values.
+    The grouping of identical row blocks into classes is computed on first
+    use and shared by every rank pass over the matrix; every rank pass
+    eliminates one representative per class.
     """
 
-    __slots__ = ("rows", "cols", "field", "_cells", "_blocks", "_classes")
+    __slots__ = ("rows", "cols", "field", "nnz", "_rows", "_integral", "_classes")
 
     def __init__(self, rows: int, cols: int, entries, field: FieldTag):
         if rows < 0 or cols < 0:
             raise InvalidDimension(f"negative shape {rows}x{cols}")
-        cells = {}
+        row_maps: dict[int, dict] = {}
+        row_of = row_maps.get
         coerce = field.coerce
+        integral = True
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise InvalidDimension(f"entry ({r},{c}) outside {rows}x{cols}")
-            if (r, c) in cells:
+            row = row_of(r)
+            if row is None:
+                row = row_maps[r] = {}
+            elif c in row:
                 raise FormatError(f"duplicate entry at ({r},{c})")
             v = coerce(v)
             if v == 0:
                 raise FormatError(f"stored zero at ({r},{c})")
-            cells[(r, c)] = v
+            if type(v) is not int:
+                integral = False
+            row[c] = v
         self.rows = rows
         self.cols = cols
         self.field = field
-        self._cells = cells
-        self._blocks = None
+        self.nnz = sum(map(len, row_maps.values()))
+        self._rows = row_maps
+        self._integral = integral or not field.is_q
         self._classes = None
-
-    @property
-    def nnz(self) -> int:
-        return len(self._cells)
 
     def items(self) -> list[tuple[int, int, object]]:
         """Entries as (row, col, value) triples sorted by (row, col)."""
-        return [(r, c, self._cells[(r, c)]) for r, c in sorted(self._cells)]
+        rows = self._rows
+        return [(r, c, v) for r in sorted(rows) for c, v in sorted(rows[r].items())]
 
     def value(self, r: int, c: int):
-        return self._cells.get((r, c), 0)
+        return self._rows.get(r, {}).get(c, 0)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows,
-            ((c, r, v) for (r, c), v in self._cells.items()),
+            ((c, r, v) for r, row in self._rows.items() for c, v in row.items()),
             self.field,
         )
 
     def is_integral(self) -> bool:
         """True when every entry is an integer (stored as int over Q)."""
-        if not self.field.is_q:
-            return True
-        return all(type(v) is int for v in self._cells.values())
-
-    def _row_blocks(self) -> list[list[int]]:
-        """Nonempty rows grouped into connected components of the row/column
-        bipartite graph, each an increasing list of row indices.
-
-        A block-diagonal split (after row/column permutation) lets elimination
-        run per block; ranks add.  Blocks come out ordered by their smallest
-        row index, so the split is deterministic.  Entries only vanish under
-        reduction mod p, so the split stays valid for every prime.
-        """
-        if self._blocks is None:
-            self._split()
-        return self._blocks
+        return self._integral
 
     def _block_classes(self) -> list[tuple[tuple, int]]:
         """Identical row blocks grouped by content, as (block, count) pairs.
+
+        A row block is a connected component of the row/column graph of the
+        nonzero entries: the matrix is block diagonal over these after a row
+        and column permutation, so elimination runs per block and ranks add.
+        Entries only vanish under reduction mod p, so the split stays valid
+        for every prime.
 
         Blocks fall in one class only when their content keys are equal.  A
         key lists the block's rows in increasing order: the entry count of
@@ -115,56 +118,48 @@ class SparseMatrix:
         are compared by full tuple equality, entry by entry, so a hash
         collision cannot merge different blocks.  Each class keeps its first
         block as the representative, as a tuple of rows of (local column,
-        value) pairs.  Classes come out in order of their first block.
+        value) pairs.  Classes come out in order of their first block, that
+        is of the block's smallest row index, so the grouping is
+        deterministic.
         """
-        if self._classes is None:
-            self._split()
-        return self._classes
-
-    def _split(self) -> None:
-        """Compute the row blocks and their content classes together."""
-        # One pass over the cells collects each row's entries in insertion
-        # order, as a flat [col, value, col, value, ...] list, and joins each
-        # row to the first row seen in each of its columns (union-find with
-        # path halving; the root of a component is its smallest row).
+        if self._classes is not None:
+            return self._classes
+        rows = self._rows
+        # Join each row to the first row seen in each of its columns
+        # (union-find with path halving; a component's root is its smallest
+        # row).  x tracks the root of row r's component while r is joined.
         parent = list(range(self.rows))
         col_owner: dict[int, int] = {}
         owner_of = col_owner.setdefault
-        row_entries: dict[int, list] = {}
-        entries_of = row_entries.get
-        for (r, c), v in self._cells.items():
-            e = entries_of(r)
-            if e is None:
-                row_entries[r] = [c, v]
-            else:
-                e.append(c)
-                e.append(v)
-            o = owner_of(c, r)
-            if o != r:
-                while parent[o] != o:
-                    parent[o] = o = parent[parent[o]]
-                x = r
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                if o < x:
-                    parent[x] = o
-                elif x < o:
-                    parent[o] = x
+        for r, row in rows.items():
+            x = r
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            for c in row:
+                o = owner_of(c, r)
+                if o != r:
+                    while parent[o] != o:
+                        parent[o] = o = parent[parent[o]]
+                    if o < x:
+                        parent[x] = x = o
+                    elif x < o:
+                        parent[o] = x
+        # Rows in increasing order meet each root first, so the blocks come
+        # out ordered by their smallest row.
         groups: dict[int, list[int]] = {}
-        for r in sorted(row_entries):
+        for r in sorted(rows):
             root = r
             while parent[root] != root:
                 root = parent[root]
             groups.setdefault(root, []).append(r)
-        blocks = [groups[k] for k in sorted(groups)]
         classes: dict[tuple, list] = {}
-        for block in blocks:
-            flat, lens = [], []
+        for block in groups.values():
+            cols, vals, lens = [], [], []
             for r in block:
-                e = row_entries[r]
-                flat += e
-                lens.append(len(e) // 2)
-            cols, vals = flat[::2], flat[1::2]
+                row = rows[r]
+                cols += row
+                vals += row.values()
+                lens.append(len(row))
             labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
             key = (tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals))
             cls = classes.get(key)
@@ -176,14 +171,14 @@ class SparseMatrix:
                 classes[key] = [tuple(rep), 1]
             else:
                 cls[1] += 1
-        self._blocks = blocks
         self._classes = [(rep, count) for rep, count in classes.values()]
+        return self._classes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.field, self._cells) == (
-            other.rows, other.cols, other.field, other._cells)
+        return (self.rows, self.cols, self.field, self._rows) == (
+            other.rows, other.cols, other.field, other._rows)
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, field={self.field})"
@@ -407,8 +402,8 @@ def read_matrix(path) -> SparseMatrix:
             if len(header) != 3:
                 raise FormatError(f"bad matrix header {header!r}")
             try:
-                rows, cols = int(header[0]), int(header[1])
-            except ValueError as exc:
+                rows, cols = parse_natural(header[0]), parse_natural(header[1])
+            except FormatError as exc:
                 raise FormatError(f"bad matrix header {header!r}") from exc
             field = FieldTag.from_string(header[2])
             entries = []
@@ -420,8 +415,8 @@ def read_matrix(path) -> SparseMatrix:
                 if len(toks) != 3:
                     raise FormatError(f"bad matrix line {line!r}")
                 try:
-                    r, c = int(toks[0]), int(toks[1])
-                except ValueError as exc:
+                    r, c = parse_natural(toks[0]), parse_natural(toks[1])
+                except FormatError as exc:
                     raise FormatError(f"bad index in matrix line {line!r}") from exc
                 if prev is not None and (r, c) <= prev:
                     raise FormatError(f"entries not sorted at ({r},{c})")

@@ -28,21 +28,6 @@ def check_partition(pi) -> Partition:
     return pi
 
 
-def parse_partition(s: str) -> Partition:
-    """Parse comma-separated parts, e.g. "4,1"; empty string is ()."""
-    s = s.strip()
-    if not s:
-        return ()
-    try:
-        return check_partition(int(tok) for tok in s.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad partition literal {s!r}") from exc
-
-
-def format_partition(pi: Partition) -> str:
-    return ",".join(str(x) for x in pi)
-
-
 def conjugate(pi: Partition) -> Partition:
     """Transpose of the Young diagram."""
     pi = check_partition(pi)
@@ -169,12 +154,3 @@ def formula_range_validated(m: int, n: int, p: int) -> bool:
     """True when (m, n, p) lies in the range where the alternating-sum
     kernel formula is cross-validated: n <= m and p <= ceil(mn/2) - 1."""
     return n <= m and p <= (m * n + 1) // 2 - 1
-
-
-def equation_degree(r: int, a: int, p: int) -> int:
-    """Degree r*C(a-1, p) + 1 of the minors certifying border rank > r."""
-    if r < 1:
-        raise InvalidDimension(f"need r >= 1, got {r}")
-    if not (0 <= p <= a - 1):
-        raise InvalidDimension(f"need 0 <= p <= a-1, got p={p}, a={a}")
-    return r * comb(a - 1, p) + 1

@@ -9,7 +9,7 @@ Prime-field values are plain ints in [0, p) with the modulus carried by a
 `FieldTag` context.  Literals in files take one form only, in ASCII
 decimal digits: a rational is an optional sign, digits, and an optional
 "/digits" denominator; an F_p value is an optional sign and digits; a
-modulus ("Fp:<p>") is digits alone.
+modulus ("Fp:<p>"), a matrix shape and a matrix index are digits alone.
 
 All values are immutable and safe to share between threads.
 """
@@ -70,7 +70,7 @@ def certification_primes() -> tuple[int, ...]:
     if raw is None:
         return DEFAULT_CERTIFICATION_PRIMES
     try:
-        primes = tuple(parse_modulus(tok) for tok in raw.replace(",", " ").split())
+        primes = tuple(parse_natural(tok) for tok in raw.replace(",", " ").split())
     except FormatError as exc:
         raise BadPrime(f"BRLAB_PRIMES is not a list of integers: {raw!r}") from exc
     if not primes:
@@ -93,7 +93,7 @@ def format_rational(q: Fraction | int) -> str:
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
-_MODULUS_LITERAL = re.compile(r"[0-9]+")
+_NATURAL_LITERAL = re.compile(r"[0-9]+")
 
 
 def parse_rational(s: str) -> Fraction:
@@ -110,17 +110,18 @@ def parse_rational(s: str) -> Fraction:
         raise FormatError(f"bad rational literal {s!r}") from exc
 
 
-def parse_modulus(s: str) -> int:
-    """Parse a field modulus: ASCII decimal digits and nothing else.
+def parse_natural(s: str) -> int:
+    """Parse a modulus, a matrix shape or a matrix index: ASCII decimal
+    digits and nothing else (no sign, no underscore, no whitespace).
 
-    Whether the value is a usable prime is checked where the field is built.
+    Whether a modulus is a usable prime is checked where the field is built.
     """
-    if _MODULUS_LITERAL.fullmatch(s) is None:
-        raise FormatError(f"bad modulus {s!r}")
+    if _NATURAL_LITERAL.fullmatch(s) is None:
+        raise FormatError(f"bad natural number {s!r}")
     try:
         return int(s)
     except ValueError as exc:  # more digits than int() converts
-        raise FormatError(f"bad modulus {s!r}") from exc
+        raise FormatError(f"bad natural number {s!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class FieldTag:
         if s == "Q":
             return FieldTag.rationals()
         if s.startswith("Fp:"):
-            return FieldTag.prime_field(parse_modulus(s[3:]))
+            return FieldTag.prime_field(parse_natural(s[3:]))
         raise FormatError(f"bad field string {s!r}")
 
     def __str__(self) -> str:

@@ -49,9 +49,6 @@ class Tensor3:
     def nnz(self) -> int:
         return len(self._cells)
 
-    def is_zero(self) -> bool:
-        return not self._cells
-
     def items(self) -> list[tuple[int, int, int, object]]:
         """Entries as (i, j, k, value) sorted lexicographically."""
         return [(i, j, k, self._cells[(i, j, k)]) for i, j, k in sorted(self._cells)]
@@ -149,28 +146,32 @@ def tensor_to_json(t: Tensor3) -> dict:
     }
 
 
+def _json_ints(xs) -> bool:
+    """True when every item is a JSON integer (a bool is not one)."""
+    return all(type(x) is int for x in xs)
+
+
 def tensor_from_json(doc: dict) -> Tensor3:
     try:
         if not isinstance(doc["field"], str):
             raise TypeError(f"field must be a string, got {doc['field']!r}")
         field = FieldTag.from_string(doc["field"])
-        dims = tuple(int(x) for x in doc["dims"])
+        dims = doc["dims"]
         raw = doc["entries"]
         if not isinstance(raw, list):
             raise TypeError(f"entries must be a list, got {type(raw).__name__}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed tensor document: {exc}") from exc
-    if len(dims) != 3:
-        raise FormatError(f"dims must have length 3, got {dims}")
+    if not isinstance(dims, (list, tuple)) or len(dims) != 3 or not _json_ints(dims):
+        raise FormatError(f"dims must be a list of 3 integers, got {dims!r}")
     entries = []
     prev = None
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise FormatError(f"bad entry {item!r}")
-        try:
-            i, j, k = int(item[0]), int(item[1]), int(item[2])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad index in entry {item!r}") from exc
+        i, j, k = item[:3]
+        if not _json_ints((i, j, k)):
+            raise FormatError(f"bad index in entry {item!r}")
         if prev is not None and (i, j, k) <= prev:
             raise FormatError(f"entries not strictly sorted at ({i},{j},{k})")
         prev = (i, j, k)
@@ -190,6 +191,6 @@ def load_tensor(path) -> Tensor3:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
             raise FormatError(f"not an ASCII file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise FormatError(f"not JSON: {exc}") from exc
     return tensor_from_json(doc)

@@ -183,12 +183,18 @@ def test_determinism_repeated_runs():
 
 
 def test_sparse_matrix_validation():
-    with pytest.raises(InvalidDimension):
-        SparseMatrix(2, 2, [(0, 2, 1)], Q)
-    with pytest.raises(FormatError):
-        SparseMatrix(2, 2, [(0, 0, 1), (0, 0, 2)], Q)
-    with pytest.raises(FormatError):
-        SparseMatrix(2, 2, [(0, 0, 0)], Q)
+    # Entries may come as a list or as a one-shot generator, over either field.
+    for field in (Q, FieldTag.prime_field(7)):
+        for wrap in (list, iter):
+            with pytest.raises(InvalidDimension):
+                SparseMatrix(2, 2, wrap([(0, 0, 1), (0, 2, 1)]), field)
+            with pytest.raises(FormatError):
+                SparseMatrix(2, 2, wrap([(0, 0, 1), (1, 1, 3), (0, 0, 2)]), field)
+            with pytest.raises(FormatError):
+                SparseMatrix(2, 2, wrap([(1, 0, 1), (0, 0, 0)]), field)
+            m = SparseMatrix(2, 3, wrap([(1, 2, 5), (0, 0, 1), (1, 0, 2)]), field)
+            assert m.nnz == 3
+            assert m.items() == [(0, 0, 1), (1, 0, 2), (1, 2, 5)]
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -221,6 +227,12 @@ def test_matrix_file_rejects_bad_input(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError):
             read_matrix(path)
+    # Shapes and indices are ASCII decimal digits alone.
+    for text in ["2_0 2 Q\n", "2 +2 Q\n", "2 2.0 Q\n", "\u0662 2 Q\n", "-2 2 Q\n",
+                 "2 2 Q\n1_0 0 1\n", "2 2 Q\n+1 0 1\n", "2 2 Q\n0 -0 1\n"]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_matrix(path)
     path.write_text("2 2 Fp:6\n0 0 1\n")
     with pytest.raises(BadPrime):
         read_matrix(path)
@@ -244,6 +256,15 @@ def test_q_storage_int_or_fraction():
     assert type(m.value(1, 1)) is Fraction
     assert m == SparseMatrix(2, 2, [(0, 0, 2), (1, 1, Fraction(1, 3))], Q)
     assert SparseMatrix(1, 1, [(0, 0, Fraction(4, 2))], Q).is_integral()
+    # One Fraction among ints makes a Q matrix non-integral; over F_p every
+    # entry is an int, so the flag holds.  Generators and lists read alike.
+    ints = [(0, 0, 3), (1, 1, -2), (0, 1, Fraction(6, 3))]
+    half = ints + [(1, 0, Fraction(1, 2))]
+    for wrap in (list, iter):
+        assert SparseMatrix(2, 2, wrap(ints), Q).is_integral()
+        assert not SparseMatrix(2, 2, wrap(half), Q).is_integral()
+        assert SparseMatrix(2, 2, wrap(ints), FieldTag.prime_field(7)).is_integral()
+        assert SparseMatrix(2, 2, wrap(half), FieldTag.prime_field(7)).is_integral()
     with pytest.raises(FormatError):
         SparseMatrix(1, 1, [(0, 0, Fraction(0, 5))], Q)
 
@@ -288,7 +309,7 @@ def test_block_diagonal_rank_is_sum_over_three_primes():
         assert rank_mod_p(big, p).rank == expected
     assert rank_certified(big, MultiPrime()).rank == expected
     assert rank_exact_q(big).rank == expected
-    assert big._row_blocks() is big._row_blocks()
+    assert big._block_classes() is big._block_classes()
 
 
 def test_prime_field_matrix_not_certified_over_q():
@@ -335,6 +356,10 @@ def _place_copies(blocks, counts, rng, pad, shuffle_rows):
     return SparseMatrix(nrows + pad, ncols + pad, entries, Q)
 
 
+def _block_count(m):
+    return sum(k for _, k in m._block_classes())
+
+
 def test_repeated_blocks_rank_matches_oracle():
     rng = random.Random(4242)
     blocks = [_random_matrix(rng, r, c, fill=0.6) for r, c in ((4, 5), (6, 3), (5, 5))]
@@ -350,7 +375,7 @@ def test_repeated_blocks_rank_matches_oracle():
         for p in DEFAULT_CERTIFICATION_PRIMES:
             assert rank_mod_p(m, p).rank == expected
         classes = m._block_classes()
-        assert sum(k for _, k in classes) == len(m._row_blocks())
+        assert _block_count(m) == sum(k * _block_count(b) for b, k in zip(blocks, counts))
         if not shuffle_rows:
             assert len(classes) == len(single._block_classes())
         assert m._block_classes() is classes
@@ -379,7 +404,8 @@ def test_bad_prime_inside_repeated_block():
 
 def test_block_class_counts_of_flattenings():
     from brlab.binaryforms import restricted_koszul
-    m = restricted_koszul(4, 4, 4).matrix
-    assert (len(m._row_blocks()), len(m._block_classes())) == (64, 16)
+    for n, blocks, classes in ((4, 64, 16), (5, 125, 24)):
+        m = restricted_koszul(n, n, n).matrix
+        assert (_block_count(m), len(m._block_classes())) == (blocks, classes)
     m = koszul_flattening(matmul_tensor(3, 3, 3), 4).matrix
-    assert (len(m._row_blocks()), len(m._block_classes())) == (351, 37)
+    assert (_block_count(m), len(m._block_classes())) == (351, 37)

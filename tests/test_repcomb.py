@@ -14,13 +14,10 @@ from brlab.repcomb import (
     check_partition,
     conjugate,
     dim_schur,
-    equation_degree,
-    format_partition,
     formula_range_validated,
     kernel_dim_formula,
     kernel_dim_pieri,
     kernel_modules,
-    parse_partition,
     partitions_in_box,
     pieri_add_box,
 )
@@ -148,23 +145,11 @@ def test_formula_range_flag():
     assert not formula_range_validated(2, 3, 1)
 
 
-def test_equation_degree_examples():
-    assert equation_degree(1, 5, 0) == 2
-    assert equation_degree(5, 9, 4) == 351
-    assert equation_degree(14, 9, 4) == 981
-    with pytest.raises(InvalidDimension):
-        equation_degree(0, 5, 1)
-    with pytest.raises(InvalidDimension):
-        equation_degree(2, 5, 5)
-
-
-def test_partition_parsing():
-    assert parse_partition("4,1") == (4, 1)
-    assert parse_partition("") == ()
-    assert format_partition((4, 1)) == "4,1"
-    assert format_partition(()) == ""
+def test_check_partition():
+    assert check_partition([4, 1]) == (4, 1)
+    assert check_partition(()) == ()
     with pytest.raises(FormatError):
-        parse_partition("1,4")
+        check_partition((1, 4))
     with pytest.raises(FormatError):
         check_partition((2, -1))
     with pytest.raises(FormatError):

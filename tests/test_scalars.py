@@ -13,7 +13,7 @@ from brlab.scalars import (
     certification_primes,
     format_rational,
     is_prime,
-    parse_modulus,
+    parse_natural,
     parse_rational,
 )
 
@@ -47,7 +47,7 @@ def test_field_tag_strings():
     assert FieldTag.from_string("Q") == FieldTag.rationals()
     assert FieldTag.from_string("Fp:13") == FieldTag.prime_field(13)
     assert FieldTag.from_string("Fp:007") == FieldTag.prime_field(7)
-    assert parse_modulus("65521") == 65521
+    assert parse_natural("65521") == 65521
     for bad in ["R", "q", "Fp:", "Fp:7_0", "Fp: 7", "Fp:+7", "Fp:\u0663", "fp:7", "Fp:7.0"]:
         with pytest.raises(FormatError):
             FieldTag.from_string(bad)

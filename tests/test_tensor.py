@@ -101,7 +101,7 @@ def test_add_and_scale():
     rng = random.Random(11)
     t = _random_tensor(rng, (3, 4, 2))
     neg = scale_tensor(t, -1)
-    assert add_tensors(t, neg).is_zero()
+    assert add_tensors(t, neg).nnz == 0
 
     u = rank_one_tensor([1, 0], [1], [1])
     v = rank_one_tensor([0, 1], [1], [1])
@@ -277,6 +277,30 @@ def test_json_rejects_infinite_dimension_or_index():
     bad["entries"][0][0] = float("inf")
     with pytest.raises(FormatError):
         tensor_from_json(bad)
+
+
+def test_json_dims_and_indices_are_json_integers(tmp_path):
+    doc = {"field": "Q", "dims": [2.9, 2, "2"], "entries": [[1.7, 0, 0, "1"], ["1", 1, 1, "3"]]}
+    with pytest.raises(FormatError):
+        tensor_from_json(doc)
+    good = tensor_to_json(matmul_tensor(2, 2, 1))
+    for bad_value in (2.0, 2.9, "2", True, None, [2]):
+        for where in ("dims", "entries"):
+            bad = json.loads(json.dumps(good))
+            if where == "dims":
+                bad["dims"][1] = bad_value
+            else:
+                bad["entries"][0][1] = bad_value
+            with pytest.raises(FormatError):
+                tensor_from_json(bad)
+    for dims in ("222", {"a": 2}, 2):
+        with pytest.raises(FormatError):
+            tensor_from_json(dict(good, dims=dims))
+    # An integer past Python's digit limit is malformed input, not a crash.
+    path = tmp_path / "long.json"
+    path.write_text('{"field": "Q", "dims": [2, 2, %s], "entries": []}' % ("9" * 5000))
+    with pytest.raises(FormatError):
+        load_tensor(path)
 
 
 def test_rational_values_round_trip(tmp_path):
