@@ -15,16 +15,23 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .binaryforms import restricted_koszul
+from .binaryforms import restrict_matmul
 from .errors import InvalidDimension, OrderViolation
-from .exterior import flatten_classical, koszul_flattening, redundancy_cap
-from .rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
+from .exterior import (
+    WedgeRangeWarning,
+    check_wedge_power,
+    classical_tensor,
+    koszul_flattening,
+    redundancy_cap,
+)
+from .rank_engine import ExactQ, MultiPrime, rank_certified
 from .scalars import certification_primes
-from .tensor import Tensor3, tensor_to_json
+from .tensor import Tensor3, direct_summands, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
 SOUND_MOD_P = "mod-p-lower-bound"
@@ -58,6 +65,10 @@ class BoundCertificate:
     p: int | None = None
     flags: tuple[str, ...] = ()
     timings_ms: float = 0.0
+    # Telemetry outside the canonical payload: the direct-summand split of
+    # the ranked flattening (see FlatteningRank).
+    summands: int | None = None
+    summand_classes: int | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -89,10 +100,12 @@ def tensor_descriptor(t: Tensor3) -> dict:
     return {"sha256": hashlib.sha256(blob).hexdigest()}
 
 
-def _auto_strategy(matrix: SparseMatrix) -> MultiPrime | ExactQ:
-    if not matrix.field.is_q:
-        return MultiPrime((matrix.field.p,))
-    if matrix.rows * matrix.cols <= _AUTO_EXACT_CELLS or not matrix.is_integral():
+def _auto_strategy(t: Tensor3, cells: int) -> MultiPrime | ExactQ:
+    """Strategy for a flattening of t with `cells` cells.  Its entries are
+    +-t's entries, so it is integral exactly when t is."""
+    if not t.field.is_q:
+        return MultiPrime((t.field.p,))
+    if cells <= _AUTO_EXACT_CELLS or not t.is_integral():
         return ExactQ()
     return MultiPrime()
 
@@ -114,29 +127,84 @@ def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _certificate(method: str, descriptor: dict, matrix: SparseMatrix,
-                 strategy: MultiPrime | ExactQ | None, divisor: int = 1,
+@dataclass(frozen=True)
+class FlatteningRank:
+    """Rank of a tensor's wedge flattening, computed summand by summand.
+
+    rows, cols and nnz are those of the whole flattening; summands counts
+    the direct summands and classes the groups of equal ones, of which only
+    one representative each was flattened and ranked.  rank_ms is the time
+    of the rank passes alone.
+    """
+
+    rows: int
+    cols: int
+    rank: int
+    nnz: int
+    strategy: MultiPrime | ExactQ
+    summands: int
+    classes: int
+    rank_ms: float
+
+
+def flattening_rank(t: Tensor3, p: int,
+                    strategy: MultiPrime | ExactQ | None = None) -> FlatteningRank:
+    """Rank of the p-th wedge flattening of t, one direct summand at a time.
+
+    The flattening of a direct sum whose summands share the first factor is
+    block diagonal, one block per summand, so its rank is the sum of count *
+    rank over the groups of equal summands (`direct_summands`); each group's
+    representative is flattened and ranked once.  The strategy (when None)
+    is chosen once, from the whole shape c*C(a, p+1) x b*C(a, p) and the
+    tensor's integrality, so a summand's smaller shape never changes it.
+
+    Under ExactQ the sum is the Q-rank.  Under MultiPrime each
+    representative takes its own max over the primes.  Each term is at most
+    that summand's Q-rank, so the sum stays at most the Q-rank of the whole
+    flattening, a sound lower bound.  It is never below the whole
+    flattening's max over the primes, since for each prime the whole rank
+    is the sum of the summands' ranks.
+    """
+    a, b, c = t.dims
+    check_wedge_power(a, p)
+    rows, cols = c * comb(a, p + 1), b * comb(a, p)
+    strat = strategy if strategy is not None else _auto_strategy(t, rows * cols)
+    summands = direct_summands(t)
+    rank = nnz = 0
+    ms = 0.0
+    with warnings.catch_warnings():
+        # check_wedge_power above has warned once for every summand.
+        warnings.simplefilter("ignore", WedgeRangeWarning)
+        for summand, count in summands:
+            matrix = koszul_flattening(summand, p).matrix
+            t0 = time.perf_counter()
+            rank += count * rank_certified(matrix, strat).rank
+            ms += (time.perf_counter() - t0) * 1000.0
+            nnz += count * matrix.nnz
+    return FlatteningRank(rows, cols, rank, nnz, strat,
+                          sum(count for _, count in summands), len(summands), ms)
+
+
+def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
                  p: int | None = None, flags: tuple[str, ...] = ()) -> BoundCertificate:
-    """Rank `matrix` (auto-selecting the strategy when None), time the rank,
-    and record the bound ceil(rank / divisor) with its labels."""
-    strat = strategy if strategy is not None else _auto_strategy(matrix)
-    t0 = time.perf_counter()
-    rank = rank_certified(matrix, strat).rank
-    ms = (time.perf_counter() - t0) * 1000.0
+    """Record the bound ceil(rank / divisor) of a ranked flattening with its
+    labels."""
     return BoundCertificate(
         method=method,
         descriptor=descriptor,
-        rows=matrix.rows,
-        cols=matrix.cols,
-        rank=rank,
+        rows=fr.rows,
+        cols=fr.cols,
+        rank=fr.rank,
         divisor=divisor,
-        quotient=Fraction(rank, divisor),
-        bound=_ceil_div(rank, divisor),
-        field_label=_field_label(strat),
-        soundness=_soundness(strat),
+        quotient=Fraction(fr.rank, divisor),
+        bound=_ceil_div(fr.rank, divisor),
+        field_label=_field_label(fr.strategy),
+        soundness=_soundness(fr.strategy),
         p=p,
         flags=flags,
-        timings_ms=ms,
+        timings_ms=fr.rank_ms,
+        summands=fr.summands,
+        summand_classes=fr.classes,
     )
 
 
@@ -145,7 +213,8 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     """Best of the three classical flattening ranks (the first on a tie);
     divisor 1.  The recorded time is that of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
-    certs = [_certificate("classical", descriptor, flatten_classical(t, mode), strategy)
+    certs = [_certificate("classical", descriptor,
+                          flattening_rank(classical_tensor(t, mode), 0, strategy))
              for mode in "ABC"]
     best = max(certs, key=lambda cert: cert.rank)
     return replace(best, timings_ms=sum(cert.timings_ms for cert in certs))
@@ -158,11 +227,11 @@ def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None
     p = 1 is the commutator-style special case and is labeled "strassen".
     """
     a = t.dims[0]
-    km = koszul_flattening(t, p)
+    fr = flattening_rank(t, p, strategy)
     return _certificate(
         "strassen" if p == 1 else "koszul",
         descriptor if descriptor is not None else tensor_descriptor(t),
-        km.matrix, strategy, comb(a - 1, p), p,
+        fr, comb(a - 1, p), p,
         ("outside-recommended-p-range",) if p > redundancy_cap(a) else ())
 
 
@@ -174,9 +243,9 @@ def bound_matmul_restricted(m: int, n: int, l: int,
     When the restricted map has full column rank (it does for all n <= m)
     the bound equals ceil(nl (n+m-1) / m).
     """
-    km = restricted_koszul(m, n, l)
-    return _certificate("koszul-restricted", {"m": m, "n": n, "l": l}, km.matrix,
-                        strategy, comb(m + n - 2, n - 1), n - 1)
+    fr = flattening_rank(restrict_matmul(m, n, l), n - 1, strategy)
+    return _certificate("koszul-restricted", {"m": m, "n": n, "l": l}, fr,
+                        comb(m + n - 2, n - 1), n - 1)
 
 
 def bound_formula_theorem1(m: int, n: int, l: int) -> int:

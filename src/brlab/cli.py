@@ -18,11 +18,11 @@ from .bounds import (
     bound_koszul,
     bound_matmul_restricted,
     compare_table,
+    flattening_rank,
     formula_certificate,
 )
 from .errors import BadPrime, BrlabError, DivisionByZero, FormatError
-from .exterior import koszul_flattening
-from .rank_engine import ExactQ, MultiPrime, rank_certified
+from .rank_engine import ExactQ, MultiPrime
 from .repcomb import (
     formula_range_validated,
     kernel_dim_formula,
@@ -105,6 +105,10 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _summand_note(args: argparse.Namespace, summands: int, classes: int) -> None:
+    _note(args, f"summands: {summands} in {classes} class{'' if classes == 1 else 'es'}")
+
+
 def _show_note(message, category, filename, lineno, file=None, line=None) -> None:
     """Show a library warning (such as a wedge power outside the recommended
     range) as one "note:" line on stderr, without a source location."""
@@ -145,6 +149,12 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _rank_notes(args: argparse.Namespace, cert) -> None:
+    _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
+                f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
+    _summand_note(args, cert.summands, cert.summand_classes)
+
+
 def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method
     strategy = _parse_strategy(args.field)
@@ -168,8 +178,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             print("koszul-restricted needs --m --n --l", file=sys.stderr)
             return EXIT_USAGE
         cert = bound_matmul_restricted(args.m, args.n, args.l, strategy)
-        _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
-                    f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
+        _rank_notes(args, cert)
         _emit(cert.to_json(), args.out)
         return EXIT_OK
 
@@ -193,8 +202,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             print("koszul needs --p", file=sys.stderr)
             return EXIT_USAGE
         cert = bound_koszul(t, args.p, strategy, descriptor=descriptor)
-    _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
-                f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
+    _rank_notes(args, cert)
     _emit(cert.to_json(), args.out)
     return EXIT_OK
 
@@ -212,13 +220,13 @@ def _cmd_kernel_dim(args: argparse.Namespace) -> int:
     if check in ("formula", "both", "rank"):
         values["formula"] = kernel_dim_formula(m, n, p, l)
     if check == "rank":
-        km = koszul_flattening(matmul_tensor(m, n, l), p)
-        _note(args, f"flattening {km.rows}x{km.cols}, nnz={km.matrix.nnz}")
         prime = certification_primes()[0]
-        result = rank_certified(km.matrix, MultiPrime((prime,)))
-        values["rank_based"] = km.matrix.cols - result.rank
-        doc["source_dim"] = km.matrix.cols
-        doc["rank"] = result.rank
+        fr = flattening_rank(matmul_tensor(m, n, l), p, MultiPrime((prime,)))
+        _note(args, f"flattening {fr.rows}x{fr.cols}, nnz={fr.nnz}")
+        _summand_note(args, fr.summands, fr.classes)
+        values["rank_based"] = fr.cols - fr.rank
+        doc["source_dim"] = fr.cols
+        doc["rank"] = fr.rank
         doc["rank_field"] = f"Fp:{prime}"
     doc.update(values)
     distinct = set(values.values())

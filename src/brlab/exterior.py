@@ -85,6 +85,21 @@ def redundancy_cap(a: int) -> int:
     return (a + 1) // 2 - 1
 
 
+def check_wedge_power(a: int, p: int) -> None:
+    """Reject p outside 0..a-1 (InvalidDimension); warn with
+    WedgeRangeWarning, on behalf of the caller's caller, when p exceeds
+    redundancy_cap(a)."""
+    if not (0 <= p <= a - 1):
+        raise InvalidDimension(f"need 0 <= p <= a-1, got p={p}, a={a}")
+    if p > redundancy_cap(a):
+        warnings.warn(
+            f"p={p} exceeds ceil(a/2)-1={redundancy_cap(a)}; "
+            "the bound is still valid but duplicates a smaller power",
+            WedgeRangeWarning,
+            stacklevel=3,
+        )
+
+
 def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     """Flatten t against p-fold wedges of the first factor.
 
@@ -93,15 +108,7 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     c*C(a, p+1) rows by b*C(a, p) columns.
     """
     a, b, c = t.dims
-    if not (0 <= p <= a - 1):
-        raise InvalidDimension(f"need 0 <= p <= a-1, got p={p}, a={a}")
-    if p > redundancy_cap(a):
-        warnings.warn(
-            f"p={p} exceeds ceil(a/2)-1={redundancy_cap(a)}; "
-            "the bound is still valid but duplicates a smaller power",
-            WedgeRangeWarning,
-            stacklevel=2,
-        )
+    check_wedge_power(a, p)
     small = list(_colex_tuples(a, p))
     rank_of_big = {s: q for q, s in enumerate(_colex_tuples(a, p + 1))}
 
@@ -133,21 +140,27 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     return KoszulMatrix(matrix, a, b, c, p)
 
 
+def classical_tensor(t: Tensor3, mode: str) -> Tensor3:
+    """t with the chosen factor moved to the second place, the other two
+    keeping their (A, B, C) order, so that its p = 0 wedge flattening is the
+    classical flattening of t for that factor (see `flatten_classical`)."""
+    a, b, c = t.dims
+    cells = t._cells.items()
+    if mode == "A":
+        return Tensor3((b, a, c), ((j, i, k, v) for (i, j, k), v in cells), t.field)
+    if mode == "C":
+        return Tensor3((a, c, b), ((i, k, j, v) for (i, j, k), v in cells), t.field)
+    if mode != "B":
+        raise InvalidDimension(f"mode must be A, B or C, got {mode!r}")
+    return t
+
+
 def flatten_classical(t: Tensor3, mode: str) -> SparseMatrix:
     """Classical flattening: the tensor as a linear map out of one factor's dual.
 
-    It is the p = 0 wedge flattening of t with the chosen factor moved to
-    the second place, the other two keeping their (A, B, C) order:
+    It is the p = 0 wedge flattening of `classical_tensor(t, mode)`:
       mode "A": (b*c) x a, entry at row j*c + k, column i (first two factors swapped)
       mode "B": (a*c) x b, entry at row i*c + k, column j (t itself)
       mode "C": (a*b) x c, entry at row i*b + j, column k (last two factors swapped)
     """
-    a, b, c = t.dims
-    cells = t._cells.items()
-    if mode == "A":
-        t = Tensor3((b, a, c), ((j, i, k, v) for (i, j, k), v in cells), t.field)
-    elif mode == "C":
-        t = Tensor3((a, c, b), ((i, k, j, v) for (i, j, k), v in cells), t.field)
-    elif mode != "B":
-        raise InvalidDimension(f"mode must be A, B or C, got {mode!r}")
-    return koszul_flattening(t, 0).matrix
+    return koszul_flattening(classical_tensor(t, mode), 0).matrix

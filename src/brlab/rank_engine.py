@@ -16,8 +16,9 @@ relabelling (checked entry by entry, never by hash alone) are ranked once
 and their rank is multiplied by their count.  That is exact over every
 field: equal exact entries reduce to equal values mod p, so the copies
 have equal ranks mod every prime too.  The flattenings of matrix
-multiplication repeat blocks heavily (the third index alone gives l
-identical copies), so most of their blocks are never eliminated.
+multiplication repeat blocks heavily, so most of their blocks are never
+eliminated.  (The l identical copies that the third index gives are split
+off earlier, on the tensor, by `tensor.direct_summands`.)
 
 One sparse elimination loop serves both fields; it differs between F_p and
 Q only in how the pivot row is prepared and how an updated row is reduced
@@ -125,19 +126,22 @@ class SparseMatrix:
         if self._classes is not None:
             return self._classes
         rows = self._rows
-        # Join each row to the first row seen in each of its columns
-        # (union-find with path halving; a component's root is its smallest
-        # row).  x tracks the root of row r's component while r is joined.
-        parent = list(range(self.rows))
+        # The nonempty rows in increasing order, numbered 0..R-1, are the
+        # union-find nodes, so time and memory follow nnz, not the declared
+        # row count.  Join each row to the first row seen in each of its
+        # columns (path halving; a component's root is its smallest row).
+        # x tracks the root of row y's component while y is joined.
+        order = sorted(rows)
+        parent = list(range(len(order)))
         col_owner: dict[int, int] = {}
         owner_of = col_owner.setdefault
-        for r, row in rows.items():
-            x = r
+        for y, r in enumerate(order):
+            x = y
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
-            for c in row:
-                o = owner_of(c, r)
-                if o != r:
+            for c in rows[r]:
+                o = owner_of(c, y)
+                if o != y:
                     while parent[o] != o:
                         parent[o] = o = parent[parent[o]]
                     if o < x:
@@ -147,8 +151,8 @@ class SparseMatrix:
         # Rows in increasing order meet each root first, so the blocks come
         # out ordered by their smallest row.
         groups: dict[int, list[int]] = {}
-        for r in sorted(rows):
-            root = r
+        for y, r in enumerate(order):
+            root = y
             while parent[root] != root:
                 root = parent[root]
             groups.setdefault(root, []).append(r)

@@ -56,6 +56,10 @@ class Tensor3:
     def value(self, i: int, j: int, k: int):
         return self._cells.get((i, j, k), 0)
 
+    def is_integral(self) -> bool:
+        """True when every entry is an integer (always so over F_p)."""
+        return all(type(v) is int for v in self._cells.values())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented
@@ -82,6 +86,58 @@ def matmul_tensor(m: int, n: int, l: int, field: FieldTag | None = None) -> Tens
         for alpha in range(m) for s in range(n) for t in range(l)
     ]
     return Tensor3((m * n, n * l, m * l), entries, field)
+
+
+def direct_summands(t: Tensor3) -> list[tuple[Tensor3, int]]:
+    """Split t into direct summands that share its first factor, with equal
+    summands grouped: a list of (summand, count) pairs.
+
+    Two entries fall in one summand when a chain of entries joins them, each
+    link sharing a second- or a third-factor index (union-find over those
+    indices, with the first factor shared by all).  Every wedge flattening
+    of t is then block diagonal with one block per summand, so its rank is
+    the sum of count * rank over the pairs.  A summand keeps dim a and
+    relabels its own second and third indices 0, 1, ... in increasing
+    order; its entries keep t's values.  Summands are grouped only when
+    their local dims and sorted entry tuples, values included, are equal:
+    the tuples are dict keys, and a dict lookup compares keys in full, so a
+    hash collision cannot merge two summands.  Groups come out in order of
+    their first summand's smallest second-factor index.  The cost is linear
+    in nnz up to the sorts inside each summand.
+
+    A tensor that does not split (no entries, or one summand that uses every
+    second- and third-factor index) comes back as [(t, 1)] itself.
+    """
+    a, b, c = t.dims
+    cells = t._cells
+    # Second-factor index j is node j, third-factor index k is node ~k.
+    parent: dict[int, int] = {}
+    setdefault = parent.setdefault
+
+    def find(x: int) -> int:
+        setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for _, j, k in cells:
+        rj, rk = find(j), find(~k)
+        if rj != rk:
+            parent[rk] = rj
+    members: dict[int, list] = {}
+    for (i, j, k), v in cells.items():
+        members.setdefault(find(j), []).append((i, j, k, v))
+    if len(members) <= 1 and (not cells or len(parent) == b + c):
+        return [(t, 1)]
+    groups: dict[tuple, int] = {}
+    for entries in sorted(members.values(), key=lambda es: min(e[1] for e in es)):
+        js = {j: x for x, j in enumerate(sorted({e[1] for e in entries}))}
+        ks = {k: x for x, k in enumerate(sorted({e[2] for e in entries}))}
+        key = (len(js), len(ks),
+               tuple(sorted((i, js[j], ks[k], v) for i, j, k, v in entries)))
+        groups[key] = groups.get(key, 0) + 1
+    return [(Tensor3((a, bs, cs), local, t.field), count)
+            for (bs, cs, local), count in groups.items()]
 
 
 def rank_one_tensor(u, v, w, field: FieldTag | None = None) -> Tensor3:

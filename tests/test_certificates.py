@@ -67,6 +67,14 @@ GOLDEN = [
      {'method': 'koszul-restricted', 'm': 2, 'n': 2, 'l': 1, 'p': 1, 'rows': 6, 'cols': 6,
      'rank': 6, 'divisor': 2, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:5', 'soundness':
      'mod-p-lower-bound'}),
+    # Auto selection reads the whole 3150 x 3150 shape (multi-prime), not the
+    # 630 x 630 shape of one l = 1 summand (which alone would pick exact Q).
+    ('restricted-555', 0,
+     ['bound', '--method', 'koszul-restricted', '--m', '5', '--n', '5', '--l', '5'],
+     {'method': 'koszul-restricted', 'm': 5, 'n': 5, 'l': 5, 'p': 4, 'rows': 3150, 'cols':
+     3150, 'rank': 3150, 'divisor': 70, 'quotient': '45/1', 'bound': 45, 'field':
+     'multiprime:2305843009213693951,2305843009213693967,2305843009213693973', 'soundness':
+     'mod-p-lower-bound'}),
     ('classical-232-multiprime', 0,
      ['bound', '--method', 'classical', '--m', '2', '--n', '3', '--l', '2', '--field',
      'multiprime'],

@@ -339,6 +339,16 @@ def test_bound_exponent_literal_exit_2_promptly(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("method", [["koszul", "--p", "0"], ["classical"]])
+def test_bound_huge_declared_dimension(tmp_path, capsys, method):
+    path = tmp_path / "huge.json"
+    path.write_text('{"field": "Q", "dims": [1, 1, 1000000000000000000000000000000], '
+                    '"entries": [[0, 0, 0, "1"]]}')
+    code, out, err = run(capsys, "bound", "--method", *method, "--tensor", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rank"] == 1
+
+
 @pytest.mark.parametrize("field,value,expected", [
     ("Fp:7_0", "1", 2), ("R", "1", 2), ("Fp:", "1", 2), ("Fp:6", "1", 3),
     ("Fp:7", "1_002", 2), ("Fp:7", " 5", 2), ("Fp:7", "-6", 0)])

@@ -312,6 +312,15 @@ def test_block_diagonal_rank_is_sum_over_three_primes():
     assert big._block_classes() is big._block_classes()
 
 
+def test_huge_declared_shape_costs_only_its_entries():
+    # The block split runs over the nonempty rows only, never over range(rows).
+    m = SparseMatrix(10**30, 1, [(5, 0, 1)], Q)
+    assert rank_mod_p(m, 7).rank == 1
+    assert rank_exact_q(m).rank == 1
+    assert rank_certified(m, MultiPrime()).rank == 1
+    assert rank_exact_q(SparseMatrix(1, 10**30, [(0, 10**29, 3)], Q)).rank == 1
+
+
 def test_prime_field_matrix_not_certified_over_q():
     fp = FieldTag.prime_field(7)
     m = SparseMatrix(2, 2, [(0, 0, 3), (1, 1, 5)], fp)
