@@ -40,7 +40,10 @@ SOUND_CLOSED_FORM = "closed-form"
 # Above this cell count, exact-Q elimination stops being the obvious
 # default and certification of an integer matrix falls back to the sound
 # multi-prime route.  A matrix with non-integer entries always takes exact
-# Q, the one route that accepts it.
+# Q, the one route that accepts it.  The cost argument holds only for
+# rank-deficient blocks: `rank_exact_q` settles a full-rank block with one
+# mod-p pass, the cost of one multi-prime pass, and runs the slower
+# fraction-free elimination only on blocks where that pass falls short.
 _AUTO_EXACT_CELLS = 4_000_000
 
 # compare_table computes the restricted bound when the map has at most this
@@ -66,9 +69,12 @@ class BoundCertificate:
     flags: tuple[str, ...] = ()
     timings_ms: float = 0.0
     # Telemetry outside the canonical payload: the direct-summand split of
-    # the ranked flattening (see FlatteningRank).
+    # the ranked flattening, and under exact Q its block classes and their
+    # fraction-free fallbacks (see FlatteningRank).
     summands: int | None = None
     summand_classes: int | None = None
+    block_classes: int | None = None
+    fallbacks: int | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -134,7 +140,10 @@ class FlatteningRank:
     rows, cols and nnz are those of the whole flattening; summands counts
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened and ranked.  rank_ms is the time
-    of the rank passes alone.
+    of the rank passes alone.  Under ExactQ, block_classes counts the
+    classes of identical blocks ranked over all representatives and
+    fallbacks those that needed fraction-free elimination (see
+    `rank_exact_q`); both are 0 under MultiPrime.
     """
 
     rows: int
@@ -145,6 +154,8 @@ class FlatteningRank:
     summands: int
     classes: int
     rank_ms: float
+    block_classes: int
+    fallbacks: int
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -170,7 +181,7 @@ def flattening_rank(t: Tensor3, p: int,
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
     strat = strategy if strategy is not None else _auto_strategy(t, rows * cols)
     summands = direct_summands(t)
-    rank = nnz = 0
+    rank = nnz = block_classes = fallbacks = 0
     ms = 0.0
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
@@ -178,17 +189,22 @@ def flattening_rank(t: Tensor3, p: int,
         for summand, count in summands:
             matrix = koszul_flattening(summand, p).matrix
             t0 = time.perf_counter()
-            rank += count * rank_certified(matrix, strat).rank
+            res = rank_certified(matrix, strat)
             ms += (time.perf_counter() - t0) * 1000.0
+            rank += count * res.rank
             nnz += count * matrix.nnz
+            block_classes += res.classes
+            fallbacks += res.fallbacks
     return FlatteningRank(rows, cols, rank, nnz, strat,
-                          sum(count for _, count in summands), len(summands), ms)
+                          sum(count for _, count in summands), len(summands), ms,
+                          block_classes, fallbacks)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
                  p: int | None = None, flags: tuple[str, ...] = ()) -> BoundCertificate:
     """Record the bound ceil(rank / divisor) of a ranked flattening with its
     labels."""
+    exact = isinstance(fr.strategy, ExactQ)
     return BoundCertificate(
         method=method,
         descriptor=descriptor,
@@ -205,19 +221,26 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
         timings_ms=fr.rank_ms,
         summands=fr.summands,
         summand_classes=fr.classes,
+        block_classes=fr.block_classes if exact else None,
+        fallbacks=fr.fallbacks if exact else None,
     )
 
 
 def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
-    divisor 1.  The recorded time is that of all three ranks."""
+    divisor 1.  The recorded time, and under exact Q the class and fallback
+    counts, are those of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     certs = [_certificate("classical", descriptor,
                           flattening_rank(classical_tensor(t, mode), 0, strategy))
              for mode in "ABC"]
     best = max(certs, key=lambda cert: cert.rank)
-    return replace(best, timings_ms=sum(cert.timings_ms for cert in certs))
+    best = replace(best, timings_ms=sum(cert.timings_ms for cert in certs))
+    if best.block_classes is None:
+        return best
+    return replace(best, block_classes=sum(cert.block_classes for cert in certs),
+                   fallbacks=sum(cert.fallbacks for cert in certs))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

@@ -152,6 +152,10 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 def _rank_notes(args: argparse.Namespace, cert) -> None:
     _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
                 f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
+    if cert.block_classes is not None:
+        n = cert.block_classes
+        _note(args, f"exact-Q: {n - cert.fallbacks} of {n} class{'' if n == 1 else 'es'} "
+                    f"settled mod p, {cert.fallbacks} fell back")
     _summand_note(args, cert.summands, cert.summand_classes)
 
 

@@ -2,9 +2,10 @@
 
 Basis vectors of the p-th exterior power of the first tensor factor are
 labeled by strictly increasing index subsets, enumerated in
-*colexicographic* order.  `koszul_flattening` builds one lookup table from
-(p+1)-subsets to their positions and, from it, a per-index insertion table,
-so each tensor entry is spread over its cells without any subset search.
+*colexicographic* order.  `koszul_flattening` computes, for each first-factor
+index that occurs in the tensor, an insertion table of subset positions, so
+each tensor entry is spread over its cells without any subset search and
+the tables follow the entries, not the declared dimension.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -14,7 +15,6 @@ ranks, but certificates must be bit-reproducible, so this one is fixed.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -109,19 +109,26 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
-    small = list(_colex_tuples(a, p))
-    rank_of_big = {s: q for q, s in enumerate(_colex_tuples(a, p + 1))}
 
-    # Per-i insertion table: (column subset position, row subset position, sign).
-    inserts: list[list[tuple[int, int, int]]] = [[] for _ in range(a)]
-    for q, s in enumerate(small):
-        inside = set(s)
-        for i in range(a):
-            if i in inside:
+    # Insertion table for each first-factor index i that occurs in an entry:
+    # (column subset position, row subset position, sign) per p-subset S
+    # avoiding i, in colex order of S.  The colex position of a subset
+    # s_0 < s_1 < ... is sum_j C(s_j, j+1).  Inserting i at place pos keeps
+    # the terms below pos (low), adds C(i, pos+1), and moves each term from
+    # pos on one place up (high), so no table of (p+1)-subsets is built.
+    used = sorted({i for i, _, _ in t._cells})
+    inserts: dict[int, list[tuple[int, int, int]]] = {i: [] for i in used}
+    for q, s in enumerate(_colex_tuples(a, p)):
+        low, high, pos = 0, sum(comb(x, j + 2) for j, x in enumerate(s)), 0
+        for i in used:
+            while pos < p and s[pos] < i:
+                x = s[pos]
+                low += comb(x, pos + 1)
+                high -= comb(x, pos + 2)
+                pos += 1
+            if pos < p and s[pos] == i:
                 continue
-            pos = bisect_left(s, i)
-            merged = s[:pos] + (i,) + s[pos:]
-            inserts[i].append((q, rank_of_big[merged], -1 if pos % 2 else 1))
+            inserts[i].append((q, low + comb(i, pos + 1) + high, -1 if pos % 2 else 1))
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and

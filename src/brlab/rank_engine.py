@@ -3,7 +3,10 @@
 Rank results carry certification semantics: the rank over F_p of an integer
 matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
 (possibly loose) input to a lower-bound certificate, while an exact-Q rank
-is tight for the matrix at hand.
+is tight for the matrix at hand.  The same inequality makes most exact-Q
+ranks cheap: rank_p <= rank_Q <= min(rows, cols), so a block whose mod-p
+rank reaches min(rows, cols) has that Q-rank, and `rank_exact_q` runs
+fraction-free elimination only on blocks where one mod-p pass falls short.
 
 A `SparseMatrix` holds one form from construction to elimination: a
 {col: value} map per nonempty row, filled in one validating pass that may
@@ -35,7 +38,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .scalars import FieldTag, certification_primes, parse_natural
+from .scalars import (
+    DEFAULT_CERTIFICATION_PRIMES,
+    FieldTag,
+    certification_primes,
+    parse_natural,
+)
 
 
 class SparseMatrix:
@@ -195,6 +203,11 @@ class RankResult:
     rank: int
     field: FieldTag
     certified_lower_bound_over_q: bool
+    # Telemetry of rank_exact_q: the classes of identical blocks it ranked,
+    # and how many of them the mod-p pass could not settle, so that
+    # fraction-free elimination ran on them.
+    classes: int = 0
+    fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -297,8 +310,9 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 # public rank operations
 # ---------------------------------------------------------------------------
 
-def _block_mod_p(block: tuple, tag: FieldTag) -> list[dict[int, int]]:
-    """Fresh row dicts of a class representative, reduced mod p."""
+def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
+    """Fresh row dicts of a class representative (rows of (col, value)
+    pairs), reduced mod p."""
     p = tag.p
     rows = []
     for row in block:
@@ -344,16 +358,31 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
-    """Exact rank over Q via fraction-free integer elimination.
+    """Exact rank over Q, one class of identical blocks at a time.
 
-    Rational rows are scaled integral first (rank-preserving), and each
-    class of identical blocks is eliminated once.
+    Each class representative is scaled integral row by row
+    (rank-preserving) and first ranked mod the fixed prime 2^61 - 1.  An
+    integer matrix has rank_p <= rank_Q <= min(rows, cols), so when that
+    rank equals min(block rows, distinct block columns) it is the Q-rank.
+    Only a class that falls short is ranked again by fraction-free
+    elimination, whose entries grow on dense blocks.  The prime is fixed,
+    not read from BRLAB_PRIMES: it never decides a rank, it only skips
+    work.  The result counts the classes and the fraction-free fallbacks.
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
-    rank = sum(count * _eliminate(_block_integral(block), None)
-               for block, count in m._block_classes())
-    return RankResult(rank, FieldTag.rationals(), True)
+    tag = FieldTag.prime_field(DEFAULT_CERTIFICATION_PRIMES[0])
+    rank = fallbacks = 0
+    classes = m._block_classes()
+    for block, count in classes:
+        rows = _block_integral(block)
+        full = min(len(rows), len(set().union(*rows)))
+        r = _eliminate(_block_mod_p(map(dict.items, rows), tag), tag.p)
+        if r < full:
+            r = _eliminate(rows, None)
+            fallbacks += 1
+        rank += count * r
+    return RankResult(rank, FieldTag.rationals(), True, len(classes), fallbacks)
 
 
 def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult:

@@ -349,6 +349,47 @@ def test_bound_huge_declared_dimension(tmp_path, capsys, method):
     assert json.loads(out)["rank"] == 1
 
 
+@pytest.mark.parametrize("method", [["koszul", "--p", "0"], ["classical"]])
+@pytest.mark.parametrize("a", [400000, 10**30])
+def test_bound_huge_first_dimension_one_entry(tmp_path, capsys, method, a):
+    # The insertion tables follow the first-factor indices in use, not a.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": "Q", "dims": [a, 1, 1],
+                                "entries": [[a - 1, 0, 0, "1"]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "--method", *method, "--tensor", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rank"] == 1
+    assert time.perf_counter() - start < 5.0
+
+
+def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
+    argv = ["bound", "--method", "koszul", "--p", "4", "--m", "3", "--n", "3", "--l", "3"]
+    # The exact-Q shortcut uses a fixed prime and reads no BRLAB_PRIMES.
+    monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
+    code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
+    assert code == 0
+    assert err.splitlines()[1:] == ["exact-Q: 28 of 37 classes settled mod p, 9 fell back",
+                                    "summands: 3 in 1 class"]
+    # Telemetry only: the certificate is that of a quiet run.
+    code, quiet, _ = run(capsys, *argv, "--field", "q")
+    drop = lambda doc: {k: v for k, v in json.loads(doc).items() if k != "timings_ms"}
+    assert drop(out) == drop(quiet)
+    # No exact-Q line when no exact-Q rank ran.
+    monkeypatch.delenv("BRLAB_PRIMES")
+    code, _, err = run(capsys, *argv, "--field", "fp", "--verbose")
+    assert code == 0 and "exact-Q:" not in err
+    # A dense full-rank tensor is settled by the one mod-p pass.
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"field": "Q", "dims": [3, 3, 3], "entries": [
+        [i, j, k, f"{1 + (i * 9 + j * 3 + k) % 7}/{2 + k}"]
+        for i in range(3) for j in range(3) for k in range(3)]}))
+    code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "1",
+                       "--tensor", str(path), "--verbose")
+    assert code == 0
+    assert "exact-Q: 1 of 1 class settled mod p, 0 fell back" in err.splitlines()
+
+
 @pytest.mark.parametrize("field,value,expected", [
     ("Fp:7_0", "1", 2), ("R", "1", 2), ("Fp:", "1", 2), ("Fp:6", "1", 3),
     ("Fp:7", "1_002", 2), ("Fp:7", " 5", 2), ("Fp:7", "-6", 0)])

@@ -1,6 +1,7 @@
 """Wedge-basis enumeration and the wedge-power flattening."""
 
 import random
+import tracemalloc
 import warnings
 from math import comb
 
@@ -16,7 +17,7 @@ from brlab.exterior import (
     koszul_flattening,
     redundancy_cap,
 )
-from brlab.rank_engine import rank_exact_q
+from brlab.rank_engine import SparseMatrix, rank_exact_q
 from brlab.scalars import FieldTag
 from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
 
@@ -69,6 +70,54 @@ def test_wedge_insert_double_annihilation():
             for s in _colex_tuples(a, p):
                 rows = {row for row, col in cells if col == s}
                 assert rows == {tuple(sorted(s + (i,))) for i in range(a) if i not in s}
+
+
+def _reference_entries(t, p):
+    """Cells of the wedge flattening of t over Q from the definition, in the
+    order koszul_flattening streams them: tensor entries in storage order,
+    each over the p-subsets S avoiding i in colex order."""
+    a, b, c = t.dims
+    big = {s: q for q, s in enumerate(_colex_tuples(a, p + 1))}
+    for (i, j, k), v in t._cells.items():
+        for q, s in enumerate(_colex_tuples(a, p)):
+            if i not in s:
+                sign = -1 if sum(x < i for x in s) % 2 else 1
+                yield big[tuple(sorted(s + (i,)))] * c + k, q * b + j, sign * v
+
+
+def test_koszul_matches_definition_with_sparse_first_factor():
+    # Only some first-factor indices occur: cells, and their order in each
+    # row, match the definition.
+    rng = random.Random(43)
+    for _ in range(60):
+        a, b, c = rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)
+        used = rng.sample(range(a), rng.randint(1, a))
+        cells = {(rng.choice(used), rng.randrange(b), rng.randrange(c)): rng.randint(-4, 4) or 1
+                 for _ in range(rng.randint(1, 10))}
+        t = Tensor3((a, b, c), [(*key, v) for key, v in cells.items()], Q)
+        for p in range(a):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WedgeRangeWarning)
+                m = koszul_flattening(t, p).matrix
+            ref = SparseMatrix(m.rows, m.cols, _reference_entries(t, p), Q)
+            assert [(r, list(row.items())) for r, row in m._rows.items()] == \
+                [(r, list(row.items())) for r, row in ref._rows.items()]
+
+
+def test_koszul_tables_follow_the_entries_not_the_first_dimension():
+    t = Tensor3((400000, 1, 1), [(7, 0, 0, 1)], Q)
+    tracemalloc.start()
+    try:
+        km = koszul_flattening(t, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert km.matrix.items() == [(7, 0, 1)]
+    assert peak < 1_000_000
+    km = koszul_flattening(Tensor3((10**30, 1, 1), [(10**29, 0, 0, 2)], Q), 0)
+    assert km.matrix.items() == [(10**29, 0, 2)]
+    km = koszul_flattening(Tensor3((3000, 1, 1), [(5, 0, 0, 1)], Q), 1)
+    assert km.matrix.nnz == 2999
 
 
 def _random_tensor(rng, dims, fill=0.5):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
 
+import brlab.rank_engine as rank_engine
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from brlab.exterior import koszul_flattening
 from brlab.rank_engine import (
@@ -21,7 +22,7 @@ from brlab.rank_engine import (
     write_matrix,
 )
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
-from brlab.tensor import matmul_tensor
+from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
 
 Q = FieldTag.rationals()
 
@@ -418,3 +419,118 @@ def test_block_class_counts_of_flattenings():
         assert (_block_count(m), len(m._block_classes())) == (blocks, classes)
     m = koszul_flattening(matmul_tensor(3, 3, 3), 4).matrix
     assert (_block_count(m), len(m._block_classes())) == (351, 37)
+
+
+# rank_exact_q ranks each class mod this prime first and falls back to
+# fraction-free elimination only when that rank is below min(rows, cols).
+P = DEFAULT_CERTIFICATION_PRIMES[0]
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the p of every _eliminate call (None: fraction-free over Q)."""
+    calls = []
+    real = rank_engine._eliminate
+
+    def spy(rows, p):
+        calls.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(rank_engine, "_eliminate", spy)
+    return calls
+
+
+def test_exact_q_unlucky_prime_falls_back():
+    # diag(P, 1): two 1x1 blocks, the first of rank 0 mod P.
+    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (1, 1, 1)], Q))
+    assert (res.rank, res.classes, res.fallbacks) == (2, 2, 1)
+    # One block, det P over Q, rank 1 mod P.
+    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (0, 1, P), (1, 0, 1), (1, 1, 2)], Q))
+    assert (res.rank, res.classes, res.fallbacks) == (2, 1, 1)
+
+
+def test_exact_q_rational_rows_reduced_after_scaling():
+    # The row (P/2, P/3) scales to (3P, 2P): content P, zero mod P.
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 2)), (0, 1, Fraction(P, 3)),
+                            (1, 0, 1), (1, 1, 1)], Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.fallbacks) == (2, 1)
+    assert rank_gauss_fractions(dense_rows(m)) == 2
+    # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to (1, P).
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.field, res.certified_lower_bound_over_q) == (2, Q, True)
+    with pytest.raises(BadPrime):
+        rank_mod_p(m, P)
+
+
+def test_exact_q_full_rank_block_skips_fraction_free(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    rng = random.Random(12)
+    m = _random_matrix(rng, 7, 5, fill=1.0)
+    assert rank_gauss_fractions(dense_rows(m)) == 5
+    res = rank_exact_q(m)
+    assert (res.rank, res.classes, res.fallbacks) == (5, 1, 0)
+    assert calls == [P]
+
+
+def test_exact_q_rank_deficient_block_runs_one_fraction_free_pass(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    # A 5x5 product of 5x3 and 3x5 factors: one block of rank 3.
+    rng = random.Random(13)
+    left = [[rng.randint(-3, 3) or 1 for _ in range(3)] for _ in range(5)]
+    right = [[rng.randint(-3, 3) or 1 for _ in range(5)] for _ in range(3)]
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+    m = SparseMatrix(5, 5, [(r, c, v) for r, row in enumerate(prod)
+                            for c, v in enumerate(row) if v], Q)
+    assert len(m._block_classes()) == 1
+    assert rank_gauss_fractions(prod) == 3
+    res = rank_exact_q(m)
+    assert (res.rank, res.classes, res.fallbacks) == (3, 1, 1)
+    assert calls == [P, None]
+
+
+def test_exact_q_random_small_matrices_against_oracle():
+    rng = random.Random(14)
+    fallbacks = 0
+    for trial in range(300):
+        rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
+        dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                 for row in left]
+        if trial % 3 == 0:
+            dense = [[Fraction(v, rng.randint(1, 4)) for v in row] for row in dense]
+        m = SparseMatrix(rows, cols, [(r, c, v) for r, row in enumerate(dense)
+                                      for c, v in enumerate(row) if v], Q)
+        res = rank_exact_q(m)
+        assert res.rank == rank_gauss_fractions(dense), dense
+        fallbacks += res.fallbacks
+    assert fallbacks > 50
+
+
+def _dense_tensor(rng, a, rational):
+    entries = []
+    for i in range(a):
+        for j in range(a):
+            for k in range(a):
+                v = rng.choice([x for x in range(-9, 10) if x])
+                entries.append((i, j, k, Fraction(v, rng.randint(2, 9)) if rational else v))
+    return Tensor3((a, a, a), entries, Q)
+
+
+def test_exact_q_dense_koszul_flattenings_against_oracle():
+    # The dense path of the random_dense benchmark, checked against plain
+    # Fraction elimination: integer and rational tensors (full rank, settled
+    # mod p) and a sum of three rank-one tensors (rank-deficient, falls back).
+    rng = random.Random(15)
+    nonzero = [x for x in range(-9, 10) if x]
+    low = rank_one_tensor(*([rng.choice(nonzero) for _ in range(6)] for _ in range(3)))
+    for _ in range(2):
+        low = add_tensors(low, rank_one_tensor(
+            *([rng.choice(nonzero) for _ in range(6)] for _ in range(3))))
+    for t, fallbacks in ((_dense_tensor(rng, 6, False), 0),
+                         (_dense_tensor(rng, 6, True), 0), (low, 1)):
+        m = koszul_flattening(t, 2).matrix
+        res = rank_exact_q(m)
+        assert res.rank == rank_gauss_fractions(dense_rows(m))
+        assert res.fallbacks == fallbacks
