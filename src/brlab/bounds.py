@@ -30,7 +30,6 @@ from .exterior import (
     redundancy_cap,
 )
 from .rank_engine import ExactQ, MultiPrime, rank_certified
-from .scalars import certification_primes
 from .tensor import Tensor3, direct_summands, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
@@ -68,13 +67,9 @@ class BoundCertificate:
     p: int | None = None
     flags: tuple[str, ...] = ()
     timings_ms: float = 0.0
-    # Telemetry outside the canonical payload: the direct-summand split of
-    # the ranked flattening, and under exact Q its block classes and their
-    # fraction-free fallbacks (see FlatteningRank).
-    summands: int | None = None
-    summand_classes: int | None = None
-    block_classes: int | None = None
-    fallbacks: int | None = None
+    # Telemetry outside the canonical payload: the ranked flattening with
+    # its summand split and block-class counts (None for closed forms).
+    flattening: FlatteningRank | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -119,7 +114,7 @@ def _auto_strategy(t: Tensor3, cells: int) -> MultiPrime | ExactQ:
 def _field_label(strategy: MultiPrime | ExactQ) -> str:
     if isinstance(strategy, ExactQ):
         return "Q"
-    primes = strategy.primes if strategy.primes is not None else certification_primes()
+    primes = strategy.primes
     if len(primes) == 1:
         return f"Fp:{primes[0]}"
     return "multiprime:" + ",".join(str(p) for p in primes)
@@ -140,10 +135,10 @@ class FlatteningRank:
     rows, cols and nnz are those of the whole flattening; summands counts
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened and ranked.  rank_ms is the time
-    of the rank passes alone.  Under ExactQ, block_classes counts the
-    classes of identical blocks ranked over all representatives and
-    fallbacks those that needed fraction-free elimination (see
-    `rank_exact_q`); both are 0 under MultiPrime.
+    of the rank passes alone.  block_classes counts the classes of
+    identical blocks ranked over all representatives, and unsettled those
+    that no prime brought to full rank (`RankResult`): under ExactQ, the
+    ones fraction-free elimination ranked.
     """
 
     rows: int
@@ -155,7 +150,7 @@ class FlatteningRank:
     classes: int
     rank_ms: float
     block_classes: int
-    fallbacks: int
+    unsettled: int
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -169,19 +164,17 @@ def flattening_rank(t: Tensor3, p: int,
     is chosen once, from the whole shape c*C(a, p+1) x b*C(a, p) and the
     tensor's integrality, so a summand's smaller shape never changes it.
 
-    Under ExactQ the sum is the Q-rank.  Under MultiPrime each
-    representative takes its own max over the primes.  Each term is at most
-    that summand's Q-rank, so the sum stays at most the Q-rank of the whole
-    flattening, a sound lower bound.  It is never below the whole
-    flattening's max over the primes, since for each prime the whole rank
-    is the sum of the summands' ranks.
+    Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
+    per-class maxes over the primes, a sound lower bound by the argument of
+    `rank_engine._rank_classes`: the summands' blocks are blocks of the
+    whole flattening.
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
     strat = strategy if strategy is not None else _auto_strategy(t, rows * cols)
     summands = direct_summands(t)
-    rank = nnz = block_classes = fallbacks = 0
+    rank = nnz = block_classes = unsettled = 0
     ms = 0.0
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
@@ -194,17 +187,16 @@ def flattening_rank(t: Tensor3, p: int,
             rank += count * res.rank
             nnz += count * matrix.nnz
             block_classes += res.classes
-            fallbacks += res.fallbacks
+            unsettled += res.unsettled
     return FlatteningRank(rows, cols, rank, nnz, strat,
                           sum(count for _, count in summands), len(summands), ms,
-                          block_classes, fallbacks)
+                          block_classes, unsettled)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
                  p: int | None = None, flags: tuple[str, ...] = ()) -> BoundCertificate:
     """Record the bound ceil(rank / divisor) of a ranked flattening with its
     labels."""
-    exact = isinstance(fr.strategy, ExactQ)
     return BoundCertificate(
         method=method,
         descriptor=descriptor,
@@ -219,28 +211,22 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
         p=p,
         flags=flags,
         timings_ms=fr.rank_ms,
-        summands=fr.summands,
-        summand_classes=fr.classes,
-        block_classes=fr.block_classes if exact else None,
-        fallbacks=fr.fallbacks if exact else None,
+        flattening=fr,
     )
 
 
 def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
-    divisor 1.  The recorded time, and under exact Q the class and fallback
-    counts, are those of all three ranks."""
+    divisor 1.  The recorded time and block-class counts are those of all
+    three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
-    certs = [_certificate("classical", descriptor,
-                          flattening_rank(classical_tensor(t, mode), 0, strategy))
-             for mode in "ABC"]
-    best = max(certs, key=lambda cert: cert.rank)
-    best = replace(best, timings_ms=sum(cert.timings_ms for cert in certs))
-    if best.block_classes is None:
-        return best
-    return replace(best, block_classes=sum(cert.block_classes for cert in certs),
-                   fallbacks=sum(cert.fallbacks for cert in certs))
+    frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
+    best = max(frs, key=lambda fr: fr.rank)
+    return _certificate("classical", descriptor, replace(
+        best, rank_ms=sum(fr.rank_ms for fr in frs),
+        block_classes=sum(fr.block_classes for fr in frs),
+        unsettled=sum(fr.unsettled for fr in frs)))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

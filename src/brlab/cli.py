@@ -14,6 +14,7 @@ import warnings
 
 from .binaryforms import restrict_matmul
 from .bounds import (
+    SOUND_EXACT_Q,
     bound_classical,
     bound_koszul,
     bound_matmul_restricted,
@@ -37,24 +38,18 @@ EXIT_ARITHMETIC = 3
 EXIT_CROSSCHECK = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _natural_flag(minimum: int):
+    """argparse type for an integer flag: ASCII decimal digits alone (the
+    rule for numbers in files), at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = parse_natural(text)
+        except FormatError:
+            raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _field_flag(*words: str):
@@ -152,11 +147,12 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 def _rank_notes(args: argparse.Namespace, cert) -> None:
     _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
                 f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
-    if cert.block_classes is not None:
-        n = cert.block_classes
-        _note(args, f"exact-Q: {n - cert.fallbacks} of {n} class{'' if n == 1 else 'es'} "
-                    f"settled mod p, {cert.fallbacks} fell back")
-    _summand_note(args, cert.summands, cert.summand_classes)
+    fr = cert.flattening
+    if cert.soundness == SOUND_EXACT_Q:
+        n = fr.block_classes
+        _note(args, f"exact-Q: {n - fr.unsettled} of {n} class{'' if n == 1 else 'es'} "
+                    f"settled mod p, {fr.unsettled} fell back")
+    _summand_note(args, fr.summands, fr.classes)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -278,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     t_sub = p_tensor.add_subparsers(dest="kind", required=True)
 
     t_mm = t_sub.add_parser("matmul", help="matrix multiplication tensor")
-    t_mm.add_argument("--m", type=_positive_int, required=True)
-    t_mm.add_argument("--n", type=_positive_int, required=True)
-    t_mm.add_argument("--l", type=_positive_int, required=True)
+    t_mm.add_argument("--m", type=_natural_flag(1), required=True)
+    t_mm.add_argument("--n", type=_natural_flag(1), required=True)
+    t_mm.add_argument("--l", type=_natural_flag(1), required=True)
     t_mm.add_argument("--field", type=_TENSOR_FIELD, default=None,
                       help="q (default) or fp:P")
     t_mm.add_argument("--out", default=None)
@@ -299,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     t_re = t_sub.add_parser(
         "restrict", help="matmul tensor with its first factor projected to "
                          "the multiplication summand")
-    t_re.add_argument("--m", type=_positive_int, required=True)
-    t_re.add_argument("--n", type=_positive_int, required=True)
-    t_re.add_argument("--l", type=_positive_int, default=1)
+    t_re.add_argument("--m", type=_natural_flag(1), required=True)
+    t_re.add_argument("--n", type=_natural_flag(1), required=True)
+    t_re.add_argument("--l", type=_natural_flag(1), default=1)
     t_re.add_argument("--field", type=_TENSOR_FIELD, default=None)
     t_re.add_argument("--out", default=None)
     _add_common_flags(t_re)
@@ -312,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True,
         choices=["classical", "strassen", "koszul", "koszul-restricted",
                  "theorem1-formula", "lickteig-square"])
-    p_bound.add_argument("--p", type=_nonneg_int, default=None)
+    p_bound.add_argument("--p", type=_natural_flag(0), default=None)
     p_bound.add_argument("--tensor", default=None, help="tensor JSON file")
-    p_bound.add_argument("--m", type=_positive_int, default=None)
-    p_bound.add_argument("--n", type=_positive_int, default=None)
-    p_bound.add_argument("--l", type=_positive_int, default=None)
+    p_bound.add_argument("--m", type=_natural_flag(1), default=None)
+    p_bound.add_argument("--n", type=_natural_flag(1), default=None)
+    p_bound.add_argument("--l", type=_natural_flag(1), default=None)
     p_bound.add_argument("--field", type=_field_flag("q", "fp", "multiprime"),
                          default=None, help="q | fp[:PRIME] | multiprime (default: auto)")
     p_bound.add_argument("--out", default=None)
@@ -325,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kd = sub.add_parser("kernel-dim", help="kernel dimension of the matmul "
                                              "wedge flattening, cross-checked")
-    p_kd.add_argument("--m", type=_positive_int, required=True)
-    p_kd.add_argument("--n", type=_positive_int, required=True)
-    p_kd.add_argument("--p", type=_nonneg_int, required=True)
-    p_kd.add_argument("--l", type=_positive_int, default=1)
+    p_kd.add_argument("--m", type=_natural_flag(1), required=True)
+    p_kd.add_argument("--n", type=_natural_flag(1), required=True)
+    p_kd.add_argument("--p", type=_natural_flag(0), required=True)
+    p_kd.add_argument("--l", type=_natural_flag(1), default=1)
     p_kd.add_argument("--check", choices=["pieri", "formula", "both", "rank"],
                       default="both")
     p_kd.add_argument("--out", default=None)
@@ -336,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kd.set_defaults(func=_cmd_kernel_dim)
 
     p_table = sub.add_parser("table", help="closed-form comparison table")
-    p_table.add_argument("--n-min", type=_positive_int, required=True)
-    p_table.add_argument("--n-max", type=_positive_int, required=True)
+    p_table.add_argument("--n-min", type=_natural_flag(1), required=True)
+    p_table.add_argument("--n-max", type=_natural_flag(1), required=True)
     p_table.add_argument("--json", action="store_true")
     _add_common_flags(p_table)
     p_table.set_defaults(func=_cmd_table)

@@ -3,10 +3,7 @@
 Rank results carry certification semantics: the rank over F_p of an integer
 matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
 (possibly loose) input to a lower-bound certificate, while an exact-Q rank
-is tight for the matrix at hand.  The same inequality makes most exact-Q
-ranks cheap: rank_p <= rank_Q <= min(rows, cols), so a block whose mod-p
-rank reaches min(rows, cols) has that Q-rank, and `rank_exact_q` runs
-fraction-free elimination only on blocks where one mod-p pass falls short.
+is tight for the matrix at hand.
 
 A `SparseMatrix` holds one form from construction to elimination: a
 {col: value} map per nonempty row, filled in one validating pass that may
@@ -23,9 +20,14 @@ multiplication repeat blocks heavily, so most of their blocks are never
 eliminated.  (The l identical copies that the third index gives are split
 off earlier, on the tensor, by `tensor.direct_summands`.)
 
+Every strategy ranks these classes in one loop, `_rank_classes`, which
+also makes the soundness argument: `rank_mod_p` runs it with one prime,
+multi-prime certification with the strategy's primes, and `rank_exact_q`
+with 2^61 - 1 plus fraction-free elimination where that prime falls short.
+
 One sparse elimination loop serves both fields; it differs between F_p and
-Q only in how the pivot row is prepared and how an updated row is reduced
-(mod p, or by its integer content).  Elimination is deterministic: pivots
+Q only in how an updated row is reduced (mod p, with the pivot row left
+unscaled, or by its integer content).  Elimination is deterministic: pivots
 are chosen on the sparsest active column, ties broken by lowest column
 index, then sparsest row, then lowest row index.  Repeated runs give
 identical results.
@@ -34,7 +36,7 @@ identical results.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
@@ -109,8 +111,9 @@ class SparseMatrix:
         """True when every entry is an integer (stored as int over Q)."""
         return self._integral
 
-    def _block_classes(self) -> list[tuple[tuple, int]]:
-        """Identical row blocks grouped by content, as (block, count) pairs.
+    def _block_classes(self) -> list[tuple[tuple, int, int]]:
+        """Identical row blocks grouped by content, as (block, count, columns)
+        triples, columns being the number of distinct columns of the block.
 
         A row block is a connected component of the row/column graph of the
         nonzero entries: the matrix is block diagonal over these after a row
@@ -180,10 +183,10 @@ class SparseMatrix:
                 for k in lens:
                     rep.append(tuple(zip(local[i:i + k], vals[i:i + k])))
                     i += k
-                classes[key] = [tuple(rep), 1]
+                classes[key] = [tuple(rep), 1, len(labels)]
             else:
                 cls[1] += 1
-        self._classes = [(rep, count) for rep, count in classes.values()]
+        self._classes = [tuple(cls) for cls in classes.values()]
         return self._classes
 
     def __eq__(self, other) -> bool:
@@ -198,23 +201,26 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Outcome of one exact rank computation."""
+    """Outcome of one exact rank computation.
+
+    classes counts the classes of identical blocks ranked, and unsettled
+    those whose rank stayed below min(block rows, block columns) mod every
+    prime tried; under exact Q these are the classes that fraction-free
+    elimination ranked.
+    """
 
     rank: int
-    field: FieldTag
     certified_lower_bound_over_q: bool
-    # Telemetry of rank_exact_q: the classes of identical blocks it ranked,
-    # and how many of them the mod-p pass could not settle, so that
-    # fraction-free elimination ran on them.
-    classes: int = 0
-    fallbacks: int = 0
+    classes: int
+    unsettled: int
 
 
 @dataclass(frozen=True)
 class MultiPrime:
-    """Take the max of ranks over a list of primes (defaults when None)."""
+    """Take the max of ranks over a list of primes, by default the active
+    certification primes, resolved once at construction."""
 
-    primes: tuple[int, ...] | None = None
+    primes: tuple[int, ...] = field(default_factory=certification_primes)
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,8 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     """Sparse Gaussian elimination on integer row dicts (consumed): the rank
     over F_p, or over Q when p is None.
 
-    Over F_p the pivot row is scaled to a unit pivot and every update is
+    Over F_p the pivot row is kept as it is: each updated row's factor f is
+    multiplied by the pivot's inverse, and the update row <- row - f*piv is
     reduced mod p.  Over Q the pivot row loses its integer content, and the
     update row <- g*row - f*piv (g the pivot entry) is followed by removal of
     the row's content, so entries stay integers with no exactness caveats.
@@ -270,16 +277,15 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
             _strip_content(piv)
             g = piv[c]
         else:
-            g = 1
             inv = pow(piv[c], -1, p)
-            if inv != 1:
-                piv = {cc: vv * inv % p for cc, vv in piv.items()}
         for rr in rs:
             if rr == r:
                 continue
             row = rows[rr]
             f = row.pop(c)
-            if g != 1:
+            if p is not None:
+                f = f * inv % p
+            elif g != 1:
                 for cc in row:
                     row[cc] *= g
             for cc, vv in piv.items():
@@ -325,9 +331,9 @@ def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
     return rows
 
 
-def _block_integral(block: tuple) -> list[dict[int, int]]:
-    """Fresh row dicts of a class representative over Q, each row scaled by
-    the lcm of its denominators (rank-preserving)."""
+def _block_integral(block: tuple) -> list[tuple]:
+    """A class representative over Q with each row scaled by the lcm of its
+    denominators (rank-preserving); integer rows are kept as they are."""
     rows = []
     for row in block:
         d = 1
@@ -335,11 +341,47 @@ def _block_integral(block: tuple) -> list[dict[int, int]]:
             if type(v) is not int:
                 d = d * v.denominator // gcd(d, v.denominator)
         if d == 1:
-            rows.append(dict(row))
+            rows.append(row)
         else:
-            rows.append({c: v * d if type(v) is int else v.numerator * (d // v.denominator)
-                         for c, v in row})
+            rows.append(tuple((c, v * d if type(v) is int else v.numerator * (d // v.denominator))
+                              for c, v in row))
     return rows
+
+
+def _rank_classes(m: SparseMatrix, primes: tuple[int, ...], exact: bool) -> RankResult:
+    """The one rank loop.  Each class of identical blocks is ranked mod the
+    primes in turn, keeps its max, and stops at the first prime that reaches
+    min(block rows, block columns).  For an integer block rank_p <= rank_Q
+    <= min(rows, cols), so such a class is settled: no prime can raise it.
+    For each prime the matrix's rank is the sum of its class ranks, so the
+    sum of per-class maxes is a sound lower bound on the Q-rank, and never
+    below the whole matrix's max over the primes.  When exact, each class is
+    scaled integral row by row (rank-preserving) and an unsettled class is
+    ranked by fraction-free elimination.
+    """
+    tags = [FieldTag.prime_field(p) for p in primes]
+    for tag in tags:
+        if not m.field.is_q and tag != m.field:
+            raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
+    rank = unsettled = 0
+    classes = m._block_classes()
+    scale = exact and not m.is_integral()
+    for block, count, ncols in classes:
+        if scale:
+            block = _block_integral(block)
+        full = min(len(block), ncols)
+        best = 0
+        for tag in tags:
+            best = max(best, _eliminate(_block_mod_p(block, tag), tag.p))
+            if best == full:
+                break
+        else:  # no prime reached full rank
+            unsettled += 1
+            if exact:
+                best = _eliminate([dict(row) for row in block], None)
+        rank += count * best
+    return RankResult(rank, m.field.is_q and (exact or m.is_integral()),
+                      len(classes), unsettled)
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
@@ -349,51 +391,27 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     over Q with integer entries (an integer matrix's mod-p rank never exceeds
     its Q-rank); a matrix given over F_p has no Q lift to bound.
     """
-    tag = FieldTag.prime_field(p)
-    if not m.field.is_q and m.field.p != p:
-        raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {p}")
-    rank = sum(count * _eliminate(_block_mod_p(block, tag), p)
-               for block, count in m._block_classes())
-    return RankResult(rank, tag, m.field.is_q and m.is_integral())
+    return _rank_classes(m, (p,), False)
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
-    """Exact rank over Q, one class of identical blocks at a time.
-
-    Each class representative is scaled integral row by row
-    (rank-preserving) and first ranked mod the fixed prime 2^61 - 1.  An
-    integer matrix has rank_p <= rank_Q <= min(rows, cols), so when that
-    rank equals min(block rows, distinct block columns) it is the Q-rank.
-    Only a class that falls short is ranked again by fraction-free
-    elimination, whose entries grow on dense blocks.  The prime is fixed,
-    not read from BRLAB_PRIMES: it never decides a rank, it only skips
-    work.  The result counts the classes and the fraction-free fallbacks.
+    """Exact rank over Q: the rank loop mod the fixed prime 2^61 - 1, with
+    fraction-free elimination, whose entries grow on dense blocks, only for
+    the classes that prime does not settle.  The prime is fixed, not read
+    from BRLAB_PRIMES: it never decides a rank, it only skips work.
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
-    tag = FieldTag.prime_field(DEFAULT_CERTIFICATION_PRIMES[0])
-    rank = fallbacks = 0
-    classes = m._block_classes()
-    for block, count in classes:
-        rows = _block_integral(block)
-        full = min(len(rows), len(set().union(*rows)))
-        r = _eliminate(_block_mod_p(map(dict.items, rows), tag), tag.p)
-        if r < full:
-            r = _eliminate(rows, None)
-            fallbacks += 1
-        rank += count * r
-    return RankResult(rank, FieldTag.rationals(), True, len(classes), fallbacks)
+    return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 
 
 def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult:
     """Rank with certified-lower-bound semantics.
 
-    MultiPrime: max of ranks over the strategy's primes (default list when
-    unset); sound for lower-bound certificates on integer matrices because
-    each mod-p rank is at most the Q-rank.  The primes run in order and stop
-    at the first one whose rank reaches min(rows, cols): the Q-rank cannot
-    exceed that, so no further prime can raise the max.  ExactQ delegates
-    to rank_exact_q.
+    MultiPrime: the rank loop over the strategy's primes, each class keeping
+    its max over the primes it tried; sound for lower-bound certificates on
+    integer matrices because each mod-p rank is at most the Q-rank.  ExactQ
+    delegates to rank_exact_q.
     """
     if isinstance(strategy, ExactQ):
         return rank_exact_q(m)
@@ -401,18 +419,9 @@ def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult
         raise TypeError(f"unknown strategy {strategy!r}")
     if not m.is_integral():
         raise BadPrime("MultiPrime certification requires integer entries")
-    primes = strategy.primes if strategy.primes is not None else certification_primes()
-    if not primes:
+    if not strategy.primes:
         raise BadPrime("empty prime list")
-    full = min(m.rows, m.cols)
-    best: RankResult | None = None
-    for p in primes:
-        res = rank_mod_p(m, p)
-        if best is None or res.rank > best.rank:
-            best = res
-        if best.rank == full:
-            break
-    return best
+    return _rank_classes(m, strategy.primes, False)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,15 @@ def test_multiprime_env_override(capsys, monkeypatch):
     assert doc["bound"] == 4
 
 
+@pytest.mark.parametrize("env", ["6", "", "101,x"])
+@pytest.mark.parametrize("field", ["multiprime", "fp"])
+def test_multiprime_malformed_env_exit_3(capsys, monkeypatch, env, field):
+    monkeypatch.setenv("BRLAB_PRIMES", env)
+    code, _, err = run(capsys, "bound", "--method", "classical", "--m", "2",
+                       "--n", "2", "--l", "2", "--field", field)
+    assert code == 3 and "BRLAB_PRIMES" in err
+
+
 def test_determinism_same_flags(capsys):
     args = ["bound", "--method", "koszul-restricted", "--m", "3", "--n", "2", "--l", "2"]
     code1, out1, _ = run(capsys, *args)
@@ -327,6 +336,29 @@ def test_field_flag_exit_codes(capsys, command, flag, expected):
     assert code == expected
     if expected:
         assert "error:" in err
+
+
+# Every integer flag, with "{}" where its value goes.
+_INT_FLAGS = {
+    "--m": ["tensor", "matmul", "--m", "{}", "--n", "1", "--l", "1"],
+    "--n": ["tensor", "restrict", "--m", "2", "--n", "{}"],
+    "--l": ["kernel-dim", "--m", "2", "--n", "2", "--p", "1", "--l", "{}"],
+    "--p": ["bound", "--method", "koszul", "--p", "{}", "--m", "2", "--n", "2", "--l", "1"],
+    "--n-min": ["table", "--n-min", "{}", "--n-max", "3"],
+    "--n-max": ["table", "--n-min", "1", "--n-max", "{}"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_INT_FLAGS))
+@pytest.mark.parametrize("value", [
+    "2", "0", "1_0", "\u0662", " 1", "1 ", "+3", "-1", "2.0", "0x2", ""])
+def test_integer_flags_take_ascii_digits_only(capsys, flag, value):
+    # The rule for numbers in files: ASCII decimal digits and nothing else,
+    # with 0 allowed only for the wedge power.
+    argv = [value if arg == "{}" else arg for arg in _INT_FLAGS[flag]]
+    code, _, err = _exit_code(capsys, *argv)
+    accepted = value == "2" or (value == "0" and flag == "--p")
+    assert code == (0 if accepted else 2), err
 
 
 def test_bound_exponent_literal_exit_2_promptly(tmp_path, capsys):

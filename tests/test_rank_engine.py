@@ -142,6 +142,9 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         rank_mod_p(m, 11)
     assert rank_mod_p(m, 7).rank == 2
+    # Every prime of the list is checked, even when the first settles all.
+    with pytest.raises(FieldMismatch):
+        rank_certified(m, MultiPrime((7, 11)))
 
 
 def test_rank_against_oracle_random():
@@ -271,29 +274,61 @@ def test_q_storage_int_or_fraction():
 
 
 def test_multiprime_stops_at_full_rank(monkeypatch):
-    import brlab.rank_engine as rank_engine
-    calls = []
-    original = rank_engine.rank_mod_p
-
-    def counting(m, p):
-        calls.append(p)
-        return original(m, p)
-
-    monkeypatch.setattr(rank_engine, "rank_mod_p", counting)
+    # One _eliminate call per class and prime tried; a class stops at the
+    # first prime that brings it to min(block rows, block columns).
+    calls = _count_passes(monkeypatch)
     primes = DEFAULT_CERTIFICATION_PRIMES
+    # The identity is one class of 1x1 blocks, ranked once.
     assert rank_certified(_identity(4), MultiPrime(primes)).rank == 4
     assert calls == [primes[0]]
 
+    # diag(65521, 1, 1): the 65521 class tries the next prime, the 1 class
+    # is settled by the first.
     calls.clear()
     unlucky = SparseMatrix(3, 3, [(0, 0, 65521), (1, 1, 1), (2, 2, 1)], Q)
     res = rank_certified(unlucky, MultiPrime((65521,) + primes[:2]))
-    assert res.rank == 3 and res.field == FieldTag.prime_field(primes[0])
-    assert calls == [65521, primes[0]]
+    assert (res.rank, res.classes, res.unsettled) == (3, 2, 0)
+    assert calls == [65521, primes[0], 65521]
 
+    # One 2x1 block: rank 1 is full, so the first prime settles it.
     calls.clear()
     singular = SparseMatrix(2, 3, [(0, 0, 1), (1, 0, 2)], Q)
-    assert rank_certified(singular, MultiPrime(primes)).rank == 1
-    assert calls == list(primes)
+    res = rank_certified(singular, MultiPrime(primes))
+    assert (res.rank, res.classes, res.unsettled) == (1, 1, 0)
+    assert calls == [primes[0]]
+
+
+def test_multiprime_takes_max_per_class():
+    # Each diagonal entry vanishes mod one of the two primes, so both whole
+    # matrix ranks are 1; each class keeps its own max, 1, and the sum is 2.
+    m = SparseMatrix(2, 2, [(0, 0, 65521), (1, 1, 65537)], Q)
+    assert rank_mod_p(m, 65521).rank == rank_mod_p(m, 65537).rank == 1
+    res = rank_certified(m, MultiPrime((65521, 65537)))
+    assert (res.rank, res.certified_lower_bound_over_q) == (2, True)
+    assert (res.classes, res.unsettled) == (2, 0)
+
+
+def test_multiprime_resolves_primes_at_construction(monkeypatch):
+    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
+    strategy = MultiPrime()
+    assert strategy.primes == (101, 103)
+    monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
+    assert rank_certified(_identity(3), strategy).rank == 3
+    with pytest.raises(BadPrime):
+        MultiPrime()
+
+
+def test_multiprime_counts_unsettled_classes():
+    # The singular 2x2 block stays at rank 1 of 2 mod every prime; the two
+    # 1x1 blocks form one settled class.
+    m = SparseMatrix(5, 5, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4),
+                            (2, 2, 3), (3, 3, 3)], Q)
+    # (rows, copies, distinct columns) of each class.
+    assert [(len(b), k, c) for b, k, c in m._block_classes()] == [(2, 1, 2), (1, 2, 1)]
+    res = rank_certified(m, MultiPrime(DEFAULT_CERTIFICATION_PRIMES))
+    assert (res.rank, res.classes, res.unsettled) == (3, 2, 1)
+    res = rank_mod_p(m, 7)
+    assert (res.rank, res.classes, res.unsettled) == (3, 2, 1)
 
 
 def test_block_diagonal_rank_is_sum_over_three_primes():
@@ -367,7 +402,7 @@ def _place_copies(blocks, counts, rng, pad, shuffle_rows):
 
 
 def _block_count(m):
-    return sum(k for _, k in m._block_classes())
+    return sum(k for _, k, _ in m._block_classes())
 
 
 def test_repeated_blocks_rank_matches_oracle():
@@ -442,10 +477,10 @@ def _count_passes(monkeypatch) -> list:
 def test_exact_q_unlucky_prime_falls_back():
     # diag(P, 1): two 1x1 blocks, the first of rank 0 mod P.
     res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (1, 1, 1)], Q))
-    assert (res.rank, res.classes, res.fallbacks) == (2, 2, 1)
+    assert (res.rank, res.classes, res.unsettled) == (2, 2, 1)
     # One block, det P over Q, rank 1 mod P.
     res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (0, 1, P), (1, 0, 1), (1, 1, 2)], Q))
-    assert (res.rank, res.classes, res.fallbacks) == (2, 1, 1)
+    assert (res.rank, res.classes, res.unsettled) == (2, 1, 1)
 
 
 def test_exact_q_rational_rows_reduced_after_scaling():
@@ -453,12 +488,12 @@ def test_exact_q_rational_rows_reduced_after_scaling():
     m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 2)), (0, 1, Fraction(P, 3)),
                             (1, 0, 1), (1, 1, 1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.fallbacks) == (2, 1)
+    assert (res.rank, res.unsettled) == (2, 1)
     assert rank_gauss_fractions(dense_rows(m)) == 2
     # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to (1, P).
     m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.field, res.certified_lower_bound_over_q) == (2, Q, True)
+    assert (res.rank, res.certified_lower_bound_over_q) == (2, True)
     with pytest.raises(BadPrime):
         rank_mod_p(m, P)
 
@@ -469,7 +504,7 @@ def test_exact_q_full_rank_block_skips_fraction_free(monkeypatch):
     m = _random_matrix(rng, 7, 5, fill=1.0)
     assert rank_gauss_fractions(dense_rows(m)) == 5
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.fallbacks) == (5, 1, 0)
+    assert (res.rank, res.classes, res.unsettled) == (5, 1, 0)
     assert calls == [P]
 
 
@@ -485,7 +520,7 @@ def test_exact_q_rank_deficient_block_runs_one_fraction_free_pass(monkeypatch):
     assert len(m._block_classes()) == 1
     assert rank_gauss_fractions(prod) == 3
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.fallbacks) == (3, 1, 1)
+    assert (res.rank, res.classes, res.unsettled) == (3, 1, 1)
     assert calls == [P, None]
 
 
@@ -504,7 +539,7 @@ def test_exact_q_random_small_matrices_against_oracle():
                                       for c, v in enumerate(row) if v], Q)
         res = rank_exact_q(m)
         assert res.rank == rank_gauss_fractions(dense), dense
-        fallbacks += res.fallbacks
+        fallbacks += res.unsettled
     assert fallbacks > 50
 
 
@@ -533,4 +568,4 @@ def test_exact_q_dense_koszul_flattenings_against_oracle():
         m = koszul_flattening(t, 2).matrix
         res = rank_exact_q(m)
         assert res.rank == rank_gauss_fractions(dense_rows(m))
-        assert res.fallbacks == fallbacks
+        assert res.unsettled == fallbacks
