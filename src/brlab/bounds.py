@@ -41,7 +41,8 @@ SOUND_CLOSED_FORM = "closed-form"
 # multi-prime route.  A matrix with non-integer entries always takes exact
 # Q, the one route that accepts it.  The cost argument holds only for
 # rank-deficient blocks: `rank_exact_q` settles a full-rank block with one
-# mod-p pass, the cost of one multi-prime pass, and runs the slower
+# pass mod 2^30 - 35, a one-digit prime that appears in no certificate and
+# costs less than multi-prime's first pass mod 2^61 - 1, and runs the slower
 # fraction-free elimination only on blocks where that pass falls short.
 _AUTO_EXACT_CELLS = 4_000_000
 
@@ -309,8 +310,9 @@ def formula_certificate(method: str, m: int, n: int, l: int) -> BoundCertificate
 
 def compare_table(n_min: int, n_max: int) -> list[dict]:
     """One row per square size n = l juxtaposing the classical,
-    commutator-era, Lickteig and restricted-map bounds; the last column
-    holds a bound computed from an actual rank when the map has at most
+    commutator-era (ceil(3n^2/2), which holds for n >= 2 only: None at
+    n = 1), Lickteig and restricted-map bounds; the last column holds a
+    bound computed from an actual rank when the map has at most
     _TABLE_RANK_COLS columns."""
     if n_min > n_max:
         raise InvalidDimension(f"need n_min <= n_max, got {n_min} > {n_max}")
@@ -322,7 +324,7 @@ def compare_table(n_min: int, n_max: int) -> list[dict]:
             "n": n,
             "l": n,
             "classical": n * n,
-            "strassen_era": _ceil_div(3 * n * n, 2),
+            "strassen_era": _ceil_div(3 * n * n, 2) if n >= 2 else None,
             "lickteig": lickteig_square(n),
             "theorem1": bound_formula_theorem1(n, n, n),
             "computed": None,

@@ -2,12 +2,14 @@
 
 Every key a job prints is pinned, in order, except `timings_ms`, which is
 wall-clock telemetry.  The jobs cover every `bound` method, a rational Q
-tensor file and an F_p tensor file, each `--field` form, the three `tensor`
-kinds, `kernel-dim --check rank` and `table` as JSON and as text.  A change
-that keeps certificates byte-identical keeps this file passing unedited.
+tensor file, an F_p tensor file and a seeded dense integer tensor file, each
+`--field` form, the three `tensor` kinds, `kernel-dim --check rank` and
+`table` as JSON and as text.  A change that keeps certificates
+byte-identical keeps this file passing unedited.
 """
 
 import json
+import random
 
 import pytest
 
@@ -19,8 +21,14 @@ Q_DOC = {"field": "Q", "dims": [3, 2, 2], "entries": [
 FP_DOC = {"field": "Fp:7", "dims": [3, 3, 2], "entries": [
     [0, 0, 0, "3"], [0, 2, 1, "6"], [1, 1, 0, "2"], [1, 2, 1, "5"],
     [2, 0, 1, "4"], [2, 1, 1, "1"]]}
+# A seeded dense integer 6 x 6 x 6 tensor: its p = 2 flattening is one
+# 120 x 90 block, which auto selection ranks over exact Q.
+_RNG = random.Random(6)
+DENSE_DOC = {"field": "Q", "dims": [6, 6, 6], "entries": [
+    [i, j, k, str(_RNG.choice([v for v in range(-9, 10) if v]))]
+    for i in range(6) for j in range(6) for k in range(6)]}
 
-# (job id, exit code, argv with {q}/{fp} standing for the tensor files,
+# (job id, exit code, argv with {q}/{fp}/{dense} standing for the tensor files,
 #  expected output: a JSON object without timings_ms, a JSON list, or the
 #  lines of a text table)
 GOLDEN = [
@@ -122,6 +130,12 @@ GOLDEN = [
      'rank': 6, 'divisor': 2, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:7', 'soundness':
      'mod-p-lower-bound', 'tensor_sha256':
      '1bdceb3d60a0bdfe8e8470067b443b40e0c47e969be830ef2c33d013d19ad6b0'}),
+    ('koszul-dense-file-p2', 0,
+     ['bound', '--method', 'koszul', '--p', '2', '--tensor', '{dense}'],
+     {'method': 'koszul', 'm': None, 'n': None, 'l': None, 'p': 2, 'rows': 120, 'cols': 90,
+     'rank': 90, 'divisor': 10, 'quotient': '9/1', 'bound': 9, 'field': 'Q', 'soundness':
+     'exact-Q', 'tensor_sha256':
+     '32518acdf760ae7e62785d88ef50781ae2b57069017fdda45bd1e0a5014d43c7'}),
     ('tensor-matmul-121', 0,
      ['tensor', 'matmul', '--m', '1', '--n', '2', '--l', '1'],
      {'field': 'Q', 'dims': [2, 2, 1], 'entries': [[0, 0, 0, '1'], [1, 1, 0, '1']]}),
@@ -173,7 +187,7 @@ def test_canonical_output_is_pinned(name, code, argv, expected, tmp_path, capsys
                                     monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     paths = {}
-    for key, doc in (("q", Q_DOC), ("fp", FP_DOC)):
+    for key, doc in (("q", Q_DOC), ("fp", FP_DOC), ("dense", DENSE_DOC)):
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(doc) + "\n", encoding="ascii")
     assert cli.main([arg.format(**paths) for arg in argv]) == code

@@ -243,6 +243,20 @@ def test_table_json(capsys):
     assert [r["theorem1"] for r in rows] == [6, 15]
 
 
+def test_table_n1_has_no_strassen_era_bound(capsys):
+    # ceil(3n^2/2) holds for n >= 2 only; the 1x1x1 tensor has border rank 1.
+    code, out, _ = run(capsys, "table", "--n-min", "1", "--n-max", "1", "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["strassen_era"] is None
+    assert row["classical"] == row["lickteig"] == row["theorem1"] == row["computed"] == 1
+    code, out, _ = run(capsys, "table", "--n-min", "1", "--n-max", "2")
+    assert code == 0
+    header, n1, n2 = (line.split() for line in out.strip().splitlines())
+    col = header.index("strassen-era")
+    assert (n1[col], n2[col]) == ("-", "6")
+
+
 def test_table_reversed_range_exit_2(capsys):
     code, _, err = run(capsys, "table", "--n-min", "3", "--n-max", "2")
     assert code == 2

@@ -21,7 +21,7 @@ from brlab.rank_engine import (
     read_matrix,
     write_matrix,
 )
-from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, is_prime
 from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
 
 Q = FieldTag.rationals()
@@ -458,7 +458,7 @@ def test_block_class_counts_of_flattenings():
 
 # rank_exact_q ranks each class mod this prime first and falls back to
 # fraction-free elimination only when that rank is below min(rows, cols).
-P = DEFAULT_CERTIFICATION_PRIMES[0]
+P = rank_engine._SETTLE_PRIME
 
 
 def _count_passes(monkeypatch) -> list:
@@ -472,6 +472,21 @@ def _count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(rank_engine, "_eliminate", spy)
     return calls
+
+
+def test_settle_prime_is_one_digit_and_not_a_certification_prime():
+    assert is_prime(P)
+    assert P < 2 ** 30
+    assert P not in DEFAULT_CERTIFICATION_PRIMES
+
+
+def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
+    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
+    calls = _count_passes(monkeypatch)
+    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)], Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.unsettled) == (2, 0)
+    assert calls == [P]
 
 
 def test_exact_q_unlucky_prime_falls_back():
