@@ -6,8 +6,11 @@ rational quotient, and the integer bound (border rank is an integer, so
 the ceiling is always applied and recorded alongside the raw quotient).
 
 Soundness labels follow the rank engine: "exact-Q" certificates are tight
-for the flattening at hand, "mod-p-lower-bound" certificates are sound but
-possibly loose, and closed-form certificates carry no matrix at all.
+for the flattening at hand, and so are "exact-Fp" ones for a tensor given
+over F_p, ranked over that field; "mod-p-lower-bound" certificates (a Q
+tensor ranked with --field fp[:P] or multiprime) are sound but possibly
+loose, and closed-form certificates carry no matrix at all.  Unless asked
+otherwise, a tensor over Q is ranked over exact Q and one over F_p mod p.
 """
 
 from __future__ import annotations
@@ -29,22 +32,13 @@ from .exterior import (
     koszul_flattening,
     redundancy_cap,
 )
-from .rank_engine import ExactQ, MultiPrime, rank_certified
+from .rank_engine import ExactQ, MultiPrime, RankResult, rank_certified
 from .tensor import Tensor3, direct_summands, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
+SOUND_EXACT_FP = "exact-Fp"
 SOUND_MOD_P = "mod-p-lower-bound"
 SOUND_CLOSED_FORM = "closed-form"
-
-# Above this cell count, exact-Q elimination stops being the obvious
-# default and certification of an integer matrix falls back to the sound
-# multi-prime route.  A matrix with non-integer entries always takes exact
-# Q, the one route that accepts it.  The cost argument holds only for
-# rank-deficient blocks: `rank_exact_q` settles a full-rank block with one
-# pass mod 2^30 - 35, a one-digit prime that appears in no certificate and
-# costs less than multi-prime's first pass mod 2^61 - 1, and runs the slower
-# fraction-free elimination only on blocks where that pass falls short.
-_AUTO_EXACT_CELLS = 4_000_000
 
 # compare_table computes the restricted bound when the map has at most this
 # many columns.
@@ -102,14 +96,9 @@ def tensor_descriptor(t: Tensor3) -> dict:
     return {"sha256": hashlib.sha256(blob).hexdigest()}
 
 
-def _auto_strategy(t: Tensor3, cells: int) -> MultiPrime | ExactQ:
-    """Strategy for a flattening of t with `cells` cells.  Its entries are
-    +-t's entries, so it is integral exactly when t is."""
-    if not t.field.is_q:
-        return MultiPrime((t.field.p,))
-    if cells <= _AUTO_EXACT_CELLS or not t.is_integral():
-        return ExactQ()
-    return MultiPrime()
+def _auto_strategy(t: Tensor3) -> MultiPrime | ExactQ:
+    """Exact rank over the tensor's own field."""
+    return ExactQ() if t.field.is_q else MultiPrime((t.field.p,))
 
 
 def _field_label(strategy: MultiPrime | ExactQ) -> str:
@@ -121,7 +110,11 @@ def _field_label(strategy: MultiPrime | ExactQ) -> str:
     return "multiprime:" + ",".join(str(p) for p in primes)
 
 
-def _soundness(strategy: MultiPrime | ExactQ) -> str:
+def _soundness(strategy: MultiPrime | ExactQ, res: RankResult) -> str:
+    """A rank that bounds no Q-rank is that of a matrix given over F_p,
+    which only its own prime can rank: it is exact over F_p."""
+    if not res.certified_lower_bound_over_q:
+        return SOUND_EXACT_FP
     return SOUND_EXACT_Q if isinstance(strategy, ExactQ) else SOUND_MOD_P
 
 
@@ -135,7 +128,8 @@ class FlatteningRank:
 
     rows, cols and nnz are those of the whole flattening; summands counts
     the direct summands and classes the groups of equal ones, of which only
-    one representative each was flattened and ranked.  rank_ms is the time
+    one representative each was flattened and ranked.  soundness is the
+    certificate label the rank earns (`_soundness`).  rank_ms is the time
     of the rank passes alone.  block_classes counts the classes of
     identical blocks ranked over all representatives, and unsettled those
     that no prime brought to full rank (`RankResult`): under ExactQ, the
@@ -147,6 +141,7 @@ class FlatteningRank:
     rank: int
     nnz: int
     strategy: MultiPrime | ExactQ
+    soundness: str
     summands: int
     classes: int
     rank_ms: float
@@ -161,9 +156,8 @@ def flattening_rank(t: Tensor3, p: int,
     The flattening of a direct sum whose summands share the first factor is
     block diagonal, one block per summand, so its rank is the sum of count *
     rank over the groups of equal summands (`direct_summands`); each group's
-    representative is flattened and ranked once.  The strategy (when None)
-    is chosen once, from the whole shape c*C(a, p+1) x b*C(a, p) and the
-    tensor's integrality, so a summand's smaller shape never changes it.
+    representative is flattened and ranked once.  The strategy defaults to
+    exact rank over t's field: ExactQ over Q, its prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
@@ -173,7 +167,7 @@ def flattening_rank(t: Tensor3, p: int,
     a, b, c = t.dims
     check_wedge_power(a, p)
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
-    strat = strategy if strategy is not None else _auto_strategy(t, rows * cols)
+    strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
     rank = nnz = block_classes = unsettled = 0
     ms = 0.0
@@ -189,7 +183,8 @@ def flattening_rank(t: Tensor3, p: int,
             nnz += count * matrix.nnz
             block_classes += res.classes
             unsettled += res.unsettled
-    return FlatteningRank(rows, cols, rank, nnz, strat,
+    # Every summand is over t's field, so each earns the last one's label.
+    return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
                           sum(count for _, count in summands), len(summands), ms,
                           block_classes, unsettled)
 
@@ -208,7 +203,7 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
         quotient=Fraction(fr.rank, divisor),
         bound=_ceil_div(fr.rank, divisor),
         field_label=_field_label(fr.strategy),
-        soundness=_soundness(fr.strategy),
+        soundness=fr.soundness,
         p=p,
         flags=flags,
         timings_ms=fr.rank_ms,

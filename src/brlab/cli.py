@@ -74,7 +74,7 @@ def _field_flag(*words: str):
 
 
 def _parse_strategy(spec: str | int | None):
-    """Map a parsed --field flag to a rank strategy (None means auto-select)."""
+    """Map a parsed --field flag to a rank strategy (None: the exact default)."""
     if spec is None:
         return None
     if spec == "q":
@@ -220,14 +220,14 @@ def _cmd_kernel_dim(args: argparse.Namespace) -> int:
     if check in ("formula", "both", "rank"):
         values["formula"] = kernel_dim_formula(m, n, p, l)
     if check == "rank":
-        prime = certification_primes()[0]
-        fr = flattening_rank(matmul_tensor(m, n, l), p, MultiPrime((prime,)))
+        t = matmul_tensor(m, n, l)
+        fr = flattening_rank(t, p)  # exact over t's field, Q
         _note(args, f"flattening {fr.rows}x{fr.cols}, nnz={fr.nnz}")
         _summand_note(args, fr.summands, fr.classes)
         values["rank_based"] = fr.cols - fr.rank
         doc["source_dim"] = fr.cols
         doc["rank"] = fr.rank
-        doc["rank_field"] = f"Fp:{prime}"
+        doc["rank_field"] = str(t.field)
     doc.update(values)
     distinct = set(values.values())
     doc["agree"] = len(distinct) <= 1
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=_natural_flag(1), default=None)
     p_bound.add_argument("--l", type=_natural_flag(1), default=None)
     p_bound.add_argument("--field", type=_field_flag("q", "fp", "multiprime"),
-                         default=None, help="q | fp[:PRIME] | multiprime (default: auto)")
+                         default=None, help="q | fp[:PRIME] | multiprime (default: exact)")
     p_bound.add_argument("--out", default=None)
     _add_common_flags(p_bound)
     p_bound.set_defaults(func=_cmd_bound)

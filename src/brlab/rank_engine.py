@@ -23,8 +23,8 @@ off earlier, on the tensor, by `tensor.direct_summands`.)
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with `_SETTLE_PRIME` (2^30 - 35) plus fraction-free elimination where that
-prime falls short.
+with the first default certification prime (2^30 - 35) plus fraction-free
+elimination where that prime falls short.
 
 One sparse elimination loop serves both fields; it differs between F_p and
 Q only in how an updated row is reduced (mod p, with the pivot row left
@@ -41,13 +41,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .scalars import FieldTag, certification_primes, parse_natural
-
-# rank_exact_q settles classes mod 2^30 - 35, the largest prime below 2^30:
-# CPython ints have 30-bit digits, so each residue is one digit (2^61 - 1
-# takes three) and _eliminate runs on the small-int fast paths.  It only
-# skips work, never decides a rank, and appears in no certificate.
-_SETTLE_PRIME = 1073741789
+from .scalars import (DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes,
+                      parse_natural)
 
 
 class SparseMatrix:
@@ -397,15 +392,15 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
-    """Exact rank over Q: the rank loop mod the fixed one-digit prime
-    _SETTLE_PRIME (2^30 - 35), with fraction-free elimination, whose entries
-    grow on dense blocks, only for the classes that prime does not settle.
-    The prime is fixed, not read from BRLAB_PRIMES, and is not a
-    certification prime: it never decides a rank, it only skips work.
+    """Exact rank over Q: the rank loop mod DEFAULT_CERTIFICATION_PRIMES[0]
+    (2^30 - 35), with fraction-free elimination, whose entries grow on dense
+    blocks, only for the classes that prime does not settle.  The prime is
+    fixed, not read from BRLAB_PRIMES: it never decides a rank, it only
+    skips work.
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
-    return _rank_classes(m, (_SETTLE_PRIME,), True)
+    return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 
 
 def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult:

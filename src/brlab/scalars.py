@@ -23,17 +23,16 @@ from fractions import Fraction
 
 from .errors import BadPrime, DivisionByZero, FormatError
 
-# Moduli are capped below 2^62 so a product of two reduced values stays
-# below 2^124; Python ints at that size still use fast fixed paths.
+# Bound on a user-given modulus ("Fp:<p>", --field fp:P, BRLAB_PRIMES),
+# well inside the range where is_prime is exact.
 PRIME_MODULUS_CAP = 1 << 62
 
-# Fixed certification primes: the Mersenne prime 2^61 - 1 and the next two
-# primes above 2^61.  Override with BRLAB_PRIMES="p1,p2,..." when needed.
-DEFAULT_CERTIFICATION_PRIMES = (
-    2305843009213693951,
-    2305843009213693967,
-    2305843009213693973,
-)
+# Fixed certification primes: the three largest primes below 2^30.  CPython
+# ints have 30-bit digits, so each residue is one digit and elimination mod
+# these primes runs on the small-int fast paths.  The first one is also the
+# prime rank_exact_q settles classes with.  Override the list (not the
+# settle prime) with BRLAB_PRIMES="p1,p2,..." when needed.
+DEFAULT_CERTIFICATION_PRIMES = (1073741789, 1073741783, 1073741741)
 
 # Witnesses making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -56,10 +56,6 @@ class Tensor3:
     def value(self, i: int, j: int, k: int):
         return self._cells.get((i, j, k), 0)
 
-    def is_integral(self) -> bool:
-        """True when every entry is an integer (always so over F_p)."""
-        return all(type(v) is int for v in self._cells.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from brlab.bounds import (
+    SOUND_EXACT_FP,
     SOUND_EXACT_Q,
     SOUND_MOD_P,
     bound_classical,
@@ -158,6 +159,10 @@ def test_certificate_json_shape():
     doc = cert.to_json()
     assert doc["soundness"] == SOUND_MOD_P
     assert doc["field"].startswith("multiprime:")
+
+    # A tensor over F_p has no Q-rank to bound: its rank is exact over F_p.
+    cert = bound_koszul(matmul_tensor(2, 2, 1, FieldTag.prime_field(5)), 1)
+    assert (cert.field_label, cert.soundness) == ("Fp:5", SOUND_EXACT_FP)
 
 
 def test_certificate_flags_out_of_range_p():

@@ -68,28 +68,26 @@ GOLDEN = [
      '--field', 'fp'],
      {'method': 'koszul-restricted', 'm': 3, 'n': 3, 'l': 2, 'p': 2, 'rows': 60, 'cols': 60,
      'rank': 60, 'divisor': 6, 'quotient': '10/1', 'bound': 10, 'field':
-     'Fp:2305843009213693951', 'soundness': 'mod-p-lower-bound'}),
+     'Fp:1073741789', 'soundness': 'mod-p-lower-bound'}),
     ('restricted-221-field-fp-5', 0,
      ['bound', '--method', 'koszul-restricted', '--m', '2', '--n', '2', '--l', '1',
      '--field', 'fp:5'],
      {'method': 'koszul-restricted', 'm': 2, 'n': 2, 'l': 1, 'p': 1, 'rows': 6, 'cols': 6,
      'rank': 6, 'divisor': 2, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:5', 'soundness':
      'mod-p-lower-bound'}),
-    # Auto selection reads the whole 3150 x 3150 shape (multi-prime), not the
-    # 630 x 630 shape of one l = 1 summand (which alone would pick exact Q).
+    # The whole flattening is 3150 x 3150, five copies of one 630 x 630
+    # summand; the default ranks it over exact Q at every size.
     ('restricted-555', 0,
      ['bound', '--method', 'koszul-restricted', '--m', '5', '--n', '5', '--l', '5'],
      {'method': 'koszul-restricted', 'm': 5, 'n': 5, 'l': 5, 'p': 4, 'rows': 3150, 'cols':
-     3150, 'rank': 3150, 'divisor': 70, 'quotient': '45/1', 'bound': 45, 'field':
-     'multiprime:2305843009213693951,2305843009213693967,2305843009213693973', 'soundness':
-     'mod-p-lower-bound'}),
+     3150, 'rank': 3150, 'divisor': 70, 'quotient': '45/1', 'bound': 45, 'field': 'Q',
+     'soundness': 'exact-Q'}),
     ('classical-232-multiprime', 0,
      ['bound', '--method', 'classical', '--m', '2', '--n', '3', '--l', '2', '--field',
      'multiprime'],
      {'method': 'classical', 'm': 2, 'n': 3, 'l': 2, 'p': None, 'rows': 24, 'cols': 6,
      'rank': 6, 'divisor': 1, 'quotient': '6/1', 'bound': 6, 'field':
-     'multiprime:2305843009213693951,2305843009213693967,2305843009213693973', 'soundness':
-     'mod-p-lower-bound'}),
+     'multiprime:1073741789,1073741783,1073741741', 'soundness': 'mod-p-lower-bound'}),
     ('theorem1-formula-432', 0,
      ['bound', '--method', 'theorem1-formula', '--m', '4', '--n', '3', '--l', '2'],
      {'method': 'theorem1-formula', 'm': 4, 'n': 3, 'l': 2, 'p': None, 'rows': None, 'cols':
@@ -122,13 +120,13 @@ GOLDEN = [
      ['bound', '--method', 'classical', '--tensor', '{fp}'],
      {'method': 'classical', 'm': None, 'n': None, 'l': None, 'p': None, 'rows': 6, 'cols':
      3, 'rank': 3, 'divisor': 1, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:7',
-     'soundness': 'mod-p-lower-bound', 'tensor_sha256':
+     'soundness': 'exact-Fp', 'tensor_sha256':
      '1bdceb3d60a0bdfe8e8470067b443b40e0c47e969be830ef2c33d013d19ad6b0'}),
     ('koszul-fp-file-p1', 0,
      ['bound', '--method', 'koszul', '--p', '1', '--tensor', '{fp}', '--field', 'fp:7'],
      {'method': 'strassen', 'm': None, 'n': None, 'l': None, 'p': 1, 'rows': 6, 'cols': 9,
      'rank': 6, 'divisor': 2, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:7', 'soundness':
-     'mod-p-lower-bound', 'tensor_sha256':
+     'exact-Fp', 'tensor_sha256':
      '1bdceb3d60a0bdfe8e8470067b443b40e0c47e969be830ef2c33d013d19ad6b0'}),
     ('koszul-dense-file-p2', 0,
      ['bound', '--method', 'koszul', '--p', '2', '--tensor', '{dense}'],
@@ -163,7 +161,7 @@ GOLDEN = [
     ('kernel-dim-3314-rank', 0,
      ['kernel-dim', '--m', '3', '--n', '3', '--p', '4', '--l', '1', '--check', 'rank'],
      {'m': 3, 'n': 3, 'p': 4, 'l': 1, 'validated_range': True, 'source_dim': 378, 'rank':
-     306, 'rank_field': 'Fp:2305843009213693951', 'pieri': 72, 'formula': 72, 'rank_based':
+     306, 'rank_field': 'Q', 'pieri': 72, 'formula': 72, 'rank_based':
      72, 'agree': True}),
     ('table-2-5-json', 0,
      ['table', '--n-min', '2', '--n-max', '5', '--json'],

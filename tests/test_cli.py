@@ -305,8 +305,8 @@ def test_bound_malformed_tensor_file_exit_2(tmp_path, capsys, content):
 
 
 def test_bound_large_rational_tensor_takes_exact_q(tmp_path, capsys):
-    # 5940 x 2640 flattening: above the auto cell limit, but its entries
-    # are not integers, so only exact Q can rank it.
+    # 5940 x 2640 flattening whose entries are not integers: only exact Q,
+    # the default for a tensor over Q, can rank it.
     from fractions import Fraction
     import random
     from brlab.scalars import FieldTag

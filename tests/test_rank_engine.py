@@ -21,7 +21,7 @@ from brlab.rank_engine import (
     read_matrix,
     write_matrix,
 )
-from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, is_prime
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
 
 Q = FieldTag.rationals()
@@ -458,7 +458,7 @@ def test_block_class_counts_of_flattenings():
 
 # rank_exact_q ranks each class mod this prime first and falls back to
 # fraction-free elimination only when that rank is below min(rows, cols).
-P = rank_engine._SETTLE_PRIME
+P = DEFAULT_CERTIFICATION_PRIMES[0]
 
 
 def _count_passes(monkeypatch) -> list:
@@ -474,10 +474,11 @@ def _count_passes(monkeypatch) -> list:
     return calls
 
 
-def test_settle_prime_is_one_digit_and_not_a_certification_prime():
-    assert is_prime(P)
-    assert P < 2 ** 30
-    assert P not in DEFAULT_CERTIFICATION_PRIMES
+def test_settle_prime_is_first_certification_prime(monkeypatch):
+    monkeypatch.delenv("BRLAB_PRIMES", raising=False)
+    calls = _count_passes(monkeypatch)
+    assert rank_exact_q(_identity(1)).rank == 1
+    assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
 
 
 def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
