@@ -131,9 +131,10 @@ class FlatteningRank:
     one representative each was flattened and ranked.  soundness is the
     certificate label the rank earns (`_soundness`).  rank_ms is the time
     of the rank passes alone.  block_classes counts the classes of
-    identical blocks ranked over all representatives, and unsettled those
+    identical blocks ranked over all representatives, unsettled those
     that no prime brought to full rank (`RankResult`): under ExactQ, the
-    ones fraction-free elimination ranked.
+    ones fraction-free elimination ranked, and settled_mod_2 those that
+    the ExactQ pass over F_2 brought to full rank.
     """
 
     rows: int
@@ -147,6 +148,7 @@ class FlatteningRank:
     rank_ms: float
     block_classes: int
     unsettled: int
+    settled_mod_2: int
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -169,7 +171,7 @@ def flattening_rank(t: Tensor3, p: int,
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
     strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
-    rank = nnz = block_classes = unsettled = 0
+    rank = nnz = block_classes = unsettled = settled_mod_2 = 0
     ms = 0.0
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
@@ -183,10 +185,11 @@ def flattening_rank(t: Tensor3, p: int,
             nnz += count * matrix.nnz
             block_classes += res.classes
             unsettled += res.unsettled
+            settled_mod_2 += res.settled_mod_2
     # Every summand is over t's field, so each earns the last one's label.
     return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
                           sum(count for _, count in summands), len(summands), ms,
-                          block_classes, unsettled)
+                          block_classes, unsettled, settled_mod_2)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -222,7 +225,8 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     return _certificate("classical", descriptor, replace(
         best, rank_ms=sum(fr.rank_ms for fr in frs),
         block_classes=sum(fr.block_classes for fr in frs),
-        unsettled=sum(fr.unsettled for fr in frs)))
+        unsettled=sum(fr.unsettled for fr in frs),
+        settled_mod_2=sum(fr.settled_mod_2 for fr in frs)))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

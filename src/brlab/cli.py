@@ -149,9 +149,9 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
                 f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
     fr = cert.flattening
     if cert.soundness == SOUND_EXACT_Q:
-        n = fr.block_classes
-        _note(args, f"exact-Q: {n - fr.unsettled} of {n} class{'' if n == 1 else 'es'} "
-                    f"settled mod p, {fr.unsettled} fell back")
+        n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
+        _note(args, f"exact-Q: {n} class{'' if n == 1 else 'es'}, {f2} settled mod 2, "
+                    f"{n - f2 - u} mod p, {u} fell back")
     _summand_note(args, fr.summands, fr.classes)
 
 

@@ -23,8 +23,9 @@ off earlier, on the tensor, by `tensor.direct_summands`.)
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with the first default certification prime (2^30 - 35) plus fraction-free
-elimination where that prime falls short.
+with three steps per class: a bit-packed rank over F_2 (`_rank_f2`), then
+the first default certification prime (2^30 - 35), then fraction-free
+elimination where both fall short of full rank.
 
 One sparse elimination loop serves both fields; it differs between F_p and
 Q only in how an updated row is reduced (mod p, with the pivot row left
@@ -203,13 +204,16 @@ class RankResult:
     classes counts the classes of identical blocks ranked, and unsettled
     those whose rank stayed below min(block rows, block columns) mod every
     prime tried; under exact Q these are the classes that fraction-free
-    elimination ranked.
+    elimination ranked.  settled_mod_2 counts the classes that the exact-Q
+    pass over F_2 brought to full rank (always 0 for the other strategies);
+    the remaining classes were settled mod a prime.
     """
 
     rank: int
     certified_lower_bound_over_q: bool
     classes: int
     unsettled: int
+    settled_mod_2: int
 
 
 @dataclass(frozen=True)
@@ -345,6 +349,33 @@ def _block_integral(block: tuple) -> list[tuple]:
     return rows
 
 
+def _rank_f2(block, full: int) -> int:
+    """Rank over F_2 of an integer class representative, at most full.
+
+    Each row is packed into one int, bit c set when the entry at local
+    column c is odd, and reduced against a basis keyed by leading bit: XOR
+    with the basis row of the same leading bit until the row vanishes or
+    gets a leading bit of its own.  The rank is the basis size; the pass
+    stops once it reaches full.
+    """
+    basis: dict[int, int] = {}
+    for row in block:
+        x = 0
+        for c, v in row:
+            if v & 1:
+                x |= 1 << c
+        while x:
+            top = x.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = x
+                if len(basis) == full:
+                    return full
+                break
+            x ^= b
+    return len(basis)
+
+
 def _rank_classes(m: SparseMatrix, primes: tuple[int, ...], exact: bool) -> RankResult:
     """The one rank loop.  Each class of identical blocks is ranked mod the
     primes in turn, keeps its max, and stops at the first prime that reaches
@@ -353,20 +384,27 @@ def _rank_classes(m: SparseMatrix, primes: tuple[int, ...], exact: bool) -> Rank
     For each prime the matrix's rank is the sum of its class ranks, so the
     sum of per-class maxes is a sound lower bound on the Q-rank, and never
     below the whole matrix's max over the primes.  When exact, each class is
-    scaled integral row by row (rank-preserving) and an unsettled class is
-    ranked by fraction-free elimination.
+    scaled integral row by row (rank-preserving) and first ranked over F_2;
+    reduction Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a
+    class of full rank mod 2 is settled with no prime.  Any other class
+    runs the primes, and one that stays unsettled is ranked by
+    fraction-free elimination.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
     for tag in tags:
         if not m.field.is_q and tag != m.field:
             raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
-    rank = unsettled = 0
+    rank = unsettled = settled_mod_2 = 0
     classes = m._block_classes()
     scale = exact and not m.is_integral()
     for block, count, ncols in classes:
         if scale:
             block = _block_integral(block)
         full = min(len(block), ncols)
+        if exact and _rank_f2(block, full) == full:
+            settled_mod_2 += 1
+            rank += count * full
+            continue
         best = 0
         for tag in tags:
             best = max(best, _eliminate(_block_mod_p(block, tag), tag.p))
@@ -378,7 +416,7 @@ def _rank_classes(m: SparseMatrix, primes: tuple[int, ...], exact: bool) -> Rank
                 best = _eliminate([dict(row) for row in block], None)
         rank += count * best
     return RankResult(rank, m.field.is_q and (exact or m.is_integral()),
-                      len(classes), unsettled)
+                      len(classes), unsettled, settled_mod_2)
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
@@ -392,11 +430,12 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
 
 
 def rank_exact_q(m: SparseMatrix) -> RankResult:
-    """Exact rank over Q: the rank loop mod DEFAULT_CERTIFICATION_PRIMES[0]
-    (2^30 - 35), with fraction-free elimination, whose entries grow on dense
-    blocks, only for the classes that prime does not settle.  The prime is
-    fixed, not read from BRLAB_PRIMES: it never decides a rank, it only
-    skips work.
+    """Exact rank over Q by the rank loop in three steps per class: the
+    bit-packed rank over F_2, then a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
+    (2^30 - 35) for a class that F_2 leaves short of full rank, then
+    fraction-free elimination, whose entries grow on dense blocks, for a
+    class that prime leaves short too.  Both moduli are fixed, not read from
+    BRLAB_PRIMES: they never decide a rank, they only skip work.
     """
     if not m.field.is_q:
         raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")

@@ -16,10 +16,12 @@ from brlab.bounds import (
     bound_matmul_restricted,
     compare_table,
     corollary_2nl,
+    flattening_rank,
     formula_certificate,
     lickteig_square,
 )
 from brlab.errors import InvalidDimension, OrderViolation
+from brlab.exterior import classical_tensor
 from brlab.rank_engine import ExactQ, MultiPrime
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
@@ -32,6 +34,19 @@ def test_bound_classical_examples():
     assert bound_classical(matmul_tensor(2, 2, 2)).bound == 4
     assert bound_classical(rank_one_tensor([1, 2], [3], [1, 1])).bound == 1
     assert bound_classical(matmul_tensor(3, 3, 3)).bound == 9
+
+
+def test_bound_classical_sums_class_counts_of_the_three_flattenings():
+    # Over the three flattenings: 5 classes, 3 settled mod 2, 1 mod p (a
+    # block whose first column holds only the entry 2) and 1 that falls
+    # back (a 3x3 block of rank 2).
+    t = Tensor3((3, 3, 3), [(1, 0, 0, 2), (1, 0, 2, 1), (1, 1, 2, -1), (1, 2, 2, 1),
+                            (2, 0, 1, 3)], Q)
+    frs = [flattening_rank(classical_tensor(t, mode), 0) for mode in "ABC"]
+    fr = bound_classical(t).flattening
+    for key in ("block_classes", "settled_mod_2", "unsettled"):
+        assert getattr(fr, key) == sum(getattr(f, key) for f in frs)
+    assert (fr.block_classes, fr.settled_mod_2, fr.unsettled) == (5, 3, 1)
 
 
 def test_bound_koszul_examples():

@@ -415,7 +415,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
-    assert err.splitlines()[1:] == ["exact-Q: 28 of 37 classes settled mod p, 9 fell back",
+    assert err.splitlines()[1:] == ["exact-Q: 37 classes, 28 settled mod 2, 0 mod p, 9 fell back",
                                     "summands: 3 in 1 class"]
     # Telemetry only: the certificate is that of a quiet run.
     code, quiet, _ = run(capsys, *argv, "--field", "q")
@@ -425,7 +425,8 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES")
     code, _, err = run(capsys, *argv, "--field", "fp", "--verbose")
     assert code == 0 and "exact-Q:" not in err
-    # A dense full-rank tensor is settled by the one mod-p pass.
+    # A dense tensor whose one class has full rank over Q but not mod 2 is
+    # settled by the mod-p pass.
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"field": "Q", "dims": [3, 3, 3], "entries": [
         [i, j, k, f"{1 + (i * 9 + j * 3 + k) % 7}/{2 + k}"]
@@ -433,7 +434,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "1",
                        "--tensor", str(path), "--verbose")
     assert code == 0
-    assert "exact-Q: 1 of 1 class settled mod p, 0 fell back" in err.splitlines()
+    assert "exact-Q: 1 class, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
 
 
 @pytest.mark.parametrize("field,value,expected", [

@@ -456,8 +456,9 @@ def test_block_class_counts_of_flattenings():
     assert (_block_count(m), len(m._block_classes())) == (351, 37)
 
 
-# rank_exact_q ranks each class mod this prime first and falls back to
-# fraction-free elimination only when that rank is below min(rows, cols).
+# rank_exact_q ranks each class over F_2 first, then mod this prime, and
+# falls back to fraction-free elimination only when both ranks are below
+# min(rows, cols).
 P = DEFAULT_CERTIFICATION_PRIMES[0]
 
 
@@ -477,7 +478,9 @@ def _count_passes(monkeypatch) -> list:
 def test_settle_prime_is_first_certification_prime(monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     calls = _count_passes(monkeypatch)
-    assert rank_exact_q(_identity(1)).rank == 1
+    # det -2: rank 1 mod 2, so the class reaches the mod-p pass.
+    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
+    assert rank_exact_q(m).rank == 2
     assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
 
 
@@ -491,25 +494,29 @@ def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
 
 
 def test_exact_q_unlucky_prime_falls_back():
-    # diag(P, 1): two 1x1 blocks, the first of rank 0 mod P.
-    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (1, 1, 1)], Q))
-    assert (res.rank, res.classes, res.unsettled) == (2, 2, 1)
-    # One block, det P over Q, rank 1 mod P.
-    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (0, 1, P), (1, 0, 1), (1, 1, 2)], Q))
-    assert (res.rank, res.classes, res.unsettled) == (2, 1, 1)
+    # diag(2P, 1): two 1x1 blocks, the first of rank 0 mod 2 and mod P.
+    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (1, 1, 1)], Q))
+    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 2, 1, 1)
+    # One block, det 2P over Q, rank 1 mod 2 and mod P.
+    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (0, 1, 2 * P),
+                                           (1, 0, 1), (1, 1, 2)], Q))
+    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 1, 1, 0)
 
 
 def test_exact_q_rational_rows_reduced_after_scaling():
-    # The row (P/2, P/3) scales to (3P, 2P): content P, zero mod P.
+    # The row (P/2, P/3) scales to (3P, 2P): content P, zero mod P, and
+    # equal to the row (1, 0) mod 2.
     m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 2)), (0, 1, Fraction(P, 3)),
-                            (1, 0, 1), (1, 1, 1)], Q)
+                            (1, 0, 1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.unsettled) == (2, 1)
+    assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 1, 0)
     assert rank_gauss_fractions(dense_rows(m)) == 2
-    # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to (1, P).
+    # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to
+    # (1, P), equal to the row (1, 1) mod 2, so the mod-P pass settles it.
     m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Q)
     res = rank_exact_q(m)
     assert (res.rank, res.certified_lower_bound_over_q) == (2, True)
+    assert (res.unsettled, res.settled_mod_2) == (0, 0)
     with pytest.raises(BadPrime):
         rank_mod_p(m, P)
 
@@ -520,8 +527,56 @@ def test_exact_q_full_rank_block_skips_fraction_free(monkeypatch):
     m = _random_matrix(rng, 7, 5, fill=1.0)
     assert rank_gauss_fractions(dense_rows(m)) == 5
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.unsettled) == (5, 1, 0)
+    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (5, 1, 0, 1)
+    # Full rank mod 2: no mod-p and no fraction-free pass.
+    assert calls == []
+
+
+def test_exact_q_full_over_q_not_mod_2_settles_mod_p(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 1, 0, 0)
     assert calls == [P]
+
+
+def test_rank_f2_against_oracle():
+    rng = random.Random(16)
+    shapes = set()
+    for _ in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        dense = []
+        for _ in range(rows):
+            row = [rng.randint(-5, 5) for _ in range(cols)]
+            if rng.random() < 0.2:
+                row = [2 * v for v in row]
+            dense.append(row)
+        block = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in dense)
+        full = min(rows, cols)
+        assert rank_engine._rank_f2(block, full) == rank_gauss_mod_p(dense, 2), dense
+        shapes.add((rows > cols) - (rows < cols))
+    assert shapes == {-1, 0, 1}
+    # Odd negative entries are 1 mod 2, even ones 0.
+    assert rank_engine._rank_f2((((0, -3), (1, -4)), ((0, 5), (1, -1))), 2) == 2
+    assert rank_engine._rank_f2((((0, -2), (1, 4)), ((0, 6),)), 2) == 0
+
+
+def test_only_exact_q_runs_the_f2_pass(monkeypatch):
+    calls = []
+    real = rank_engine._rank_f2
+
+    def spy(block, full):
+        calls.append(full)
+        return real(block, full)
+
+    monkeypatch.setattr(rank_engine, "_rank_f2", spy)
+    m = _random_matrix(random.Random(17), 6, 6)
+    for res in (rank_certified(m, MultiPrime()), rank_certified(m, MultiPrime((P,))),
+                rank_mod_p(m, 7)):
+        assert res.settled_mod_2 == 0
+    assert calls == []
+    rank_exact_q(m)
+    assert calls
 
 
 def test_exact_q_rank_deficient_block_runs_one_fraction_free_pass(monkeypatch):
