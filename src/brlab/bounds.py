@@ -130,11 +130,20 @@ class FlatteningRank:
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened and ranked.  soundness is the
     certificate label the rank earns (`_soundness`).  rank_ms is the time
-    of the rank passes alone.  block_classes counts the classes of
-    identical blocks ranked over all representatives, unsettled those
-    that no prime brought to full rank (`RankResult`): under ExactQ, the
-    ones fraction-free elimination ranked, and settled_mod_2 those that
-    the ExactQ pass over F_2 brought to full rank.
+    of the rank passes alone, split_ms that of splitting the flattened
+    matrices into classes of identical blocks (`SparseMatrix._block_classes`)
+    before them; neither counts the flattening itself.  block_classes
+    counts the classes of identical blocks ranked over all representatives,
+    unsettled those that no prime brought to full rank (`RankResult`):
+    under ExactQ, the ones fraction-free elimination ranked, and
+    settled_mod_2 those that the ExactQ pass over F_2 brought to full rank.
+    mirror_pairs and mirror_fixed count the weight spaces of the
+    representatives that were flattened by mirror pairs (see
+    `koszul_flattening`): pairs of which one space was flattened, and
+    spaces that are their own mirror.  nnz_written counts the entries
+    written, each representative's as often as nnz counts it, out of
+    nnz_whole, the nnz of the whole flattening they stand for (nnz itself,
+    except that `bound_classical` sums both over its three flattenings).
     """
 
     rows: int
@@ -146,25 +155,37 @@ class FlatteningRank:
     summands: int
     classes: int
     rank_ms: float
+    split_ms: float
     block_classes: int
     unsettled: int
     settled_mod_2: int
+    mirror_pairs: int
+    mirror_fixed: int
+    nnz_written: int
+    nnz_whole: int
 
 
 def flattening_rank(t: Tensor3, p: int,
                     strategy: MultiPrime | ExactQ | None = None) -> FlatteningRank:
-    """Rank of the p-th wedge flattening of t, one direct summand at a time.
+    """Rank of the p-th wedge flattening of t, one direct summand at a time,
+    and one weight space of each mirror pair.
 
     The flattening of a direct sum whose summands share the first factor is
     block diagonal, one block per summand, so its rank is the sum of count *
     rank over the groups of equal summands (`direct_summands`); each group's
-    representative is flattened and ranked once.  The strategy defaults to
-    exact rank over t's field: ExactQ over Q, its prime over F_p.
+    representative is flattened and ranked once.  A representative that is
+    symmetric under the reversal of all three factors is flattened by
+    `koszul_flattening` with mirror: the columns of the lower weight of
+    each mirror pair, whose rank counts twice since the reversal maps them
+    onto their mirror by a signed permutation, and the columns of
+    self-mirror weight, counted once; any other representative is flattened
+    whole.  The strategy defaults to exact rank over t's field: ExactQ over
+    Q, its prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
-    `rank_engine._rank_classes`: the summands' blocks are blocks of the
-    whole flattening.
+    `rank_engine._rank_classes`: the parts' blocks are blocks of the whole
+    flattening, and a block and its mirror have equal ranks mod every prime.
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
@@ -172,24 +193,33 @@ def flattening_rank(t: Tensor3, p: int,
     strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
     rank = nnz = block_classes = unsettled = settled_mod_2 = 0
-    ms = 0.0
+    pairs = fixed = written = 0
+    rank_ms = split_ms = 0.0
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
         warnings.simplefilter("ignore", WedgeRangeWarning)
         for summand, count in summands:
-            matrix = koszul_flattening(summand, p).matrix
-            t0 = time.perf_counter()
-            res = rank_certified(matrix, strat)
-            ms += (time.perf_counter() - t0) * 1000.0
-            rank += count * res.rank
-            nnz += count * matrix.nnz
-            block_classes += res.classes
-            unsettled += res.unsettled
-            settled_mod_2 += res.settled_mod_2
+            km = koszul_flattening(summand, p, mirror=True)
+            pairs += km.pairs
+            fixed += km.fixed
+            for matrix, copies in km.parts:
+                t0 = time.perf_counter()
+                matrix._block_classes()  # cached for the rank passes
+                t1 = time.perf_counter()
+                res = rank_certified(matrix, strat)
+                split_ms += (t1 - t0) * 1000.0
+                rank_ms += (time.perf_counter() - t1) * 1000.0
+                rank += count * copies * res.rank
+                nnz += count * copies * matrix.nnz
+                written += count * matrix.nnz
+                block_classes += res.classes
+                unsettled += res.unsettled
+                settled_mod_2 += res.settled_mod_2
     # Every summand is over t's field, so each earns the last one's label.
     return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
-                          sum(count for _, count in summands), len(summands), ms,
-                          block_classes, unsettled, settled_mod_2)
+                          sum(count for _, count in summands), len(summands),
+                          rank_ms, split_ms, block_classes, unsettled, settled_mod_2,
+                          pairs, fixed, written, nnz)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -217,16 +247,15 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
 def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
-    divisor 1.  The recorded time and block-class counts are those of all
-    three ranks."""
+    divisor 1.  The recorded times, block-class and mirror counts are those
+    of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
+    summed = ("rank_ms", "split_ms", "block_classes", "unsettled", "settled_mod_2",
+              "mirror_pairs", "mirror_fixed", "nnz_written", "nnz_whole")
     return _certificate("classical", descriptor, replace(
-        best, rank_ms=sum(fr.rank_ms for fr in frs),
-        block_classes=sum(fr.block_classes for fr in frs),
-        unsettled=sum(fr.unsettled for fr in frs),
-        settled_mod_2=sum(fr.settled_mod_2 for fr in frs)))
+        best, **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

@@ -145,13 +145,19 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def _rank_notes(args: argparse.Namespace, cert) -> None:
-    _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
-                f"({cert.soundness}, {cert.timings_ms:.1f} ms)")
     fr = cert.flattening
+    _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
+                f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms)")
     if cert.soundness == SOUND_EXACT_Q:
         n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
         _note(args, f"exact-Q: {n} class{'' if n == 1 else 'es'}, {f2} settled mod 2, "
                     f"{n - f2 - u} mod p, {u} fell back")
+    if fr.mirror_pairs:
+        n = fr.mirror_pairs
+        _note(args, f"mirror: {n} weight pair{'' if n == 1 else 's'}, {fr.mirror_fixed} fixed, "
+                    f"nnz {fr.nnz_written} of {fr.nnz_whole}")
+    else:
+        _note(args, "mirror: none")
     _summand_note(args, fr.summands, fr.classes)
 
 

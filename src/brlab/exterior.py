@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import InvalidDimension
 from .rank_engine import SparseMatrix
-from .tensor import Tensor3
+from .tensor import Tensor3, mirror_grading
 
 
 class WedgeRangeWarning(UserWarning):
@@ -45,6 +45,12 @@ class KoszulMatrix:
     colex(S)*b + j.  At p = 0 this reproduces the classical mode-B
     flattening including its row order.  The labels are built on first
     access: rank computations never read them.
+
+    A flattening split by mirror pairs (`koszul_flattening` with mirror)
+    keeps in matrix the columns of self-mirror weight and in paired those
+    of the lower weight of each mirror pair, both at their places in the
+    full shape; pairs and fixed count those weight spaces.  Otherwise
+    matrix is the whole flattening and paired is None.
     """
 
     matrix: SparseMatrix
@@ -52,6 +58,17 @@ class KoszulMatrix:
     b: int
     c: int
     p: int
+    paired: SparseMatrix | None = None
+    pairs: int = 0
+    fixed: int = 0
+
+    @property
+    def parts(self) -> tuple[tuple[SparseMatrix, int], ...]:
+        """(matrix, count) pairs: the flattening's rank is the sum of count *
+        rank over them."""
+        if self.paired is None:
+            return ((self.matrix, 1),)
+        return ((self.paired, 2), (self.matrix, 1))
 
     @property
     def rows(self) -> int:
@@ -100,15 +117,46 @@ def check_wedge_power(a: int, p: int) -> None:
         )
 
 
-def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
+def _mirror_map(subset_pairs, wb: dict[int, int], b: int) -> dict[int, int] | None:
+    """sigma: weight -> mirror weight of the columns (j, S) whose j occurs,
+    from the distinct (sum wA(S), sum wA(rho S)) pairs; None when one
+    weight has two mirror weights."""
+    sigma: dict[int, int] = {}
+    for w, w_rho in subset_pairs:
+        for j, wj in wb.items():
+            m = wb[b - 1 - j] + w_rho
+            if sigma.setdefault(wj + w, m) != m:
+                return None
+    return sigma
+
+
+def koszul_flattening(t: Tensor3, p: int, mirror: bool = False) -> KoszulMatrix:
     """Flatten t against p-fold wedges of the first factor.
 
     For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
     value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
     c*C(a, p+1) rows by b*C(a, p) columns.
+
+    With mirror set, a tensor that `mirror_grading` finds symmetric under
+    the reversal rho is flattened by halves.  Column (j, S) gets the weight
+    w = wB(j) + sum wA(S), and the grading makes the flattening block
+    diagonal over w: the entry's row (k, S u {i}) has weight sum wA(S u {i})
+    - wC(k) = w.  Its mirror weight w' is the weight of the column rho(j,
+    S) = (b-1-j, {a-1-s}).  Reversing the first factor changes sign(i, S)
+    by (-1)^p, so the flattening takes the cell at (rho(row), rho(col)) to
+    +-1 times the cell at (row, col), one sign for all cells.  When w'
+    is one value sigma(w) on every column of weight w, rho therefore maps
+    the block of weight w onto that of weight sigma(w) by a signed row and
+    column permutation, and the two blocks have equal ranks over every
+    field.  Only the columns with w < sigma(w) (`paired`, to be counted
+    twice) and with w = sigma(w) (`matrix`, counted once) are written; the
+    others are their mirror images.  The tensor is flattened whole, into
+    `matrix` alone, when it is not symmetric, when sigma is not a function
+    of w, or when every column is its own mirror weight.
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
+    grading = mirror_grading(t) if mirror else None
 
     # Insertion table for each first-factor index i that occurs in an entry:
     # (column subset position, row subset position, sign) per p-subset S
@@ -116,9 +164,21 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     # s_0 < s_1 < ... is sum_j C(s_j, j+1).  Inserting i at place pos keeps
     # the terms below pos (low), adds C(i, pos+1), and moves each term from
     # pos on one place up (high), so no table of (p+1)-subsets is built.
+    # Under a grading, subset position q also records sum wA(S) in key[q],
+    # and the distinct (sum wA(S), sum wA(rho S)) pairs are collected.
     used = sorted({i for i, _, _ in t._cells})
     inserts: dict[int, list[tuple[int, int, int]]] = {i: [] for i in used}
+    key, subset_pairs = [], set()
+    if grading is not None:
+        # At p = 0 the one subset is empty: no A weight is read, and a may
+        # be far larger than any table.
+        wa = [grading[0].get(x, 0) for x in range(a)] if p else []
+        wa_rho = wa[::-1]
     for q, s in enumerate(_colex_tuples(a, p)):
+        if grading is not None:
+            w = sum(map(wa.__getitem__, s))
+            key.append(w)
+            subset_pairs.add((w, sum(map(wa_rho.__getitem__, s))))
         low, high, pos = 0, sum(comb(x, j + 2) for j, x in enumerate(s)), 0
         for i in used:
             while pos < p and s[pos] < i:
@@ -130,6 +190,25 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
                 continue
             inserts[i].append((q, low + comb(i, pos + 1) + high, -1 if pos % 2 else 1))
 
+    # counts maps each column weight to 2 (w < sigma(w)), 1 (w = sigma(w))
+    # or 0 (w > sigma(w)), over the columns whose second index occurs in an
+    # entry; the others are empty.  Unsplit, every column has weight 0 and
+    # counts once.
+    counts, wb, groups = {0: 1}, {}, {i: {0: cells} for i, cells in inserts.items()}
+    sigma = _mirror_map(subset_pairs, grading[1], b) if grading is not None else None
+    if sigma is not None and any(w != m for w, m in sigma.items()):
+        counts = {w: 2 if w < m else int(w == m) for w, m in sigma.items()}
+        wb = grading[1]
+        # Each table split by sum wA(S): one weight lookup per entry and
+        # group then picks the cells of one part.
+        for i, cells in inserts.items():
+            groups[i] = by_key = {}
+            for cell in cells:
+                by_key.setdefault(key[cell[0]], []).append(cell)
+    del inserts  # the flat tables of a split flattening are garbage now
+    pairs = sum(n == 2 for n in counts.values())
+    fixed = sum(n == 1 for n in counts.values()) if pairs else 0
+
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
     # holds +-v: nothing accumulates and no stored zero can arise.
@@ -137,14 +216,19 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     # The entries stream into it: no list of them is ever held.
     p_mod = None if t.field.is_q else t.field.p
 
-    def entries():
+    def entries(part: int):
         for (i, j, k), v in t._cells.items():
             neg_v = -v if p_mod is None else p_mod - v
-            for qcol, qrow, sign in inserts[i]:
-                yield qrow * c + k, qcol * b + j, v if sign > 0 else neg_v
+            wj = wb.get(j, 0)
+            for w, cells in groups[i].items():
+                if counts[wj + w] == part:
+                    for qcol, qrow, sign in cells:
+                        yield qrow * c + k, qcol * b + j, v if sign > 0 else neg_v
 
-    matrix = SparseMatrix(c * comb(a, p + 1), b * comb(a, p), entries(), t.field)
-    return KoszulMatrix(matrix, a, b, c, p)
+    rows, cols = c * comb(a, p + 1), b * comb(a, p)
+    paired = SparseMatrix(rows, cols, entries(2), t.field) if pairs else None
+    matrix = SparseMatrix(rows, cols, entries(1), t.field)
+    return KoszulMatrix(matrix, a, b, c, p, paired, pairs, fixed)
 
 
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:

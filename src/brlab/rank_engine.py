@@ -18,7 +18,8 @@ field: equal exact entries reduce to equal values mod p, so the copies
 have equal ranks mod every prime too.  The flattenings of matrix
 multiplication repeat blocks heavily, so most of their blocks are never
 eliminated.  (The l identical copies that the third index gives are split
-off earlier, on the tensor, by `tensor.direct_summands`.)
+off earlier, on the tensor, by `tensor.direct_summands`, and of each pair
+of mirror blocks only one is built, by `exterior.koszul_flattening`.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,

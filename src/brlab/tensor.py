@@ -11,6 +11,8 @@ constructor applies to every value.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DimensionMismatch,
@@ -134,6 +136,90 @@ def direct_summands(t: Tensor3) -> list[tuple[Tensor3, int]]:
         groups[key] = groups.get(key, 0) + 1
     return [(Tensor3((a, bs, cs), local, t.field), count)
             for (bs, cs, local), count in groups.items()]
+
+
+def mirror_grading(t: Tensor3) -> tuple[dict[int, int], dict[int, int]] | None:
+    """Weights (wA, wB) of an integer grading of t, when t is symmetric under
+    the reversal rho: (i, j, k) -> (a-1-i, b-1-j, c-1-k); else None.
+
+    Symmetric means t(rho x) = eps * t(x) on every entry, with one sign eps
+    = +-1 for the whole tensor (-v is p - v over F_p).  The grading is an
+    integer solution of wA(i) = wB(j) + wC(k) over the entries, taken from
+    the exact kernel of that system on the indices in use: the kernel
+    vectors, scaled to integers, are packed as the digits of one integer in
+    a balanced base R above 2(a+3) times the largest digit.  A flattening
+    column's weight sums at most a index weights, so two columns' weights
+    are equal only when every digit is: they are equal exactly when every
+    grading of the support makes them equal (the finest grading).  An index that no entry uses gets weight 0, which
+    every equation allows.  The weights are checked on every entry before
+    they are returned; wC is not returned, since a flattening reads only
+    the first two factors' weights.  The cost is linear in nnz for the
+    symmetry check, which a tensor without the symmetry usually fails at
+    its first entry, plus an exact elimination on the a + b + c index
+    system.
+    """
+    a, b, c = t.dims
+    cells = t._cells
+    p = None if t.field.is_q else t.field.p
+    flip = None
+    for (i, j, k), v in cells.items():
+        u = cells.get((a - 1 - i, b - 1 - j, c - 1 - k))
+        f = u != v  # over F_2, where -v is v, only a missing entry flips
+        if f and u != (-v if p is None else p - v) or flip not in (None, f):
+            return None
+        flip = f
+    if flip is None:
+        return None
+    # Unknown A_i is i, B_j is a + j, C_k is a + b + k.  pivots maps each
+    # pivot unknown to its value as a combination of free unknowns, kept
+    # fully reduced: no pivot unknown occurs on a right-hand side.
+    pivots: dict[int, dict[int, Fraction]] = {}
+    used: set[int] = set()
+    for i, j, k in cells:
+        eq: dict[int, Fraction] = {}
+        for x, coef in ((i, 1), (a + j, -1), (a + b + k, -1)):
+            used.add(x)
+            for y, d in pivots.get(x, {x: 1}).items():
+                eq[y] = eq.get(y, 0) + coef * d
+        eq = {y: d for y, d in eq.items() if d}
+        if not eq:
+            continue
+        x = min(eq)
+        lead = eq.pop(x)
+        expr = {y: -Fraction(d) / lead for y, d in eq.items()}
+        for row in pivots.values():
+            d = row.pop(x, 0)
+            if d:
+                for y, e in expr.items():
+                    s = row.get(y, 0) + d * e
+                    if s:
+                        row[y] = s
+                    else:
+                        row.pop(y, None)
+        pivots[x] = expr
+    # One kernel vector per free unknown f: 1 at f, and at each pivot its
+    # coefficient of f; scaled by the lcm of those denominators.
+    free = sorted(used - pivots.keys())
+    basis = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        vec.update((x, row[f]) for x, row in pivots.items() if f in row)
+        scale = 1
+        for d in vec.values():
+            scale = scale * d.denominator // gcd(scale, d.denominator)
+        basis.append({x: int(d * scale) for x, d in vec.items()})
+    top = max((abs(d) for vec in basis for d in vec.values()), default=0)
+    radix = 2 * (a + 3) * top + 1
+    weight = dict.fromkeys(used, 0)
+    for digit, vec in enumerate(basis):
+        place = radix ** digit
+        for x, d in vec.items():
+            weight[x] += d * place
+    for i, j, k in cells:
+        if weight[i] != weight[a + j] + weight[a + b + k]:
+            return None
+    return ({x: w for x, w in weight.items() if x < a},
+            {x - a: w for x, w in weight.items() if a <= x < a + b})
 
 
 def rank_one_tensor(u, v, w, field: FieldTag | None = None) -> Tensor3:

@@ -415,7 +415,8 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
-    assert err.splitlines()[1:] == ["exact-Q: 37 classes, 28 settled mod 2, 0 mod p, 9 fell back",
+    assert err.splitlines()[1:] == ["exact-Q: 23 classes, 18 settled mod 2, 0 mod p, 5 fell back",
+                                    "mirror: 61 weight pairs, 4 fixed, nnz 1020 of 1890",
                                     "summands: 3 in 1 class"]
     # Telemetry only: the certificate is that of a quiet run.
     code, quiet, _ = run(capsys, *argv, "--field", "q")

@@ -63,9 +63,9 @@ def test_summand_rank_over_a_prime_field_tensor():
 def test_one_representative_is_flattened_per_class(monkeypatch):
     shapes = []
 
-    def counting(t, p):
+    def counting(t, p, **options):
         shapes.append(t.dims)
-        return koszul_flattening(t, p)
+        return koszul_flattening(t, p, **options)
 
     monkeypatch.setattr(bounds, "koszul_flattening", counting)
     fr = flattening_rank(matmul_tensor(2, 2, 3), 1)
