@@ -15,6 +15,7 @@ otherwise, a tensor over Q is ranked over exact Q and one over F_p mod p.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -30,10 +31,11 @@ from .exterior import (
     check_wedge_power,
     classical_tensor,
     koszul_flattening,
+    koszul_weight_spaces,
     redundancy_cap,
 )
 from .rank_engine import ExactQ, MultiPrime, RankResult, rank_certified
-from .tensor import Tensor3, direct_summands, tensor_to_json
+from .tensor import Tensor3, direct_summands, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
 SOUND_EXACT_FP = "exact-Fp"
@@ -131,19 +133,20 @@ class FlatteningRank:
     one representative each was flattened and ranked.  soundness is the
     certificate label the rank earns (`_soundness`).  rank_ms is the time
     of the rank passes alone, split_ms that of splitting the flattened
-    matrices into classes of identical blocks (`SparseMatrix._block_classes`)
-    before them; neither counts the flattening itself.  block_classes
-    counts the classes of identical blocks ranked over all representatives,
-    unsettled those that no prime brought to full rank (`RankResult`):
-    under ExactQ, the ones fraction-free elimination ranked, and
-    settled_mod_2 those that the ExactQ pass over F_2 brought to full rank.
-    mirror_pairs and mirror_fixed count the weight spaces of the
-    representatives that were flattened by mirror pairs (see
-    `koszul_flattening`): pairs of which one space was flattened, and
-    spaces that are their own mirror.  nnz_written counts the entries
-    written, each representative's as often as nnz counts it, out of
-    nnz_whole, the nnz of the whole flattening they stand for (nnz itself,
-    except that `bound_classical` sums both over its three flattenings).
+    weight spaces into row blocks and keying them, and flatten_ms the rest
+    of the work on the representatives: the grading, the insertion tables,
+    and writing and validating the weight spaces.  block_classes counts the
+    classes of identical blocks ranked over all representatives, unsettled
+    those that no prime brought to full rank (`RankResult`): under ExactQ,
+    the ones fraction-free elimination ranked, and settled_mod_2 those that
+    the ExactQ pass over F_2 brought to full rank.  mirror_pairs and
+    mirror_fixed count the weight spaces of the representatives that were
+    flattened by mirror pairs (see `koszul_weight_spaces`): pairs of which
+    one space was flattened, and spaces that are their own mirror.
+    nnz_written counts the entries written, each representative's as often
+    as nnz counts it, out of nnz_whole, the nnz of the whole flattening
+    they stand for (nnz itself, except that `bound_classical` sums both
+    over its three flattenings).
     """
 
     rows: int
@@ -156,6 +159,7 @@ class FlatteningRank:
     classes: int
     rank_ms: float
     split_ms: float
+    flatten_ms: float
     block_classes: int
     unsettled: int
     settled_mod_2: int
@@ -168,19 +172,24 @@ class FlatteningRank:
 def flattening_rank(t: Tensor3, p: int,
                     strategy: MultiPrime | ExactQ | None = None) -> FlatteningRank:
     """Rank of the p-th wedge flattening of t, one direct summand at a time,
-    and one weight space of each mirror pair.
+    one weight space at a time, and one weight space of each mirror pair.
 
     The flattening of a direct sum whose summands share the first factor is
     block diagonal, one block per summand, so its rank is the sum of count *
     rank over the groups of equal summands (`direct_summands`); each group's
     representative is flattened and ranked once.  A representative that is
-    symmetric under the reversal of all three factors is flattened by
-    `koszul_flattening` with mirror: the columns of the lower weight of
-    each mirror pair, whose rank counts twice since the reversal maps them
-    onto their mirror by a signed permutation, and the columns of
-    self-mirror weight, counted once; any other representative is flattened
-    whole.  The strategy defaults to exact rank over t's field: ExactQ over
-    Q, its prime over F_p.
+    symmetric under the reversal of all three factors is graded
+    (`mirror_grading`), and its flattening is block diagonal over the
+    weights (`koszul_weight_spaces`): each part is ranked as a stream of
+    its weight spaces, so that only one space is held at a time, the part
+    of the lower weight of each mirror pair counting twice, since the
+    reversal maps it onto its mirror by a signed permutation, and the part
+    of self-mirror weight once.  Any other representative is one weight
+    space, its whole flattening (`koszul_flattening`).
+    The strategy defaults to exact rank over t's field: ExactQ over Q, its
+    prime over F_p.  The cyclic garbage collector is paused meanwhile: the
+    flattening and the rank passes create no reference cycles, and it would
+    only rescan their many live containers.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
@@ -194,32 +203,39 @@ def flattening_rank(t: Tensor3, p: int,
     summands = direct_summands(t)
     rank = nnz = block_classes = unsettled = settled_mod_2 = 0
     pairs = fixed = written = 0
-    rank_ms = split_ms = 0.0
-    with warnings.catch_warnings():
-        # check_wedge_power above has warned once for every summand.
-        warnings.simplefilter("ignore", WedgeRangeWarning)
-        for summand, count in summands:
-            km = koszul_flattening(summand, p, mirror=True)
-            pairs += km.pairs
-            fixed += km.fixed
-            for matrix, copies in km.parts:
+    rank_ms = split_ms = total_ms = 0.0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            # check_wedge_power above has warned once for every summand.
+            warnings.simplefilter("ignore", WedgeRangeWarning)
+            for summand, count in summands:
                 t0 = time.perf_counter()
-                matrix._block_classes()  # cached for the rank passes
-                t1 = time.perf_counter()
-                res = rank_certified(matrix, strat)
-                split_ms += (t1 - t0) * 1000.0
-                rank_ms += (time.perf_counter() - t1) * 1000.0
-                rank += count * copies * res.rank
-                nnz += count * copies * matrix.nnz
-                written += count * matrix.nnz
-                block_classes += res.classes
-                unsettled += res.unsettled
-                settled_mod_2 += res.settled_mod_2
+                grading = mirror_grading(summand)
+                spaces = (koszul_flattening(summand, p) if grading is None
+                          else koszul_weight_spaces(summand, p, grading))
+                pairs += spaces.pairs
+                fixed += spaces.fixed
+                for part, copies in spaces.parts:
+                    res = rank_certified(part, strat)
+                    split_ms += res.split_ms
+                    rank_ms += res.rank_ms
+                    rank += count * copies * res.rank
+                    nnz += count * copies * part.nnz
+                    written += count * part.nnz
+                    block_classes += res.classes
+                    unsettled += res.unsettled
+                    settled_mod_2 += res.settled_mod_2
+                total_ms += (time.perf_counter() - t0) * 1000.0
+    finally:
+        if collecting:
+            gc.enable()
     # Every summand is over t's field, so each earns the last one's label.
     return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
                           sum(count for _, count in summands), len(summands),
-                          rank_ms, split_ms, block_classes, unsettled, settled_mod_2,
-                          pairs, fixed, written, nnz)
+                          rank_ms, split_ms, total_ms - rank_ms - split_ms, block_classes,
+                          unsettled, settled_mod_2, pairs, fixed, written, nnz)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -252,8 +268,8 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
-    summed = ("rank_ms", "split_ms", "block_classes", "unsettled", "settled_mod_2",
-              "mirror_pairs", "mirror_fixed", "nnz_written", "nnz_whole")
+    summed = ("rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
+              "settled_mod_2", "mirror_pairs", "mirror_fixed", "nnz_written", "nnz_whole")
     return _certificate("classical", descriptor, replace(
         best, **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 

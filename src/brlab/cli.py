@@ -147,7 +147,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 def _rank_notes(args: argparse.Namespace, cert) -> None:
     fr = cert.flattening
     _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
-                f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms)")
+                f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms, "
+                f"flatten {fr.flatten_ms:.1f} ms)")
     if cert.soundness == SOUND_EXACT_Q:
         n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
         _note(args, f"exact-Q: {n} class{'' if n == 1 else 'es'}, {f2} settled mod 2, "

@@ -2,10 +2,14 @@
 
 Basis vectors of the p-th exterior power of the first tensor factor are
 labeled by strictly increasing index subsets, enumerated in
-*colexicographic* order.  `koszul_flattening` computes, for each first-factor
-index that occurs in the tensor, an insertion table of subset positions, so
-each tensor entry is spread over its cells without any subset search and
-the tables follow the entries, not the declared dimension.
+*colexicographic* order.  For each first-factor index that occurs in the
+tensor, an insertion table of subset positions spreads each tensor entry
+over its cells without any subset search, so the tables follow the
+entries, not the declared dimension.  The tables are flat machine-integer
+arrays, grouped by the weight of the subset under a grading of the tensor,
+so that the cells of one weight space of the flattening are written alone:
+`koszul_weight_spaces` streams them one weight at a time, and
+`koszul_flattening` assembles the same weight spaces into whole matrices.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -15,8 +19,10 @@ ranks, but certificates must be bit-reproducible, so this one is fixed.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from math import comb
 
 from .errors import InvalidDimension
@@ -130,57 +136,89 @@ def _mirror_map(subset_pairs, wb: dict[int, int], b: int) -> dict[int, int] | No
     return sigma
 
 
-def koszul_flattening(t: Tensor3, p: int, mirror: bool = False) -> KoszulMatrix:
-    """Flatten t against p-fold wedges of the first factor.
+class WeightSpaces:
+    """One part of a wedge flattening, as a stream of its weight spaces.
 
-    For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
-    value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
-    c*C(a, p+1) rows by b*C(a, p) columns.
+    Iterating it writes the cells of one weight at a time into a
+    `SparseMatrix` of the flattening's full shape and yields that matrix,
+    which no other reference holds; nnz counts the entries written by the
+    last iteration.  The flattening is block diagonal over the weights (see
+    `koszul_weight_spaces`), so each yielded matrix is a union of row blocks
+    of the whole one.  `cells` writes every weight in turn, for a caller
+    that assembles the part.
+    """
 
-    With mirror set, a tensor that `mirror_grading` finds symmetric under
-    the reversal rho is flattened by halves.  Column (j, S) gets the weight
-    w = wB(j) + sum wA(S), and the grading makes the flattening block
-    diagonal over w: the entry's row (k, S u {i}) has weight sum wA(S u {i})
-    - wC(k) = w.  Its mirror weight w' is the weight of the column rho(j,
-    S) = (b-1-j, {a-1-s}).  Reversing the first factor changes sign(i, S)
-    by (-1)^p, so the flattening takes the cell at (rho(row), rho(col)) to
-    +-1 times the cell at (row, col), one sign for all cells.  When w'
-    is one value sigma(w) on every column of weight w, rho therefore maps
-    the block of weight w onto that of weight sigma(w) by a signed row and
-    column permutation, and the two blocks have equal ranks over every
-    field.  Only the columns with w < sigma(w) (`paired`, to be counted
-    twice) and with w = sigma(w) (`matrix`, counted once) are written; the
-    others are their mirror images.  The tensor is flattened whole, into
-    `matrix` alone, when it is not symmetric, when sigma is not a function
-    of w, or when every column is its own mirror weight.
+    def __init__(self, rows: int, cols: int, field, weights: list[int], write):
+        self.rows, self.cols, self.field = rows, cols, field
+        self.weights = weights
+        self._write = write
+        self.nnz = 0
+
+    def _counted(self, m: SparseMatrix) -> SparseMatrix:
+        self.nnz += m.nnz
+        return m
+
+    def __iter__(self):
+        self.nnz = 0
+        for w in self.weights:
+            yield self._counted(SparseMatrix(self.rows, self.cols, self._write(w), self.field))
+
+    def cells(self):
+        return chain.from_iterable(map(self._write, self.weights))
+
+
+@dataclass(frozen=True)
+class KoszulWeightSpaces:
+    """A wedge flattening as parts whose ranks add up with multiplicities:
+    (WeightSpaces, count) pairs, the mirror pair and fixed-weight counts as
+    in `KoszulMatrix`."""
+
+    parts: tuple[tuple[WeightSpaces, int], ...]
+    pairs: int
+    fixed: int
+
+
+def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, collect: bool):
+    """Insertion tables of the first-factor indices that occur in t, grouped
+    by the weight sum wA(S) of the p-subset S (all 0 when wa is None).
+
+    Returns (used, bucket, rows_of, cols_of, offsets, subset_pairs).  For the
+    x-th used index i, rows_of[x] and cols_of[x] hold one cell per p-subset
+    S avoiding i: the row offset c*colex(S u {i}), bitwise negated when the
+    wedge sign is -1, and the column offset b*colex(S).  The cells run over
+    the subsets grouped by weight, in colex order within a weight, and those
+    of the g-th weight (bucket[u] = g) lie in offsets[x][g]:offsets[x][g+1].
+    With collect, subset_pairs holds the distinct (sum wA(S), sum wA(rho S)).
     """
     a, b, c = t.dims
-    check_wedge_power(a, p)
-    grading = mirror_grading(t) if mirror else None
-
-    # Insertion table for each first-factor index i that occurs in an entry:
-    # (column subset position, row subset position, sign) per p-subset S
-    # avoiding i, in colex order of S.  The colex position of a subset
-    # s_0 < s_1 < ... is sum_j C(s_j, j+1).  Inserting i at place pos keeps
-    # the terms below pos (low), adds C(i, pos+1), and moves each term from
-    # pos on one place up (high), so no table of (p+1)-subsets is built.
-    # Under a grading, subset position q also records sum wA(S) in key[q],
-    # and the distinct (sum wA(S), sum wA(rho S)) pairs are collected.
     used = sorted({i for i, _, _ in t._cells})
-    inserts: dict[int, list[tuple[int, int, int]]] = {i: [] for i in used}
-    key, subset_pairs = [], set()
-    if grading is not None:
-        # At p = 0 the one subset is empty: no A weight is read, and a may
-        # be far larger than any table.
-        wa = [grading[0].get(x, 0) for x in range(a)] if p else []
+    # Flat machine-integer arrays, unless the shape overflows them (a first
+    # factor far larger than any table, say).
+    fits = max(c * comb(a, p + 1), b * comb(a, p)) < 1 << 63
+    new = partial(array, "q") if fits else list
+    rows_of, cols_of, offsets = ([new() for _ in used] for _ in range(3))
+    if wa is None:
+        subsets = ((0, q, s) for q, s in enumerate(_colex_tuples(a, p)))
+    else:
+        # Grouped by weight; ties keep colex order.
+        subsets = sorted((sum(map(wa.__getitem__, s)), q, s)
+                         for q, s in enumerate(_colex_tuples(a, p)))
         wa_rho = wa[::-1]
-    for q, s in enumerate(_colex_tuples(a, p)):
-        if grading is not None:
-            w = sum(map(wa.__getitem__, s))
-            key.append(w)
-            subset_pairs.add((w, sum(map(wa_rho.__getitem__, s))))
+    bucket, subset_pairs = {}, set()
+    # The colex position of a subset s_0 < s_1 < ... is sum_j C(s_j, j+1).
+    # Inserting i at place pos keeps the terms below pos (low), adds
+    # C(i, pos+1), and moves each term from pos on one place up (high), so
+    # no table of (p+1)-subsets is built.
+    for u, q, s in subsets:
+        if u not in bucket:
+            bucket[u] = len(bucket)
+            for off, rows in zip(offsets, rows_of):
+                off.append(len(rows))
+        if collect:
+            subset_pairs.add((u, 0 if wa is None else sum(map(wa_rho.__getitem__, s))))
+        col = q * b
         low, high, pos = 0, sum(comb(x, j + 2) for j, x in enumerate(s)), 0
-        for i in used:
+        for i, rows, cols in zip(used, rows_of, cols_of):
             while pos < p and s[pos] < i:
                 x = s[pos]
                 low += comb(x, pos + 1)
@@ -188,47 +226,108 @@ def koszul_flattening(t: Tensor3, p: int, mirror: bool = False) -> KoszulMatrix:
                 pos += 1
             if pos < p and s[pos] == i:
                 continue
-            inserts[i].append((q, low + comb(i, pos + 1) + high, -1 if pos % 2 else 1))
+            row = (low + comb(i, pos + 1) + high) * c
+            rows.append(~row if pos % 2 else row)
+            cols.append(col)
+    for off, rows in zip(offsets, rows_of):
+        off.append(len(rows))
+    return used, bucket, rows_of, cols_of, offsets, subset_pairs
 
-    # counts maps each column weight to 2 (w < sigma(w)), 1 (w = sigma(w))
-    # or 0 (w > sigma(w)), over the columns whose second index occurs in an
-    # entry; the others are empty.  Unsplit, every column has weight 0 and
-    # counts once.
-    counts, wb, groups = {0: 1}, {}, {i: {0: cells} for i, cells in inserts.items()}
-    sigma = _mirror_map(subset_pairs, grading[1], b) if grading is not None else None
-    if sigma is not None and any(w != m for w, m in sigma.items()):
-        counts = {w: 2 if w < m else int(w == m) for w, m in sigma.items()}
-        wb = grading[1]
-        # Each table split by sum wA(S): one weight lookup per entry and
-        # group then picks the cells of one part.
-        for i, cells in inserts.items():
-            groups[i] = by_key = {}
-            for cell in cells:
-                by_key.setdefault(key[cell[0]], []).append(cell)
-    del inserts  # the flat tables of a split flattening are garbage now
-    pairs = sum(n == 2 for n in counts.values())
-    fixed = sum(n == 1 for n in counts.values()) if pairs else 0
+
+def _weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
+    """The parts of the p-th wedge flattening of t under a mirror grading,
+    or as one weight space when grading is None (see
+    `koszul_weight_spaces`)."""
+    a, b, c = t.dims
+    wb = grading[1] if grading is not None else {}
+    # At p = 0 the one subset is empty: no A weight is read, and a may be
+    # far larger than any table.
+    wa = [grading[0].get(x, 0) for x in range(a)] if grading is not None and p else None
+    used, bucket, rows_of, cols_of, offsets, subset_pairs = _insertion_tables(
+        t, p, wa, grading is not None)
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
     # holds +-v: nothing accumulates and no stored zero can arise.
     # SparseMatrix still rejects duplicates, so a broken table fails loudly.
-    # The entries stream into it: no list of them is ever held.
+    # Each weight's cells are written entry by entry in storage order, and
+    # each entry's in colex order of S, so every row keeps its entries in
+    # the order of the tensor's.
     p_mod = None if t.field.is_q else t.field.p
+    index = {i: x for x, i in enumerate(used)}
+    entries = [(index[i], j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
+               for (i, j, k), v in t._cells.items()]
 
-    def entries(part: int):
-        for (i, j, k), v in t._cells.items():
-            neg_v = -v if p_mod is None else p_mod - v
-            wj = wb.get(j, 0)
-            for w, cells in groups[i].items():
-                if counts[wj + w] == part:
-                    for qcol, qrow, sign in cells:
-                        yield qrow * c + k, qcol * b + j, v if sign > 0 else neg_v
+    def write(w: int):
+        for x, j, k, v, neg_v, wj in entries:
+            g = bucket.get(w - wj)
+            if g is None:
+                continue
+            off = offsets[x]
+            start, stop = off[g], off[g + 1]
+            for row, col in zip(rows_of[x][start:stop], cols_of[x][start:stop]):
+                if row >= 0:
+                    yield row + k, col + j, v
+                else:
+                    yield ~row + k, col + j, neg_v
 
+    weights = sorted({u + wj for u in bucket for wj in set(wb.values()) or (0,)})
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
-    paired = SparseMatrix(rows, cols, entries(2), t.field) if pairs else None
-    matrix = SparseMatrix(rows, cols, entries(1), t.field)
-    return KoszulMatrix(matrix, a, b, c, p, paired, pairs, fixed)
+    sigma = _mirror_map(subset_pairs, wb, b) if grading is not None else None
+    if sigma is None or all(w == m for w, m in sigma.items()):
+        return KoszulWeightSpaces(((WeightSpaces(rows, cols, t.field, weights, write), 1),), 0, 0)
+    paired = [w for w in weights if w < sigma[w]]
+    fixed = [w for w in weights if w == sigma[w]]
+    return KoszulWeightSpaces(((WeightSpaces(rows, cols, t.field, paired, write), 2),
+                               (WeightSpaces(rows, cols, t.field, fixed, write), 1)),
+                              len(paired), len(fixed))
+
+
+def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
+    """The p-th wedge flattening of t as parts of weight spaces, written one
+    weight at a time when each part is iterated; grading is
+    `mirror_grading(t)`, which must not be None.
+
+    The cells are those of `koszul_flattening`.  Column (j, S) gets the
+    weight w = wB(j) + sum wA(S), and the grading makes the flattening
+    block diagonal over w: the entry's row (k, S u {i}) has weight
+    sum wA(S u {i}) - wC(k) = w.  Its mirror weight w' is the weight of the
+    column rho(j, S) = (b-1-j, {a-1-s}).  Reversing the first factor changes
+    sign(i, S) by (-1)^p, so the flattening takes the cell at (rho(row),
+    rho(col)) to +-1 times the cell at (row, col), one sign for all cells.
+    When w' is one value sigma(w) on every column of weight w, rho
+    therefore maps the block of weight w onto that of weight sigma(w) by a
+    signed row and column permutation, and the two blocks have equal ranks
+    over every field.  The parts are then the weights w < sigma(w), to be
+    counted twice, and w = sigma(w), counted once; the others are their
+    mirror images and are never written.  When sigma is not a function of
+    w, or every weight is its own mirror, the one part holds every weight,
+    counted once.
+    """
+    check_wedge_power(t.dims[0], p)
+    return _weight_spaces(t, p, grading)
+
+
+def koszul_flattening(t: Tensor3, p: int, mirror: bool = False) -> KoszulMatrix:
+    """Flatten t against p-fold wedges of the first factor.
+
+    For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
+    value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
+    c*C(a, p+1) rows by b*C(a, p) columns.
+
+    With mirror set and a grading from `mirror_grading`, each part of
+    `koszul_weight_spaces` is assembled into one matrix, weight after
+    weight: when t splits by mirror pairs, paired holds the weights to be
+    counted twice and matrix those counted once.  Otherwise matrix is the
+    whole flattening, written as one weight space.
+    """
+    a, b, c = t.dims
+    check_wedge_power(a, p)
+    spaces = _weight_spaces(t, p, mirror_grading(t) if mirror else None)
+    built = [SparseMatrix(part.rows, part.cols, part.cells(), t.field)
+             for part, _ in spaces.parts]
+    return KoszulMatrix(built[-1], a, b, c, p, built[0] if len(built) == 2 else None,
+                        spaces.pairs, spaces.fixed)
 
 
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:

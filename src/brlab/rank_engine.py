@@ -5,21 +5,26 @@ matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
 (possibly loose) input to a lower-bound certificate, while an exact-Q rank
 is tight for the matrix at hand.
 
-A `SparseMatrix` holds one form from construction to elimination: a
+A `SparseMatrix` holds one form from construction to splitting: a
 {col: value} map per nonempty row, filled in one validating pass that may
 read its entries from a generator.  Sparse ranks run per row block: a
 matrix that is block diagonal after a row and column permutation has the
 sum of its blocks' ranks.  The split is made on the exact entries and
 stays valid mod every prime, since reduction mod p can only make entries
-vanish, never create new ones.  Blocks that are identical up to a column
-relabelling (checked entry by entry, never by hash alone) are ranked once
-and their rank is multiplied by their count.  That is exact over every
-field: equal exact entries reduce to equal values mod p, so the copies
-have equal ranks mod every prime too.  The flattenings of matrix
-multiplication repeat blocks heavily, so most of their blocks are never
-eliminated.  (The l identical copies that the third index gives are split
-off earlier, on the tensor, by `tensor.direct_summands`, and of each pair
-of mirror blocks only one is built, by `exterior.koszul_flattening`.)
+vanish, never create new ones.  A rank pass takes one matrix, or a stream
+of matrices that together make up one block diagonal matrix (the weight
+spaces of `exterior.koszul_weight_spaces`); each is split into blocks and
+dropped, so that only one is held at a time.  Blocks that are identical up
+to a column relabelling (checked entry by entry, never by hash alone) form
+one class in a table shared by the whole stream: a class is ranked when
+first seen, from its content key, and each later copy adds that rank.
+That is exact over every field: equal exact entries reduce to equal values
+mod p, so the copies have equal ranks mod every prime too.  The
+flattenings of matrix multiplication repeat blocks heavily, so most of
+their blocks are never eliminated.  (The l identical copies that the third
+index gives are split off earlier, on the tensor, by
+`tensor.direct_summands`, and of each pair of mirror weight spaces only
+one is written, by `exterior.koszul_weight_spaces`.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
@@ -39,6 +44,7 @@ identical results.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -55,12 +61,9 @@ class SparseMatrix:
     `FieldTag.coerce`).  One pass over the entries validates them (range,
     duplicate coordinates, stored zeros) and records the entry count and
     whether every entry is an integer, so rank passes never rescan values.
-    The grouping of identical row blocks into classes is computed on first
-    use and shared by every rank pass over the matrix; every rank pass
-    eliminates one representative per class.
     """
 
-    __slots__ = ("rows", "cols", "field", "nnz", "_rows", "_integral", "_classes")
+    __slots__ = ("rows", "cols", "field", "nnz", "_rows", "_integral")
 
     def __init__(self, rows: int, cols: int, entries, field: FieldTag):
         if rows < 0 or cols < 0:
@@ -89,7 +92,6 @@ class SparseMatrix:
         self.nnz = sum(map(len, row_maps.values()))
         self._rows = row_maps
         self._integral = integral or not field.is_q
-        self._classes = None
 
     def items(self) -> list[tuple[int, int, object]]:
         """Entries as (row, col, value) triples sorted by (row, col)."""
@@ -110,9 +112,9 @@ class SparseMatrix:
         """True when every entry is an integer (stored as int over Q)."""
         return self._integral
 
-    def _block_classes(self) -> list[tuple[tuple, int, int]]:
-        """Identical row blocks grouped by content, as (block, count, columns)
-        triples, columns being the number of distinct columns of the block.
+    def _block_keys(self) -> list[tuple[tuple, int]]:
+        """(content key, distinct columns) of each row block, in order of
+        the block's smallest row.
 
         A row block is a connected component of the row/column graph of the
         nonzero entries: the matrix is block diagonal over these after a row
@@ -120,21 +122,15 @@ class SparseMatrix:
         Entries only vanish under reduction mod p, so the split stays valid
         for every prime.
 
-        Blocks fall in one class only when their content keys are equal.  A
-        key lists the block's rows in increasing order: the entry count of
+        A key lists the block's rows in increasing order: the entry count of
         each row, then every entry's column relabelled in order of first
         appearance in the block, then every value.  Equal keys mean equal
         blocks up to a column permutation, hence equal ranks over every
-        field (equal exact values also reduce to equal values mod p).  Keys
-        are compared by full tuple equality, entry by entry, so a hash
-        collision cannot merge different blocks.  Each class keeps its first
-        block as the representative, as a tuple of rows of (local column,
-        value) pairs.  Classes come out in order of their first block, that
-        is of the block's smallest row index, so the grouping is
-        deterministic.
+        field (equal exact values also reduce to equal values mod p).  The
+        rank loop compares keys by full tuple equality, entry by entry, so a
+        hash collision cannot merge different blocks, and ranks each class
+        from its key, which holds the block (`_rows`).
         """
-        if self._classes is not None:
-            return self._classes
         rows = self._rows
         # The nonempty rows in increasing order, numbered 0..R-1, are the
         # union-find nodes, so time and memory follow nnz, not the declared
@@ -166,7 +162,7 @@ class SparseMatrix:
             while parent[root] != root:
                 root = parent[root]
             groups.setdefault(root, []).append(r)
-        classes: dict[tuple, list] = {}
+        keys = []
         for block in groups.values():
             cols, vals, lens = [], [], []
             for r in block:
@@ -175,18 +171,9 @@ class SparseMatrix:
                 vals += row.values()
                 lens.append(len(row))
             labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
-            key = (tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals))
-            cls = classes.get(key)
-            if cls is None:
-                local, rep, i = key[1], [], 0
-                for k in lens:
-                    rep.append(tuple(zip(local[i:i + k], vals[i:i + k])))
-                    i += k
-                classes[key] = [tuple(rep), 1, len(labels)]
-            else:
-                cls[1] += 1
-        self._classes = [tuple(cls) for cls in classes.values()]
-        return self._classes
+            keys.append(((tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals)),
+                         len(labels)))
+        return keys
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -207,7 +194,11 @@ class RankResult:
     prime tried; under exact Q these are the classes that fraction-free
     elimination ranked.  settled_mod_2 counts the classes that the exact-Q
     pass over F_2 brought to full rank (always 0 for the other strategies);
-    the remaining classes were settled mod a prime.
+    the remaining classes were settled mod a prime.  split_ms is the time
+    spent splitting the matrices into row blocks and keying them, rank_ms
+    that of the rank passes over the class representatives; neither counts
+    the writing of a streamed matrix, and results that differ only in them
+    compare equal.
     """
 
     rank: int
@@ -215,6 +206,8 @@ class RankResult:
     classes: int
     unsettled: int
     settled_mod_2: int
+    split_ms: float = field(compare=False)
+    rank_ms: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -318,9 +311,20 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 # public rank operations
 # ---------------------------------------------------------------------------
 
+def _rows(key: tuple):
+    """The rows of a block given by its content key
+    (`SparseMatrix._block_keys`), each as an iterator of (local column,
+    value) pairs."""
+    lens, cols, vals = key
+    i = 0
+    for k in lens:
+        yield zip(cols[i:i + k], vals[i:i + k])
+        i += k
+
+
 def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
-    """Fresh row dicts of a class representative (rows of (col, value)
-    pairs), reduced mod p."""
+    """Fresh row dicts of a block (rows of (col, value) pairs), reduced mod
+    p."""
     p = tag.p
     rows = []
     for row in block:
@@ -333,21 +337,21 @@ def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
     return rows
 
 
-def _block_integral(block: tuple) -> list[tuple]:
-    """A class representative over Q with each row scaled by the lcm of its
-    denominators (rank-preserving); integer rows are kept as they are."""
-    rows = []
-    for row in block:
+def _block_integral(key: tuple) -> tuple:
+    """The content key of a block over Q with each row scaled by the lcm of
+    its denominators (rank-preserving); integer rows keep their values."""
+    lens, cols, vals = key
+    scaled, i = [], 0
+    for k in lens:
+        row = vals[i:i + k]
+        i += k
         d = 1
-        for _, v in row:
+        for v in row:
             if type(v) is not int:
                 d = d * v.denominator // gcd(d, v.denominator)
-        if d == 1:
-            rows.append(row)
-        else:
-            rows.append(tuple((c, v * d if type(v) is int else v.numerator * (d // v.denominator))
-                              for c, v in row))
-    return rows
+        scaled += row if d == 1 else [
+            v * d if type(v) is int else v.numerator * (d // v.denominator) for v in row]
+    return lens, cols, tuple(scaled)
 
 
 def _rank_f2(block, full: int) -> int:
@@ -377,50 +381,75 @@ def _rank_f2(block, full: int) -> int:
     return len(basis)
 
 
-def _rank_classes(m: SparseMatrix, primes: tuple[int, ...], exact: bool) -> RankResult:
-    """The one rank loop.  Each class of identical blocks is ranked mod the
-    primes in turn, keeps its max, and stops at the first prime that reaches
-    min(block rows, block columns).  For an integer block rank_p <= rank_Q
-    <= min(rows, cols), so such a class is settled: no prime can raise it.
-    For each prime the matrix's rank is the sum of its class ranks, so the
-    sum of per-class maxes is a sound lower bound on the Q-rank, and never
-    below the whole matrix's max over the primes.  When exact, each class is
-    scaled integral row by row (rank-preserving) and first ranked over F_2;
+def _rank_classes(m, primes: tuple[int, ...], exact: bool,
+                  integer_only: bool = False) -> RankResult:
+    """The one rank loop, over a SparseMatrix or a stream of them that make
+    up one block diagonal matrix (`exterior.WeightSpaces`).
+
+    Each matrix is split into row blocks and dropped; blocks with equal
+    content keys form one class in a table shared by the whole stream, and
+    a class is ranked when first seen, after which only its key and rank
+    are kept.  Each class is ranked mod the primes in turn, keeps its max,
+    and stops at the first prime that reaches min(block rows, block
+    columns).  For an integer block rank_p <= rank_Q <= min(rows, cols), so
+    such a class is settled: no prime can raise it.  For each prime the
+    matrix's rank is the sum of its class ranks, so the sum of per-class
+    maxes is a sound lower bound on the Q-rank, and never below the whole
+    matrix's max over the primes.  When exact, each class is scaled
+    integral row by row (rank-preserving) and first ranked over F_2;
     reduction Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a
     class of full rank mod 2 is settled with no prime.  Any other class
     runs the primes, and one that stays unsettled is ranked by
-    fraction-free elimination.
+    fraction-free elimination.  With integer_only, a matrix with a
+    non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
     for tag in tags:
         if not m.field.is_q and tag != m.field:
             raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
+    ranks: dict[tuple, int] = {}  # content key -> rank of its class
     rank = unsettled = settled_mod_2 = 0
-    classes = m._block_classes()
-    scale = exact and not m.is_integral()
-    for block, count, ncols in classes:
-        if scale:
-            block = _block_integral(block)
-        full = min(len(block), ncols)
-        if exact and _rank_f2(block, full) == full:
-            settled_mod_2 += 1
-            rank += count * full
-            continue
-        best = 0
-        for tag in tags:
-            best = max(best, _eliminate(_block_mod_p(block, tag), tag.p))
-            if best == full:
-                break
-        else:  # no prime reached full rank
-            unsettled += 1
-            if exact:
-                best = _eliminate([dict(row) for row in block], None)
-        rank += count * best
-    return RankResult(rank, m.field.is_q and (exact or m.is_integral()),
-                      len(classes), unsettled, settled_mod_2)
+    split_s = rank_s = 0.0
+    integral = True
+    for space in (m,) if isinstance(m, SparseMatrix) else m:
+        if not space.is_integral():
+            if integer_only:
+                raise BadPrime("MultiPrime certification requires integer entries")
+            integral = False
+        scale = exact and not space.is_integral()
+        t0 = time.perf_counter()
+        keys = space._block_keys()
+        split_s += time.perf_counter() - t0
+        del space  # only the keys are ranked
+        for key, ncols in keys:
+            r = ranks.get(key)
+            if r is not None:
+                rank += r
+                continue
+            t0 = time.perf_counter()
+            block = _block_integral(key) if scale else key
+            full = min(len(key[0]), ncols)
+            if exact and _rank_f2(_rows(block), full) == full:
+                settled_mod_2 += 1
+                r = full
+            else:
+                r = 0
+                for tag in tags:
+                    r = max(r, _eliminate(_block_mod_p(_rows(block), tag), tag.p))
+                    if r == full:
+                        break
+                else:  # no prime reached full rank
+                    unsettled += 1
+                    if exact:
+                        r = _eliminate([dict(row) for row in _rows(block)], None)
+            rank_s += time.perf_counter() - t0
+            ranks[key] = r
+            rank += r
+    return RankResult(rank, m.field.is_q and (exact or integral), len(ranks), unsettled,
+                      settled_mod_2, split_s * 1000.0, rank_s * 1000.0)
 
 
-def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
+def rank_mod_p(m, p: int) -> RankResult:
     """Exact rank over F_p, one elimination per class of identical blocks.
 
     Certified as a lower bound on the rank over Q exactly when the matrix is
@@ -430,7 +459,7 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankResult:
     return _rank_classes(m, (p,), False)
 
 
-def rank_exact_q(m: SparseMatrix) -> RankResult:
+def rank_exact_q(m) -> RankResult:
     """Exact rank over Q by the rank loop in three steps per class: the
     bit-packed rank over F_2, then a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
     (2^30 - 35) for a class that F_2 leaves short of full rank, then
@@ -443,8 +472,10 @@ def rank_exact_q(m: SparseMatrix) -> RankResult:
     return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 
 
-def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult:
-    """Rank with certified-lower-bound semantics.
+def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
+    """Rank with certified-lower-bound semantics, of a SparseMatrix or of a
+    stream of them that make up one block diagonal matrix (see
+    `_rank_classes`).
 
     MultiPrime: the rank loop over the strategy's primes, each class keeping
     its max over the primes it tried; sound for lower-bound certificates on
@@ -455,11 +486,9 @@ def rank_certified(m: SparseMatrix, strategy: MultiPrime | ExactQ) -> RankResult
         return rank_exact_q(m)
     if not isinstance(strategy, MultiPrime):
         raise TypeError(f"unknown strategy {strategy!r}")
-    if not m.is_integral():
-        raise BadPrime("MultiPrime certification requires integer entries")
     if not strategy.primes:
         raise BadPrime("empty prime list")
-    return _rank_classes(m, strategy.primes, False)
+    return _rank_classes(m, strategy.primes, False, integer_only=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ is flattened by halves, and its rank must equal that of the whole
 flattening."""
 
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import brlab.bounds as bounds
 import brlab.cli as cli
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import bound_classical, flattening_rank
-from brlab.exterior import WedgeRangeWarning, classical_tensor, koszul_flattening
+from brlab.exterior import WedgeRangeWarning, WeightSpaces, classical_tensor, koszul_flattening
 from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
 from brlab.scalars import FieldTag, certification_primes
 from brlab.tensor import Tensor3, direct_summands, matmul_tensor, mirror_grading
@@ -182,16 +183,22 @@ def test_derived_grading_holds_on_every_summand_entry(t):
 
 
 def test_split_is_timed_apart_from_the_rank(monkeypatch):
+    # Each part reaches the rank loop as a stream of weight spaces, which
+    # times its block split and its rank passes apart.
     seen = []
 
-    def rank_after_split(matrix, strategy):
-        seen.append(matrix._classes is not None)
-        return rank_certified(matrix, strategy)
+    def rank_streamed(part, strategy):
+        res = rank_certified(part, strategy)
+        seen.append((isinstance(part, WeightSpaces), res.split_ms > 0, res.rank_ms > 0))
+        return res
 
-    monkeypatch.setattr(bounds, "rank_certified", rank_after_split)
+    monkeypatch.setattr(bounds, "rank_certified", rank_streamed)
+    start = time.perf_counter()
     fr = flattening_rank(restrict_matmul(3, 3, 1), 2)
-    assert seen == [True, True]
-    assert fr.split_ms > 0 and fr.rank_ms > 0
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    assert seen == [(True, True, True), (True, True, True)]
+    assert fr.split_ms > 0 and fr.rank_ms > 0 and fr.flatten_ms > 0
+    assert fr.split_ms + fr.rank_ms + fr.flatten_ms <= elapsed_ms
 
 
 def test_bound_classical_sums_the_mirror_split():

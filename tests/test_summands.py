@@ -63,11 +63,15 @@ def test_summand_rank_over_a_prime_field_tensor():
 def test_one_representative_is_flattened_per_class(monkeypatch):
     shapes = []
 
-    def counting(t, p, **options):
-        shapes.append(t.dims)
-        return koszul_flattening(t, p, **options)
+    def counting(flatten):
+        def flatten_counted(t, p, *args):
+            shapes.append(t.dims)
+            return flatten(t, p, *args)
+        return flatten_counted
 
-    monkeypatch.setattr(bounds, "koszul_flattening", counting)
+    # A graded summand is streamed by weight, any other flattened whole.
+    for name in ("koszul_flattening", "koszul_weight_spaces"):
+        monkeypatch.setattr(bounds, name, counting(getattr(bounds, name)))
     fr = flattening_rank(matmul_tensor(2, 2, 3), 1)
     assert shapes == [(4, 2, 2)]
     assert (fr.summands, fr.classes, fr.rows, fr.cols) == (3, 1, 36, 24)
