@@ -15,7 +15,6 @@ otherwise, a tensor over Q is ranked over exact Q and one over F_p mod p.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import time
@@ -133,13 +132,14 @@ class FlatteningRank:
     one representative each was flattened and ranked.  soundness is the
     certificate label the rank earns (`_soundness`).  rank_ms is the time
     of the rank passes alone, split_ms that of splitting the flattened
-    weight spaces into row blocks and keying them, and flatten_ms the rest
-    of the work on the representatives: the grading, the insertion tables,
-    and writing and validating the weight spaces.  block_classes counts the
-    classes of identical blocks ranked over all representatives, unsettled
-    those that no prime brought to full rank (`RankResult`): under ExactQ,
-    the ones fraction-free elimination ranked, and settled_mod_2 those that
-    the ExactQ pass over F_2 brought to full rank.  mirror_pairs and
+    weight spaces into row blocks, keying them and looking the keys up in
+    the class tables, and flatten_ms the rest of the work on the
+    representatives: the grading, the insertion tables, and writing and
+    validating the weight spaces.  block_classes counts the classes of
+    identical blocks ranked over all representatives, unsettled those that
+    no prime brought to full rank (`RankResult`): under ExactQ, the ones
+    fraction-free elimination ranked, and settled_mod_2 those that the
+    ExactQ pass over F_2 brought to full rank.  mirror_pairs and
     mirror_fixed count the weight spaces of the representatives that were
     flattened by mirror pairs (see `koszul_weight_spaces`): pairs of which
     one space was flattened, and spaces that are their own mirror.
@@ -181,15 +181,14 @@ def flattening_rank(t: Tensor3, p: int,
     symmetric under the reversal of all three factors is graded
     (`mirror_grading`), and its flattening is block diagonal over the
     weights (`koszul_weight_spaces`): each part is ranked as a stream of
-    its weight spaces, so that only one space is held at a time, the part
-    of the lower weight of each mirror pair counting twice, since the
-    reversal maps it onto its mirror by a signed permutation, and the part
-    of self-mirror weight once.  Any other representative is one weight
-    space, its whole flattening (`koszul_flattening`).
+    its weight spaces, so that one space is held at a time besides the
+    part's class table (`rank_engine._rank_classes`), the part of the
+    lower weight of each mirror pair counting twice, since the reversal
+    maps it onto its mirror by a signed permutation, and the part of
+    self-mirror weight once.  Any other representative is ranked as one
+    weight space, its whole flattening (`koszul_flattening`).
     The strategy defaults to exact rank over t's field: ExactQ over Q, its
-    prime over F_p.  The cyclic garbage collector is paused meanwhile: the
-    flattening and the rank passes create no reference cycles, and it would
-    only rescan their many live containers.
+    prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
@@ -204,33 +203,34 @@ def flattening_rank(t: Tensor3, p: int,
     rank = nnz = block_classes = unsettled = settled_mod_2 = 0
     pairs = fixed = written = 0
     rank_ms = split_ms = total_ms = 0.0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with warnings.catch_warnings():
-            # check_wedge_power above has warned once for every summand.
-            warnings.simplefilter("ignore", WedgeRangeWarning)
-            for summand, count in summands:
-                t0 = time.perf_counter()
-                grading = mirror_grading(summand)
-                spaces = (koszul_flattening(summand, p) if grading is None
-                          else koszul_weight_spaces(summand, p, grading))
+    with warnings.catch_warnings():
+        # check_wedge_power above has warned once for every summand.
+        warnings.simplefilter("ignore", WedgeRangeWarning)
+        for summand, count in summands:
+            t0 = time.perf_counter()
+            grading = mirror_grading(summand)
+            if grading is None:
+                # One weight space, the whole flattening, which
+                # koszul_flattening writes: bench/tracer.py times that
+                # call, and its traced random_dense run reads the
+                # flattening time from it.
+                parts = ((koszul_flattening(summand, p).matrix, 1),)
+            else:
+                spaces = koszul_weight_spaces(summand, p, grading)
+                parts = spaces.parts
                 pairs += spaces.pairs
                 fixed += spaces.fixed
-                for part, copies in spaces.parts:
-                    res = rank_certified(part, strat)
-                    split_ms += res.split_ms
-                    rank_ms += res.rank_ms
-                    rank += count * copies * res.rank
-                    nnz += count * copies * part.nnz
-                    written += count * part.nnz
-                    block_classes += res.classes
-                    unsettled += res.unsettled
-                    settled_mod_2 += res.settled_mod_2
-                total_ms += (time.perf_counter() - t0) * 1000.0
-    finally:
-        if collecting:
-            gc.enable()
+            for part, copies in parts:
+                res = rank_certified(part, strat)
+                split_ms += res.split_ms
+                rank_ms += res.rank_ms
+                rank += count * copies * res.rank
+                nnz += count * copies * part.nnz
+                written += count * part.nnz
+                block_classes += res.classes
+                unsettled += res.unsettled
+                settled_mod_2 += res.settled_mod_2
+            total_ms += (time.perf_counter() - t0) * 1000.0
     # Every summand is over t's field, so each earns the last one's label.
     return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
                           sum(count for _, count in summands), len(summands),

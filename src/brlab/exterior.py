@@ -9,7 +9,7 @@ entries, not the declared dimension.  The tables are flat machine-integer
 arrays, grouped by the weight of the subset under a grading of the tensor,
 so that the cells of one weight space of the flattening are written alone:
 `koszul_weight_spaces` streams them one weight at a time, and
-`koszul_flattening` assembles the same weight spaces into whole matrices.
+`koszul_flattening` is its one-weight case, the whole flattening.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -22,7 +22,6 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from math import comb
 
 from .errors import InvalidDimension
@@ -51,12 +50,6 @@ class KoszulMatrix:
     colex(S)*b + j.  At p = 0 this reproduces the classical mode-B
     flattening including its row order.  The labels are built on first
     access: rank computations never read them.
-
-    A flattening split by mirror pairs (`koszul_flattening` with mirror)
-    keeps in matrix the columns of self-mirror weight and in paired those
-    of the lower weight of each mirror pair, both at their places in the
-    full shape; pairs and fixed count those weight spaces.  Otherwise
-    matrix is the whole flattening and paired is None.
     """
 
     matrix: SparseMatrix
@@ -64,17 +57,6 @@ class KoszulMatrix:
     b: int
     c: int
     p: int
-    paired: SparseMatrix | None = None
-    pairs: int = 0
-    fixed: int = 0
-
-    @property
-    def parts(self) -> tuple[tuple[SparseMatrix, int], ...]:
-        """(matrix, count) pairs: the flattening's rank is the sum of count *
-        rank over them."""
-        if self.paired is None:
-            return ((self.matrix, 1),)
-        return ((self.paired, 2), (self.matrix, 1))
 
     @property
     def rows(self) -> int:
@@ -144,8 +126,7 @@ class WeightSpaces:
     which no other reference holds; nnz counts the entries written by the
     last iteration.  The flattening is block diagonal over the weights (see
     `koszul_weight_spaces`), so each yielded matrix is a union of row blocks
-    of the whole one.  `cells` writes every weight in turn, for a caller
-    that assembles the part.
+    of the whole one.
     """
 
     def __init__(self, rows: int, cols: int, field, weights: list[int], write):
@@ -163,15 +144,13 @@ class WeightSpaces:
         for w in self.weights:
             yield self._counted(SparseMatrix(self.rows, self.cols, self._write(w), self.field))
 
-    def cells(self):
-        return chain.from_iterable(map(self._write, self.weights))
-
 
 @dataclass(frozen=True)
 class KoszulWeightSpaces:
     """A wedge flattening as parts whose ranks add up with multiplicities:
-    (WeightSpaces, count) pairs, the mirror pair and fixed-weight counts as
-    in `KoszulMatrix`."""
+    (WeightSpaces, count) pairs; pairs counts the mirror pairs of weight
+    spaces of which one was written, fixed the spaces that are their own
+    mirror (both 0 when nothing was paired)."""
 
     parts: tuple[tuple[WeightSpaces, int], ...]
     pairs: int
@@ -234,10 +213,29 @@ def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, collect: bool):
     return used, bucket, rows_of, cols_of, offsets, subset_pairs
 
 
-def _weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
-    """The parts of the p-th wedge flattening of t under a mirror grading,
-    or as one weight space when grading is None (see
-    `koszul_weight_spaces`)."""
+def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
+    """The p-th wedge flattening of t as parts of weight spaces, written one
+    weight at a time when each part is iterated; grading is
+    `mirror_grading(t)`, or None for the whole flattening as one weight
+    space.
+
+    The cells are those of `koszul_flattening`.  Column (j, S) gets the
+    weight w = wB(j) + sum wA(S), and the grading makes the flattening
+    block diagonal over w: the entry's row (k, S u {i}) has weight
+    sum wA(S u {i}) - wC(k) = w.  Its mirror weight w' is the weight of the
+    column rho(j, S) = (b-1-j, {a-1-s}).  Reversing the first factor changes
+    sign(i, S) by (-1)^p, so the flattening takes the cell at (rho(row),
+    rho(col)) to +-1 times the cell at (row, col), one sign for all cells.
+    When w' is one value sigma(w) on every column of weight w, rho
+    therefore maps the block of weight w onto that of weight sigma(w) by a
+    signed row and column permutation, and the two blocks have equal ranks
+    over every field.  The parts are then the weights w < sigma(w), to be
+    counted twice, and w = sigma(w), counted once; the others are their
+    mirror images and are never written.  When sigma is not a function of
+    w, or every weight is its own mirror, the one part holds every weight,
+    counted once.
+    """
+    check_wedge_power(t.dims[0], p)
     a, b, c = t.dims
     wb = grading[1] if grading is not None else {}
     # At p = 0 the one subset is empty: no A weight is read, and a may be
@@ -283,51 +281,17 @@ def _weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
                               len(paired), len(fixed))
 
 
-def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
-    """The p-th wedge flattening of t as parts of weight spaces, written one
-    weight at a time when each part is iterated; grading is
-    `mirror_grading(t)`, which must not be None.
-
-    The cells are those of `koszul_flattening`.  Column (j, S) gets the
-    weight w = wB(j) + sum wA(S), and the grading makes the flattening
-    block diagonal over w: the entry's row (k, S u {i}) has weight
-    sum wA(S u {i}) - wC(k) = w.  Its mirror weight w' is the weight of the
-    column rho(j, S) = (b-1-j, {a-1-s}).  Reversing the first factor changes
-    sign(i, S) by (-1)^p, so the flattening takes the cell at (rho(row),
-    rho(col)) to +-1 times the cell at (row, col), one sign for all cells.
-    When w' is one value sigma(w) on every column of weight w, rho
-    therefore maps the block of weight w onto that of weight sigma(w) by a
-    signed row and column permutation, and the two blocks have equal ranks
-    over every field.  The parts are then the weights w < sigma(w), to be
-    counted twice, and w = sigma(w), counted once; the others are their
-    mirror images and are never written.  When sigma is not a function of
-    w, or every weight is its own mirror, the one part holds every weight,
-    counted once.
-    """
-    check_wedge_power(t.dims[0], p)
-    return _weight_spaces(t, p, grading)
-
-
-def koszul_flattening(t: Tensor3, p: int, mirror: bool = False) -> KoszulMatrix:
+def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     """Flatten t against p-fold wedges of the first factor.
 
     For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
     value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
-    c*C(a, p+1) rows by b*C(a, p) columns.
-
-    With mirror set and a grading from `mirror_grading`, each part of
-    `koszul_weight_spaces` is assembled into one matrix, weight after
-    weight: when t splits by mirror pairs, paired holds the weights to be
-    counted twice and matrix those counted once.  Otherwise matrix is the
-    whole flattening, written as one weight space.
+    c*C(a, p+1) rows by b*C(a, p) columns.  The matrix is the one weight
+    space of `koszul_weight_spaces` with no grading.
     """
-    a, b, c = t.dims
-    check_wedge_power(a, p)
-    spaces = _weight_spaces(t, p, mirror_grading(t) if mirror else None)
-    built = [SparseMatrix(part.rows, part.cols, part.cells(), t.field)
-             for part, _ in spaces.parts]
-    return KoszulMatrix(built[-1], a, b, c, p, built[0] if len(built) == 2 else None,
-                        spaces.pairs, spaces.fixed)
+    ((spaces, _),) = koszul_weight_spaces(t, p, None).parts
+    (matrix,) = spaces
+    return KoszulMatrix(matrix, *t.dims, p)
 
 
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:

@@ -14,17 +14,21 @@ stays valid mod every prime, since reduction mod p can only make entries
 vanish, never create new ones.  A rank pass takes one matrix, or a stream
 of matrices that together make up one block diagonal matrix (the weight
 spaces of `exterior.koszul_weight_spaces`); each is split into blocks and
-dropped, so that only one is held at a time.  Blocks that are identical up
+dropped, so that one matrix is held at a time.  Blocks that are identical up
 to a column relabelling (checked entry by entry, never by hash alone) form
 one class in a table shared by the whole stream: a class is ranked when
 first seen, from its content key, and each later copy adds that rank.
 That is exact over every field: equal exact entries reduce to equal values
-mod p, so the copies have equal ranks mod every prime too.  The
-flattenings of matrix multiplication repeat blocks heavily, so most of
-their blocks are never eliminated.  (The l identical copies that the third
-index gives are split off earlier, on the tensor, by
-`tensor.direct_summands`, and of each pair of mirror weight spaces only
-one is written, by `exterior.koszul_weight_spaces`.)
+mod p, so the copies have equal ranks mod every prime too.  The table
+keeps the key of every distinct class to the end of the stream, so it
+holds the distinct block contents of the whole stream.  The flattenings
+of matrix multiplication repeat blocks heavily, so their table is small
+and most of their blocks are never eliminated; the restricted map's
+weight spaces are one class each, so its table holds the whole written
+half.  (The l identical copies that the third index gives are split off
+earlier, on the tensor, by `tensor.direct_summands`, and of each pair of
+mirror weight spaces only one is written, by
+`exterior.koszul_weight_spaces`.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
@@ -195,10 +199,10 @@ class RankResult:
     elimination ranked.  settled_mod_2 counts the classes that the exact-Q
     pass over F_2 brought to full rank (always 0 for the other strategies);
     the remaining classes were settled mod a prime.  split_ms is the time
-    spent splitting the matrices into row blocks and keying them, rank_ms
-    that of the rank passes over the class representatives; neither counts
-    the writing of a streamed matrix, and results that differ only in them
-    compare equal.
+    spent splitting the matrices into row blocks, keying them and looking
+    the keys up in the class table, rank_ms that of the rank passes over
+    the class representatives; neither counts the writing of a streamed
+    matrix, and results that differ only in them compare equal.
     """
 
     rank: int
@@ -389,9 +393,9 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     Each matrix is split into row blocks and dropped; blocks with equal
     content keys form one class in a table shared by the whole stream, and
     a class is ranked when first seen, after which only its key and rank
-    are kept.  Each class is ranked mod the primes in turn, keeps its max,
-    and stops at the first prime that reaches min(block rows, block
-    columns).  For an integer block rank_p <= rank_Q <= min(rows, cols), so
+    are kept, to the end of the stream.  Each class is ranked mod the
+    primes in turn, keeps its max, and stops at the first prime that
+    reaches min(block rows, block columns).  For an integer block rank_p <= rank_Q <= min(rows, cols), so
     such a class is settled: no prime can raise it.  For each prime the
     matrix's rank is the sum of its class ranks, so the sum of per-class
     maxes is a sound lower bound on the Q-rank, and never below the whole
@@ -417,16 +421,15 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                 raise BadPrime("MultiPrime certification requires integer entries")
             integral = False
         scale = exact and not space.is_integral()
-        t0 = time.perf_counter()
+        t0, rank_before = time.perf_counter(), rank_s
         keys = space._block_keys()
-        split_s += time.perf_counter() - t0
         del space  # only the keys are ranked
         for key, ncols in keys:
             r = ranks.get(key)
             if r is not None:
                 rank += r
                 continue
-            t0 = time.perf_counter()
+            t1 = time.perf_counter()
             block = _block_integral(key) if scale else key
             full = min(len(key[0]), ncols)
             if exact and _rank_f2(_rows(block), full) == full:
@@ -442,9 +445,10 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                     unsettled += 1
                     if exact:
                         r = _eliminate([dict(row) for row in _rows(block)], None)
-            rank_s += time.perf_counter() - t0
+            rank_s += time.perf_counter() - t1
             ranks[key] = r
             rank += r
+        split_s += time.perf_counter() - t0 - (rank_s - rank_before)
     return RankResult(rank, m.field.is_q and (exact or integral), len(ranks), unsettled,
                       settled_mod_2, split_s * 1000.0, rank_s * 1000.0)
 

@@ -13,7 +13,8 @@ import brlab.bounds as bounds
 import brlab.cli as cli
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import bound_classical, flattening_rank
-from brlab.exterior import WedgeRangeWarning, WeightSpaces, classical_tensor, koszul_flattening
+from brlab.exterior import (WedgeRangeWarning, WeightSpaces, classical_tensor, koszul_flattening,
+                            koszul_weight_spaces)
 from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
 from brlab.scalars import FieldTag, certification_primes
 from brlab.tensor import Tensor3, direct_summands, matmul_tensor, mirror_grading
@@ -61,6 +62,33 @@ def whole_rank(t, p, strategy):
     return rank_certified(koszul_flattening(t, p).matrix, strategy).rank
 
 
+def written(t, p):
+    """The parts of `koszul_weight_spaces` under t's mirror grading, each
+    read by iterating it: (copies, {(row, col): value}) per part."""
+    spaces = koszul_weight_spaces(t, p, mirror_grading(t))
+    return [(copies, {(r, c): v for space in part for r, c, v in space.items()})
+            for part, copies in spaces.parts]
+
+
+def mirror_image(km, cells, field):
+    """cells moved by the reversal rho of rows (k, S') and columns (j, S)
+    of the whole flattening km, with the sign each needs to match km there
+    (None where it matches neither sign)."""
+    whole = {(r, c): v for r, c, v in km.matrix.items()}
+    row_at = {label: r for r, label in enumerate(km.row_labels)}
+    col_at = {label: c for c, label in enumerate(km.col_labels)}
+
+    def rho(x, s, d):
+        return d - 1 - x, tuple(sorted(km.a - 1 - y for y in s))
+
+    image = {}
+    for (r, c), v in cells.items():
+        x = row_at[rho(*km.row_labels[r], km.c)], col_at[rho(*km.col_labels[c], km.b)]
+        w = whole.get(x)
+        image[x] = 1 if w == v else -1 if w == field.coerce(-v) else None
+    return image
+
+
 def integral(t: Tensor3) -> bool:
     return all(type(v) is int for _, _, _, v in t.items())
 
@@ -88,12 +116,24 @@ def test_split_rank_matches_the_whole_flattening(seed, eps, field):
         for p in range(t.dims[0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WedgeRangeWarning)
-                km = koszul_flattening(t, p, mirror=True)
-                whole = koszul_flattening(t, p).matrix
-                if km.paired is not None:
-                    assert 2 * km.paired.nnz + km.matrix.nnz == whole.nnz
+                km = koszul_flattening(t, p)
+                whole = km.matrix
+                parts = written(t, p)
+                if len(parts) == 2:
+                    # The paired part, its mirror image and the fixed part
+                    # tile the whole flattening, the image with one sign.
+                    (_, paired), (_, fixed) = parts
+                    image = mirror_image(km, paired, field)
+                    assert set(image.values()) in ({1}, {-1}, set())
+                    assert not (image.keys() & paired.keys() or image.keys() & fixed.keys()
+                                or paired.keys() & fixed.keys())
+                    assert image.keys() | paired.keys() | fixed.keys() == {
+                        (r, c) for r, c, _ in whole.items()}
+                    assert all(whole.value(*x) == v for x, v in (paired | fixed).items())
                 else:
-                    assert km.matrix == whole
+                    [(copies, cells)] = parts
+                    assert copies == 1
+                    assert sorted((r, c, v) for (r, c), v in cells.items()) == whole.items()
                 for strategy in strategies:
                     fr = flattening_rank(t, p, strategy)
                     assert fr.rank == whole_rank(t, p, strategy)
@@ -108,7 +148,7 @@ def test_the_seeded_tensors_exercise_the_split():
             for field in FIELDS:
                 for t in cases(seed, eps, field):
                     total += 1
-                    split += koszul_flattening(t, 0, mirror=True).paired is not None
+                    split += len(written(t, 0)) == 2
     assert split >= total // 4
 
 
@@ -116,7 +156,7 @@ def test_every_summand_of_a_matmul_tensor_is_split():
     for t, p in [(matmul_tensor(2, 2, 2), 1), (matmul_tensor(3, 2, 2), 2),
                  (restrict_matmul(3, 3, 2), 2), (restrict_matmul(4, 4, 1), 3)]:
         for summand, _ in direct_summands(t):
-            assert koszul_flattening(summand, p, mirror=True).paired is not None
+            assert len(written(summand, p)) == 2
         fr = flattening_rank(t, p)
         assert fr.mirror_pairs > 0 and fr.nnz_written < fr.nnz
         assert fr.rank == whole_rank(t, p, ExactQ())
@@ -141,9 +181,8 @@ def test_one_broken_entry_gets_no_pairing(change):
     for p in range(t.dims[0]):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WedgeRangeWarning)
-            km = koszul_flattening(t, p, mirror=True)
-            assert (km.paired, km.pairs, km.fixed) == (None, 0, 0)
-            assert km.matrix == koszul_flattening(t, p).matrix
+            [(part, copies)] = koszul_weight_spaces(t, p, None).parts
+            assert (part.weights, copies) == ([0], 1)
             fr = flattening_rank(t, p)
             assert fr.rank == whole_rank(t, p, ExactQ())
             assert (fr.mirror_pairs, fr.nnz_written) == (0, fr.nnz)
@@ -162,9 +201,12 @@ def test_trivial_grading_keeps_every_column_fixed():
                             for k in range(2)], Q)
     assert mirror_grading(t) is not None
     for p in (0, 1):
-        km = koszul_flattening(t, p, mirror=True)
-        assert (km.paired, km.pairs, km.fixed) == (None, 0, 0)
-        assert km.matrix == koszul_flattening(t, p).matrix
+        spaces = koszul_weight_spaces(t, p, mirror_grading(t))
+        assert (len(spaces.parts), spaces.pairs, spaces.fixed) == (1, 0, 0)
+        [(copies, cells)] = written(t, p)
+        assert copies == 1
+        assert sorted((r, c, v) for (r, c), v in cells.items()) == \
+            koszul_flattening(t, p).matrix.items()
 
 
 @pytest.mark.parametrize("t", [

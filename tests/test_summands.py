@@ -10,7 +10,7 @@ import brlab.bounds as bounds
 import brlab.cli as cli
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import bound_koszul, flattening_rank
-from brlab.exterior import koszul_flattening
+from brlab.exterior import koszul_flattening, koszul_weight_spaces
 from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
 from brlab.scalars import FieldTag
 from brlab.tensor import Tensor3, direct_summands, matmul_tensor, save_tensor
@@ -70,8 +70,8 @@ def test_one_representative_is_flattened_per_class(monkeypatch):
         return flatten_counted
 
     # A graded summand is streamed by weight, any other flattened whole.
-    for name in ("koszul_flattening", "koszul_weight_spaces"):
-        monkeypatch.setattr(bounds, name, counting(getattr(bounds, name)))
+    for flatten in (koszul_flattening, koszul_weight_spaces):
+        monkeypatch.setattr(bounds, flatten.__name__, counting(flatten))
     fr = flattening_rank(matmul_tensor(2, 2, 3), 1)
     assert shapes == [(4, 2, 2)]
     assert (fr.summands, fr.classes, fr.rows, fr.cols) == (3, 1, 36, 24)

@@ -1,6 +1,6 @@
 """Weight spaces: `flattening_rank` ranks each graded summand as streams of
-its weight spaces, and must give the rank, class counts and nnz of the
-assembled flattening."""
+its weight spaces, and must give the rank of the whole flattening and the
+class counts and nnz of the parts assembled from the stream."""
 
 import tracemalloc
 import warnings
@@ -11,7 +11,7 @@ import brlab.bounds as bounds
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import flattening_rank
 from brlab.exterior import WedgeRangeWarning, koszul_flattening, koszul_weight_spaces
-from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
+from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
 from brlab.scalars import FieldTag, certification_primes
 from brlab.tensor import Tensor3, direct_summands, matmul_tensor, mirror_grading
 
@@ -30,12 +30,15 @@ def cases(field):
 
 
 def assembled(t, p, strategy):
-    """The FlatteningRank counts, from each summand's flattening assembled
-    into whole matrices by `koszul_flattening` with mirror."""
+    """The FlatteningRank counts, from each part of each summand's stream
+    assembled here into one matrix from the cells its weight spaces hold,
+    each row's in the order written."""
     rank = classes = settled = unsettled = written = whole = 0
     for summand, count in direct_summands(t):
-        km = koszul_flattening(summand, p, mirror=True)
-        for matrix, copies in km.parts:
+        for part, copies in koszul_weight_spaces(summand, p, mirror_grading(summand)).parts:
+            matrix = SparseMatrix(part.rows, part.cols, [
+                (r, c, v) for space in part for r, row in space._rows.items()
+                for c, v in row.items()], summand.field)
             res = rank_certified(matrix, strategy)
             rank += count * copies * res.rank
             classes += res.classes
@@ -68,19 +71,18 @@ def test_streamed_rank_matches_the_assembled_flattening(field, strategies):
 
 
 def test_every_weight_space_is_a_union_of_blocks():
-    # Written alone, the weight spaces hold every cell of the part, and
-    # their row blocks are those of the assembled part.
+    # Written alone, the weight spaces hold cells of distinct rows, and
+    # their row blocks are those of the part they make up.
     t = restrict_matmul(4, 4, 1)
-    spaces = koszul_weight_spaces(t, 3, mirror_grading(t))
-    km = koszul_flattening(t, 3, mirror=True)
-    for (part, copies), (matrix, count) in zip(spaces.parts, km.parts):
-        assert copies == count
-        keys, cells = [], []
+    for part, _ in koszul_weight_spaces(t, 3, mirror_grading(t)).parts:
+        keys, cells, rows = [], [], set()
         for space in part:
+            assert rows.isdisjoint(space._rows)
+            rows |= space._rows.keys()
             keys += [key for key, _ in space._block_keys()]
-            cells += space.items()
-        assert part.nnz == matrix.nnz == len(cells)
-        assert sorted(cells) == matrix.items()
+            cells += [(r, c, v) for r, row in space._rows.items() for c, v in row.items()]
+        assert part.nnz == len(cells)
+        matrix = SparseMatrix(part.rows, part.cols, cells, t.field)
         assert sorted(keys) == sorted(key for key, _ in matrix._block_keys())
 
 
@@ -97,18 +99,18 @@ def one_changed_value() -> Tensor3:
 def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
     calls = []
 
-    def spy(name):
-        flatten = getattr(bounds, name)
+    def spy_whole(summand, p):
+        calls.append(("koszul_flattening", None))
+        return koszul_flattening(summand, p)
 
-        def traced(summand, p, *args):
-            result = flatten(summand, p, *args)
-            calls.append((name, [(len(getattr(part, "weights", [0])), copies)
-                                 for part, copies in result.parts]))
-            return result
-        return traced
+    def spy_spaces(summand, p, grading):
+        result = koszul_weight_spaces(summand, p, grading)
+        calls.append(("koszul_weight_spaces", [(len(part.weights), copies)
+                                               for part, copies in result.parts]))
+        return result
 
-    for name in ("koszul_flattening", "koszul_weight_spaces"):
-        monkeypatch.setattr(bounds, name, spy(name))
+    monkeypatch.setattr(bounds, "koszul_flattening", spy_whole)
+    monkeypatch.setattr(bounds, "koszul_weight_spaces", spy_spaces)
     for p in range(t.dims[0]):
         calls.clear()
         with warnings.catch_warnings():
@@ -120,14 +122,15 @@ def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
             assert name == "koszul_weight_spaces" and [n for _, n in parts] == [2, 1]
             assert fr.mirror_pairs == parts[0][0] > 0
         else:
-            assert (name, parts) == ("koszul_flattening", [(1, 1)])
+            assert name == "koszul_flattening"
             assert (fr.mirror_pairs, fr.nnz_written) == (0, fr.nnz)
 
 
-def test_streamed_peak_follows_the_largest_weight_space():
+def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
     # Restricted n = 7, one summand: 25 of its 49 weight spaces are written,
     # the largest holding 2492 of the 45276 entries.  The stream holds one
-    # of them at a time; the assembled half holds all of them at once.
+    # of them at a time besides the keys of its class table; the whole
+    # flattening holds all 49 at once.
     t = restrict_matmul(7, 7, 1)
 
     def peak(run):
@@ -138,8 +141,7 @@ def test_streamed_peak_follows_the_largest_weight_space():
         finally:
             tracemalloc.stop()
 
-    def assemble():
-        parts = koszul_flattening(t, 6, mirror=True).parts
-        return [rank_certified(matrix, ExactQ()) for matrix, _ in parts]
+    def whole():
+        return rank_certified(koszul_flattening(t, 6).matrix, ExactQ())
 
-    assert peak(lambda: flattening_rank(t, 6)) < peak(assemble) / 2
+    assert peak(lambda: flattening_rank(t, 6)) < peak(whole) / 4
