@@ -35,8 +35,6 @@ from .rank_engine import (
     rank_certified,
     rank_exact_q,
     rank_mod_p,
-    read_matrix,
-    write_matrix,
 )
 from .repcomb import (
     IsotypicSummand,
@@ -102,9 +100,7 @@ __all__ = [
     "rank_exact_q",
     "rank_mod_p",
     "rank_one_tensor",
-    "read_matrix",
     "restricted_koszul",
     "save_tensor",
     "scale_tensor",
-    "write_matrix",
 ]

@@ -8,9 +8,10 @@ the ceiling is always applied and recorded alongside the raw quotient).
 Soundness labels follow the rank engine: "exact-Q" certificates are tight
 for the flattening at hand, and so are "exact-Fp" ones for a tensor given
 over F_p, ranked over that field; "mod-p-lower-bound" certificates (a Q
-tensor ranked with --field fp[:P] or multiprime) are sound but possibly
-loose, and closed-form certificates carry no matrix at all.  Unless asked
-otherwise, a tensor over Q is ranked over exact Q and one over F_p mod p.
+tensor ranked with --field fp[:P] or multiprime, some class of which no
+prime brought to full rank) are sound but possibly loose, and closed-form
+certificates carry no matrix at all.  Unless asked otherwise, a tensor
+over Q is ranked over exact Q and one over F_p mod p.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exterior import (
     koszul_weight_spaces,
     redundancy_cap,
 )
-from .rank_engine import ExactQ, MultiPrime, RankResult, rank_certified
+from .rank_engine import ExactQ, MultiPrime, rank_certified
 from .tensor import Tensor3, direct_summands, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
@@ -111,12 +112,18 @@ def _field_label(strategy: MultiPrime | ExactQ) -> str:
     return "multiprime:" + ",".join(str(p) for p in primes)
 
 
-def _soundness(strategy: MultiPrime | ExactQ, res: RankResult) -> str:
-    """A rank that bounds no Q-rank is that of a matrix given over F_p,
-    which only its own prime can rank: it is exact over F_p."""
-    if not res.certified_lower_bound_over_q:
+def _soundness(strategy: MultiPrime | ExactQ, over_q: bool, unsettled: int) -> str:
+    """The label of a flattening rank over a tensor's field (over_q when it
+    is Q), of which unsettled classes no prime brought to full rank.
+
+    A tensor given over F_p has no Q-rank to bound, and only its own prime
+    can rank it: its rank is exact over F_p.  Over Q, a class that reached
+    full rank mod some prime has rank_p = rank_Q = min(rows, cols), so a
+    mod-p rank with no unsettled class is the Q-rank itself.
+    """
+    if not over_q:
         return SOUND_EXACT_FP
-    return SOUND_EXACT_Q if isinstance(strategy, ExactQ) else SOUND_MOD_P
+    return SOUND_EXACT_Q if isinstance(strategy, ExactQ) or not unsettled else SOUND_MOD_P
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -144,9 +151,8 @@ class FlatteningRank:
     flattened by mirror pairs (see `koszul_weight_spaces`): pairs of which
     one space was flattened, and spaces that are their own mirror.
     nnz_written counts the entries written, each representative's as often
-    as nnz counts it, out of nnz_whole, the nnz of the whole flattening
-    they stand for (nnz itself, except that `bound_classical` sums both
-    over its three flattenings).
+    as nnz counts it (`bound_classical` sums both over its three
+    flattenings).
     """
 
     rows: int
@@ -166,7 +172,6 @@ class FlatteningRank:
     mirror_pairs: int
     mirror_fixed: int
     nnz_written: int
-    nnz_whole: int
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -231,11 +236,11 @@ def flattening_rank(t: Tensor3, p: int,
                 unsettled += res.unsettled
                 settled_mod_2 += res.settled_mod_2
             total_ms += (time.perf_counter() - t0) * 1000.0
-    # Every summand is over t's field, so each earns the last one's label.
-    return FlatteningRank(rows, cols, rank, nnz, strat, _soundness(strat, res),
+    return FlatteningRank(rows, cols, rank, nnz, strat,
+                          _soundness(strat, t.field.is_q, unsettled),
                           sum(count for _, count in summands), len(summands),
                           rank_ms, split_ms, total_ms - rank_ms - split_ms, block_classes,
-                          unsettled, settled_mod_2, pairs, fixed, written, nnz)
+                          unsettled, settled_mod_2, pairs, fixed, written)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -263,13 +268,13 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
 def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
-    divisor 1.  The recorded times, block-class and mirror counts are those
-    of all three ranks."""
+    divisor 1, and the best one's label.  The recorded times, nnz,
+    block-class and mirror counts are those of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
-    summed = ("rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
-              "settled_mod_2", "mirror_pairs", "mirror_fixed", "nnz_written", "nnz_whole")
+    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
+              "settled_mod_2", "mirror_pairs", "mirror_fixed", "nnz_written")
     return _certificate("classical", descriptor, replace(
         best, **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 

@@ -14,7 +14,6 @@ import warnings
 
 from .binaryforms import restrict_matmul
 from .bounds import (
-    SOUND_EXACT_Q,
     bound_classical,
     bound_koszul,
     bound_matmul_restricted,
@@ -40,7 +39,7 @@ EXIT_CROSSCHECK = 4
 
 def _natural_flag(minimum: int):
     """argparse type for an integer flag: ASCII decimal digits alone (the
-    rule for numbers in files), at least `minimum`."""
+    rule for a modulus in files), at least `minimum`."""
     def parse(text: str) -> int:
         try:
             value = parse_natural(text)
@@ -149,14 +148,14 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
     _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
                 f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms, "
                 f"flatten {fr.flatten_ms:.1f} ms)")
-    if cert.soundness == SOUND_EXACT_Q:
+    if isinstance(fr.strategy, ExactQ):
         n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
         _note(args, f"exact-Q: {n} class{'' if n == 1 else 'es'}, {f2} settled mod 2, "
                     f"{n - f2 - u} mod p, {u} fell back")
     if fr.mirror_pairs:
         n = fr.mirror_pairs
         _note(args, f"mirror: {n} weight pair{'' if n == 1 else 's'}, {fr.mirror_fixed} fixed, "
-                    f"nnz {fr.nnz_written} of {fr.nnz_whole}")
+                    f"nnz {fr.nnz_written} of {fr.nnz}")
     else:
         _note(args, "mirror: none")
     _summand_note(args, fr.summands, fr.classes)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import comb
 
 from .errors import InvalidDimension
@@ -44,19 +44,14 @@ def _colex_tuples(a: int, p: int):
 
 @dataclass(frozen=True)
 class KoszulMatrix:
-    """Wedge-power flattening as an explicit sparse matrix with labels.
+    """Wedge-power flattening as an explicit sparse matrix.
 
     Row index of (k, S') is colex(S')*c + k; column index of (j, S) is
     colex(S)*b + j.  At p = 0 this reproduces the classical mode-B
-    flattening including its row order.  The labels are built on first
-    access: rank computations never read them.
+    flattening including its row order.
     """
 
     matrix: SparseMatrix
-    a: int
-    b: int
-    c: int
-    p: int
 
     @property
     def rows(self) -> int:
@@ -65,24 +60,6 @@ class KoszulMatrix:
     @property
     def cols(self) -> int:
         return self.matrix.cols
-
-    @cached_property
-    def row_labels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(k, S') per row: factor index and increasing (p+1)-subset."""
-        return tuple((k, s) for s in _colex_tuples(self.a, self.p + 1) for k in range(self.c))
-
-    @cached_property
-    def col_labels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(j, S) per column: factor index and increasing p-subset."""
-        return tuple((j, s) for s in _colex_tuples(self.a, self.p) for j in range(self.b))
-
-    def labels_json(self) -> dict:
-        """Row/column labels as JSON-ready lists: [factor index, subset]."""
-        return {
-            "params": {"a": self.a, "b": self.b, "c": self.c, "p": self.p},
-            "rows": [[k, list(s)] for k, s in self.row_labels],
-            "cols": [[j, list(s)] for j, s in self.col_labels],
-        }
 
 
 def redundancy_cap(a: int) -> int:
@@ -157,7 +134,7 @@ class KoszulWeightSpaces:
     fixed: int
 
 
-def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, collect: bool):
+def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None):
     """Insertion tables of the first-factor indices that occur in t, grouped
     by the weight sum wA(S) of the p-subset S (all 0 when wa is None).
 
@@ -167,7 +144,7 @@ def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, collect: bool):
     wedge sign is -1, and the column offset b*colex(S).  The cells run over
     the subsets grouped by weight, in colex order within a weight, and those
     of the g-th weight (bucket[u] = g) lie in offsets[x][g]:offsets[x][g+1].
-    With collect, subset_pairs holds the distinct (sum wA(S), sum wA(rho S)).
+    subset_pairs holds the distinct (sum wA(S), sum wA(rho S)).
     """
     a, b, c = t.dims
     used = sorted({i for i, _, _ in t._cells})
@@ -193,8 +170,7 @@ def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, collect: bool):
             bucket[u] = len(bucket)
             for off, rows in zip(offsets, rows_of):
                 off.append(len(rows))
-        if collect:
-            subset_pairs.add((u, 0 if wa is None else sum(map(wa_rho.__getitem__, s))))
+        subset_pairs.add((u, 0 if wa is None else sum(map(wa_rho.__getitem__, s))))
         col = q * b
         low, high, pos = 0, sum(comb(x, j + 2) for j, x in enumerate(s)), 0
         for i, rows, cols in zip(used, rows_of, cols_of):
@@ -241,8 +217,7 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
     # At p = 0 the one subset is empty: no A weight is read, and a may be
     # far larger than any table.
     wa = [grading[0].get(x, 0) for x in range(a)] if grading is not None and p else None
-    used, bucket, rows_of, cols_of, offsets, subset_pairs = _insertion_tables(
-        t, p, wa, grading is not None)
+    used, bucket, rows_of, cols_of, offsets, subset_pairs = _insertion_tables(t, p, wa)
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
@@ -291,7 +266,7 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     """
     ((spaces, _),) = koszul_weight_spaces(t, p, None).parts
     (matrix,) = spaces
-    return KoszulMatrix(matrix, *t.dims, p)
+    return KoszulMatrix(matrix)
 
 
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:

@@ -53,8 +53,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .scalars import (DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes,
-                      parse_natural)
+from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
 
 
 class SparseMatrix:
@@ -493,48 +492,3 @@ def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
     if not strategy.primes:
         raise BadPrime("empty prime list")
     return _rank_classes(m, strategy.primes, False, integer_only=True)
-
-
-# ---------------------------------------------------------------------------
-# shared sparse-matrix file format: "rows cols field" header, then
-# "r c val" lines sorted by (row, col)
-# ---------------------------------------------------------------------------
-
-def write_matrix(m: SparseMatrix, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.rows} {m.cols} {m.field}\n")
-        ser = m.field.serialize
-        for r, c, v in m.items():
-            fh.write(f"{r} {c} {ser(v)}\n")
-
-
-def read_matrix(path) -> SparseMatrix:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) != 3:
-                raise FormatError(f"bad matrix header {header!r}")
-            try:
-                rows, cols = parse_natural(header[0]), parse_natural(header[1])
-            except FormatError as exc:
-                raise FormatError(f"bad matrix header {header!r}") from exc
-            field = FieldTag.from_string(header[2])
-            entries = []
-            prev = None
-            for line in fh:
-                if not line.strip():
-                    continue
-                toks = line.split()
-                if len(toks) != 3:
-                    raise FormatError(f"bad matrix line {line!r}")
-                try:
-                    r, c = parse_natural(toks[0]), parse_natural(toks[1])
-                except FormatError as exc:
-                    raise FormatError(f"bad index in matrix line {line!r}") from exc
-                if prev is not None and (r, c) <= prev:
-                    raise FormatError(f"entries not sorted at ({r},{c})")
-                prev = (r, c)
-                entries.append((r, c, field.parse(toks[2])))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not an ASCII file: {exc}") from exc
-    return SparseMatrix(rows, cols, entries, field)

@@ -110,8 +110,8 @@ def parse_rational(s: str) -> Fraction:
 
 
 def parse_natural(s: str) -> int:
-    """Parse a modulus, a matrix shape or a matrix index: ASCII decimal
-    digits and nothing else (no sign, no underscore, no whitespace).
+    """Parse a modulus or an integer CLI flag: ASCII decimal digits and
+    nothing else (no sign, no underscore, no whitespace).
 
     Whether a modulus is a usable prime is checked where the field is built.
     """

@@ -1,11 +1,13 @@
 """Independent reference implementations used to validate the fast paths.
 
 Everything here is deliberately naive: textbook row reduction on dense
-Fraction rows, and a brute-force tableau counter.  These never share code
-with the library's elimination or hook-content routines.
+Fraction rows, a wedge flattening built cell by cell from its definition,
+and a brute-force tableau counter.  These never share code with the
+library's elimination, flattening or hook-content routines.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def dense_rows(matrix):
@@ -67,6 +69,39 @@ def rank_gauss_mod_p(rows, p):
         if rank == nrows:
             break
     return rank
+
+
+def wedge_flattening(t, p):
+    """The p-th wedge flattening of t from its definition, by brute force.
+
+    Returns (cells, row_labels, col_labels).  The p- and (p+1)-subsets of
+    range(a) come from itertools.combinations, put in colex order (compared
+    from the largest element down).  row_labels[r] = (k, S') with
+    r = colex(S')*c + k, and col_labels[q] = (j, S) with q = colex(S)*b + j.
+    Each tensor entry (i, j, k, v), in storage order, and each p-subset S
+    avoiding i, in colex order, give one cell (r, q, sign*v) at
+    S' = S u {i}, with sign = (-1)^#{s in S : s < i}; over F_p, -v is
+    reduced mod p.
+    """
+    a, b, c = t.dims
+
+    def colex(size):
+        return sorted(combinations(range(a), size), key=lambda s: s[::-1])
+
+    small, big = colex(p), colex(p + 1)
+    row_labels = [(k, s) for s in big for k in range(c)]
+    col_labels = [(j, s) for s in small for j in range(b)]
+    row_at = {label: r for r, label in enumerate(row_labels)}
+    cells = []
+    for (i, j, k), v in t._cells.items():
+        neg = -v if t.field.is_q else (-v) % t.field.p
+        for q, s in enumerate(small):
+            if i in s:
+                continue
+            sign_flip = sum(x < i for x in s) % 2
+            cells.append((row_at[(k, tuple(sorted(s + (i,))))], q * b + j,
+                          neg if sign_flip else v))
+    return cells, row_labels, col_labels
 
 
 def count_ssyt(shape, v):

@@ -92,9 +92,9 @@ def test_restricted_koszul_examples():
 
 
 def test_restricted_koszul_default_p():
+    # p = n - 1 = 2 on a = m + n - 1 = 6 and (b, c) = (nl, ml) = (3, 4).
     km = restricted_koszul(4, 3, 1)
-    assert km.p == 2
-    assert km.cols == 3 * comb(6, 2)
+    assert (km.rows, km.cols) == (4 * comb(6, 3), 3 * comb(6, 2))
 
 
 def test_restricted_full_column_rank_small_grid():

@@ -9,7 +9,6 @@ import pytest
 from brlab.bounds import (
     SOUND_EXACT_FP,
     SOUND_EXACT_Q,
-    SOUND_MOD_P,
     bound_classical,
     bound_formula_theorem1,
     bound_koszul,
@@ -170,9 +169,11 @@ def test_certificate_json_shape():
     assert doc["field"] == "Q"
     assert "flags" not in doc
 
+    # Every class of the restricted map reaches full rank mod the first
+    # prime, so its multi-prime rank is the Q-rank.
     cert = bound_matmul_restricted(2, 2, 1, MultiPrime())
     doc = cert.to_json()
-    assert doc["soundness"] == SOUND_MOD_P
+    assert (doc["soundness"], cert.flattening.unsettled) == (SOUND_EXACT_Q, 0)
     assert doc["field"].startswith("multiprime:")
 
     # A tensor over F_p has no Q-rank to bound: its rank is exact over F_p.

@@ -68,13 +68,13 @@ GOLDEN = [
      '--field', 'fp'],
      {'method': 'koszul-restricted', 'm': 3, 'n': 3, 'l': 2, 'p': 2, 'rows': 60, 'cols': 60,
      'rank': 60, 'divisor': 6, 'quotient': '10/1', 'bound': 10, 'field':
-     'Fp:1073741789', 'soundness': 'mod-p-lower-bound'}),
+     'Fp:1073741789', 'soundness': 'exact-Q'}),
     ('restricted-221-field-fp-5', 0,
      ['bound', '--method', 'koszul-restricted', '--m', '2', '--n', '2', '--l', '1',
      '--field', 'fp:5'],
      {'method': 'koszul-restricted', 'm': 2, 'n': 2, 'l': 1, 'p': 1, 'rows': 6, 'cols': 6,
      'rank': 6, 'divisor': 2, 'quotient': '3/1', 'bound': 3, 'field': 'Fp:5', 'soundness':
-     'mod-p-lower-bound'}),
+     'exact-Q'}),
     # The whole flattening is 3150 x 3150, five copies of one 630 x 630
     # summand; the default ranks it over exact Q at every size.
     ('restricted-555', 0,
@@ -87,7 +87,7 @@ GOLDEN = [
      'multiprime'],
      {'method': 'classical', 'm': 2, 'n': 3, 'l': 2, 'p': None, 'rows': 24, 'cols': 6,
      'rank': 6, 'divisor': 1, 'quotient': '6/1', 'bound': 6, 'field':
-     'multiprime:1073741789,1073741783,1073741741', 'soundness': 'mod-p-lower-bound'}),
+     'multiprime:1073741789,1073741783,1073741741', 'soundness': 'exact-Q'}),
     ('theorem1-formula-432', 0,
      ['bound', '--method', 'theorem1-formula', '--m', '4', '--n', '3', '--l', '2'],
      {'method': 'theorem1-formula', 'm': 4, 'n': 3, 'l': 2, 'p': None, 'rows': None, 'cols':

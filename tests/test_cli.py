@@ -7,7 +7,7 @@ import pytest
 
 import brlab.cli as cli
 from brlab.bounds import bound_koszul
-from brlab.rank_engine import ExactQ
+from brlab.rank_engine import ExactQ, MultiPrime
 from brlab.tensor import load_tensor, matmul_tensor
 
 
@@ -139,6 +139,17 @@ def test_bound_single_prime_field(capsys):
     assert doc["rank"] == 306
     assert doc["field"] == "Fp:65521"
     assert doc["soundness"] == "mod-p-lower-bound"
+
+
+def test_multiprime_label_needs_every_class_settled(capsys):
+    # Five classes of the (3,3,3) p = 4 flattening stay short of full rank
+    # mod every prime, so the rank is only a lower bound on the Q-rank.
+    code, out, _ = run(capsys, "bound", "--method", "koszul", "--p", "4", "--m", "3", "--n", "3",
+                       "--l", "3", "--field", "multiprime")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rank"], doc["soundness"]) == (918, "mod-p-lower-bound")
+    assert bound_koszul(matmul_tensor(3, 3, 3), 4, MultiPrime()).flattening.unsettled == 5
 
 
 def test_bound_bad_prime_exit_3(capsys):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from oracles import dense_rows, rank_gauss_fractions
+from oracles import dense_rows, rank_gauss_fractions, wedge_flattening
 
 from brlab.errors import InvalidDimension
 from brlab.exterior import (
@@ -72,19 +72,6 @@ def test_wedge_insert_double_annihilation():
                 assert rows == {tuple(sorted(s + (i,))) for i in range(a) if i not in s}
 
 
-def _reference_entries(t, p):
-    """Cells of the wedge flattening of t over Q from the definition, in the
-    order koszul_flattening streams them: tensor entries in storage order,
-    each over the p-subsets S avoiding i in colex order."""
-    a, b, c = t.dims
-    big = {s: q for q, s in enumerate(_colex_tuples(a, p + 1))}
-    for (i, j, k), v in t._cells.items():
-        for q, s in enumerate(_colex_tuples(a, p)):
-            if i not in s:
-                sign = -1 if sum(x < i for x in s) % 2 else 1
-                yield big[tuple(sorted(s + (i,)))] * c + k, q * b + j, sign * v
-
-
 def test_koszul_matches_definition_with_sparse_first_factor():
     # Only some first-factor indices occur: cells, and their order in each
     # row, match the definition.
@@ -99,7 +86,10 @@ def test_koszul_matches_definition_with_sparse_first_factor():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WedgeRangeWarning)
                 m = koszul_flattening(t, p).matrix
-            ref = SparseMatrix(m.rows, m.cols, _reference_entries(t, p), Q)
+            # The oracle lists the cells in the order koszul_flattening
+            # streams them: tensor entries in storage order, each over the
+            # p-subsets S avoiding i in colex order.
+            ref = SparseMatrix(m.rows, m.cols, wedge_flattening(t, p)[0], Q)
             assert [(r, list(row.items())) for r, row in m._rows.items()] == \
                 [(r, list(row.items())) for r, row in ref._rows.items()]
 
@@ -120,17 +110,17 @@ def test_koszul_tables_follow_the_entries_not_the_first_dimension():
     assert km.matrix.nnz == 2999
 
 
-def _random_tensor(rng, dims, fill=0.5):
+def _random_tensor(rng, dims, fill=0.5, field=Q):
     entries = []
     a, b, c = dims
     for i in range(a):
         for j in range(b):
             for k in range(c):
                 if rng.random() < fill:
-                    v = rng.randint(-3, 3)
+                    v = field.coerce(rng.randint(-3, 3))
                     if v:
                         entries.append((i, j, k, v))
-    return Tensor3(dims, entries, Q)
+    return Tensor3(dims, entries, field)
 
 
 def test_koszul_shapes():
@@ -141,8 +131,19 @@ def test_koszul_shapes():
             km = koszul_flattening(t, p)
             assert km.rows == c * comb(a, p + 1)
             assert km.cols == b * comb(a, p)
-            assert len(set(km.row_labels)) == km.rows
-            assert len(set(km.col_labels)) == km.cols
+
+
+@pytest.mark.parametrize("field", [Q, FieldTag.prime_field(7)], ids=["Q", "F7"])
+def test_koszul_matches_the_brute_force_oracle(field):
+    rng = random.Random(7 if field.is_q else 8)
+    for dims in [(1, 2, 2), (3, 2, 2), (4, 2, 3), (5, 3, 2), (6, 2, 2), (7, 1, 2)]:
+        for fill in (0.3, 0.7):
+            t = _random_tensor(rng, dims, fill, field)
+            for p in range(redundancy_cap(dims[0]) + 1):
+                km = koszul_flattening(t, p)
+                cells, row_labels, col_labels = wedge_flattening(t, p)
+                assert (km.rows, km.cols) == (len(row_labels), len(col_labels))
+                assert km.matrix.items() == sorted(cells)
 
 
 def test_koszul_p0_equals_classical_b():
@@ -223,22 +224,14 @@ def test_koszul_range_warning():
 
 
 def test_koszul_labels_canonical_order():
+    # The cells sit where the oracle's labels put them: subset-major in
+    # colex order, factor index within.
     t = matmul_tensor(2, 2, 1)
-    km = koszul_flattening(t, 1)
-    # column labels: subset-major in colex order, factor index within
-    assert km.col_labels[0] == (0, (0,))
-    assert km.col_labels[1] == (1, (0,))
-    assert km.col_labels[2] == (0, (1,))
-    subsets = [lab[1] for lab in km.row_labels[:: t.dims[2]]]
+    cells, row_labels, col_labels = wedge_flattening(t, 1)
+    assert col_labels[:3] == [(0, (0,)), (1, (0,)), (0, (1,))]
+    subsets = [lab[1] for lab in row_labels[:: t.dims[2]]]
     assert subsets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-
-
-def test_koszul_labels_json_export():
-    km = koszul_flattening(matmul_tensor(2, 2, 1), 1)
-    doc = km.labels_json()
-    assert doc["params"] == {"a": 4, "b": 2, "c": 2, "p": 1}
-    assert doc["cols"][0] == [0, [0]]
-    assert len(doc["rows"]) == km.rows
+    assert koszul_flattening(t, 1).matrix.items() == sorted(cells)
 
 
 def test_koszul_over_fp_is_q_flattening_mod_p():

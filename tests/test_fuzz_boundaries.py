@@ -4,8 +4,6 @@ always ends with a documented exit code."""
 
 import contextlib
 import io
-import os
-import tempfile
 
 import pytest
 
@@ -14,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import brlab.cli as cli
 from brlab.errors import BrlabError
-from brlab.rank_engine import SparseMatrix, read_matrix
 from brlab.tensor import Tensor3, tensor_from_json, tensor_to_json
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -56,29 +53,6 @@ def test_tensor_from_json_parses_or_raises_brlab_error(doc):
         return
     assert isinstance(t, Tensor3)
     assert tensor_from_json(tensor_to_json(t)) == t
-
-
-_tokens = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1/2", "1/0", "Q", "Fp:5", "Fp:6",
-                           "7", "", " ", "\t", "é", "0.5", "1e3"])
-_matrix_lines = st.lists(st.lists(_tokens, max_size=4).map(" ".join), max_size=6).map("\n".join)
-_headers = st.sampled_from(["3 3 Q", "2 4 Fp:5", "4 2 Fp:7", "0 0 Q", "-1 2 Q"])
-_headed_matrices = st.builds("{}\n{}".format, _headers, _matrix_lines)
-
-
-@FUZZ
-@given(st.one_of(st.text(max_size=60), _matrix_lines, _headed_matrices))
-def test_read_matrix_parses_or_raises_brlab_error(text):
-    fd, path = tempfile.mkstemp(suffix=".txt")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        try:
-            m = read_matrix(path)
-        except BrlabError:
-            return
-        assert isinstance(m, SparseMatrix)
-    finally:
-        os.unlink(path)
 
 
 # CLI argv from the real subcommands and options, with small dimensions so

@@ -18,8 +18,6 @@ from brlab.rank_engine import (
     rank_certified,
     rank_exact_q,
     rank_mod_p,
-    read_matrix,
-    write_matrix,
 )
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
@@ -201,59 +199,6 @@ def test_sparse_matrix_validation():
             assert m.items() == [(0, 0, 1), (1, 0, 2), (1, 2, 5)]
 
 
-def test_matrix_file_round_trip(tmp_path):
-    rng = random.Random(404)
-    m = _random_matrix(rng, 6, 4, fill=0.5)
-    path = tmp_path / "m.txt"
-    write_matrix(m, path)
-    assert read_matrix(path) == m
-
-    fp = FieldTag.prime_field(65521)
-    m2 = SparseMatrix(3, 3, [(0, 1, 7), (2, 2, 65520)], fp)
-    write_matrix(m2, path)
-    assert read_matrix(path) == m2
-
-
-def test_matrix_file_rejects_bad_input(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2 Q\n1 0 1\n0 0 1\n")
-    with pytest.raises(FormatError):
-        read_matrix(path)
-    path.write_text("2 2\n")
-    with pytest.raises(FormatError):
-        read_matrix(path)
-    path.write_text("2 2 Q\n0 0 1 9\n")
-    with pytest.raises(FormatError):
-        read_matrix(path)
-    # F_p values and moduli are ASCII decimal digits, as in tensor files.
-    for text in ["2 2 Fp:5\n0 0 1_001\n", "2 2 Fp:5\n0 0 +-1\n", "2 2 Fp:7_0\n0 0 1\n",
-                 "2 2 R\n0 0 1\n", "2 2 Fp:\n0 0 1\n", "2 2 Fp:+5\n0 0 1\n"]:
-        path.write_text(text)
-        with pytest.raises(FormatError):
-            read_matrix(path)
-    # Shapes and indices are ASCII decimal digits alone.
-    for text in ["2_0 2 Q\n", "2 +2 Q\n", "2 2.0 Q\n", "\u0662 2 Q\n", "-2 2 Q\n",
-                 "2 2 Q\n1_0 0 1\n", "2 2 Q\n+1 0 1\n", "2 2 Q\n0 -0 1\n"]:
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_matrix(path)
-    path.write_text("2 2 Fp:6\n0 0 1\n")
-    with pytest.raises(BadPrime):
-        read_matrix(path)
-    path.write_text("2 2 Fp:5\n0 0 -6\n1 1 +7\n")
-    m = read_matrix(path)
-    assert (m.value(0, 0), m.value(1, 1)) == (4, 2)
-
-
-def test_koszul_file_round_trip(tmp_path):
-    km = koszul_flattening(matmul_tensor(2, 2, 2), 1)
-    path = tmp_path / "koszul.txt"
-    write_matrix(km.matrix, path)
-    back = read_matrix(path)
-    assert back == km.matrix
-    assert rank_exact_q(back).rank == 16
-
-
 def test_q_storage_int_or_fraction():
     m = SparseMatrix(2, 2, [(0, 0, Fraction(2, 1)), (1, 1, Fraction(1, 3))], Q)
     assert type(m.value(0, 0)) is int
@@ -364,16 +309,6 @@ def test_prime_field_matrix_not_certified_over_q():
     assert res.rank == 2
     assert not res.certified_lower_bound_over_q
     assert rank_mod_p(_identity(2), 7).certified_lower_bound_over_q
-
-
-def test_matrix_file_bad_index_and_non_ascii(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2 Q\n0 x 1\n")
-    with pytest.raises(FormatError):
-        read_matrix(path)
-    path.write_bytes(b"2 2 Q\n0 0 \xe9\n")
-    with pytest.raises(FormatError):
-        read_matrix(path)
 
 
 def _place_copies(blocks, counts, rng, pad, shuffle_rows):

@@ -88,7 +88,7 @@ def test_prime_field_literals_are_ascii_digits():
     assert tag.parse("10") == 3
     assert tag.parse("-1") == 6
     assert tag.parse("+007") == 0
-    for bad in ["1_001", " 5", "5 ", "\u0663", "1/2", "1.0", "0x5", "", "+", "--1"]:
+    for bad in ["1_001", " 5", "5 ", "\u0663", "1/2", "1.0", "0x5", "", "+", "--1", "+-1"]:
         with pytest.raises(FormatError):
             tag.parse(bad)
 

@@ -252,7 +252,7 @@ def test_json_field_and_values_are_ascii_digits():
         bad["field"] = field
         with pytest.raises(FormatError):
             tensor_from_json(bad)
-    for value in ["1_002", " 5", "5 ", "\u0663", "1/2", "0x1"]:
+    for value in ["1_002", "+-1", " 5", "5 ", "\u0663", "1/2", "0x1"]:
         bad = json.loads(json.dumps(doc))
         bad["entries"][0][3] = value
         with pytest.raises(FormatError):
@@ -300,6 +300,16 @@ def test_json_dims_and_indices_are_json_integers(tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"field": "Q", "dims": [2, 2, %s], "entries": []}' % ("9" * 5000))
     with pytest.raises(FormatError):
+        load_tensor(path)
+
+
+def test_tensor_file_bad_index_and_non_ascii(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"field": "Q", "dims": [2, 2, 1], "entries": [[0, "x", 0, "1"]]}\n')
+    with pytest.raises(FormatError):
+        load_tensor(path)
+    path.write_bytes(b'{"field": "Q", "dims": [2, 2, 1], "entries": [[0, 0, 0, "\xe9"]]}\n')
+    with pytest.raises(FormatError, match="not an ASCII file"):
         load_tensor(path)
 
 
