@@ -24,7 +24,6 @@ from .binaryforms import (
 from .errors import BrlabError
 from .exterior import (
     KoszulMatrix,
-    flatten_classical,
     koszul_flattening,
 )
 from .rank_engine import (
@@ -87,7 +86,6 @@ __all__ = [
     "corollary_2nl",
     "dim_schur",
     "dual_surjectivity_check",
-    "flatten_classical",
     "kernel_dim_formula",
     "kernel_dim_pieri",
     "kernel_modules",

@@ -221,17 +221,17 @@ def flattening_rank(t: Tensor3, p: int,
                 # flattening time from it.
                 parts = ((koszul_flattening(summand, p).matrix, 1),)
             else:
-                spaces = koszul_weight_spaces(summand, p, grading)
-                parts = spaces.parts
-                pairs += spaces.pairs
-                fixed += spaces.fixed
+                parts = koszul_weight_spaces(summand, p, grading)
+                if len(parts) == 2:
+                    pairs += len(parts[0][0].weights)
+                    fixed += len(parts[1][0].weights)
             for part, copies in parts:
                 res = rank_certified(part, strat)
                 split_ms += res.split_ms
                 rank_ms += res.rank_ms
                 rank += count * copies * res.rank
-                nnz += count * copies * part.nnz
-                written += count * part.nnz
+                nnz += count * copies * res.nnz
+                written += count * res.nnz
                 block_classes += res.classes
                 unsettled += res.unsettled
                 settled_mod_2 += res.settled_mod_2
@@ -335,9 +335,6 @@ def formula_certificate(method: str, m: int, n: int, l: int) -> BoundCertificate
     if method == "theorem1-formula":
         quotient = Fraction(n * l * (n + m - 1), m)
         bound = bound_formula_theorem1(m, n, l)
-    elif method == "corollary-2nl":
-        quotient = Fraction(2 * n * l - l, 1)
-        bound = corollary_2nl(n, l)
     elif method == "lickteig-square":
         quotient = Fraction(3 * n * n + n - 2, 2)
         bound = lickteig_square(n)

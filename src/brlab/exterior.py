@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import InvalidDimension
 from .rank_engine import SparseMatrix
-from .tensor import Tensor3, mirror_grading
+from .tensor import Tensor3
 
 
 class WedgeRangeWarning(UserWarning):
@@ -98,40 +98,21 @@ def _mirror_map(subset_pairs, wb: dict[int, int], b: int) -> dict[int, int] | No
 class WeightSpaces:
     """One part of a wedge flattening, as a stream of its weight spaces.
 
-    Iterating it writes the cells of one weight at a time into a
+    Each iteration writes the cells of one weight at a time into a
     `SparseMatrix` of the flattening's full shape and yields that matrix,
-    which no other reference holds; nnz counts the entries written by the
-    last iteration.  The flattening is block diagonal over the weights (see
-    `koszul_weight_spaces`), so each yielded matrix is a union of row blocks
-    of the whole one.
+    which no other reference holds.  The flattening is block diagonal over
+    the weights (see `koszul_weight_spaces`), so each yielded matrix is a
+    union of row blocks of the whole one.
     """
 
     def __init__(self, rows: int, cols: int, field, weights: list[int], write):
         self.rows, self.cols, self.field = rows, cols, field
         self.weights = weights
         self._write = write
-        self.nnz = 0
-
-    def _counted(self, m: SparseMatrix) -> SparseMatrix:
-        self.nnz += m.nnz
-        return m
 
     def __iter__(self):
-        self.nnz = 0
         for w in self.weights:
-            yield self._counted(SparseMatrix(self.rows, self.cols, self._write(w), self.field))
-
-
-@dataclass(frozen=True)
-class KoszulWeightSpaces:
-    """A wedge flattening as parts whose ranks add up with multiplicities:
-    (WeightSpaces, count) pairs; pairs counts the mirror pairs of weight
-    spaces of which one was written, fixed the spaces that are their own
-    mirror (both 0 when nothing was paired)."""
-
-    parts: tuple[tuple[WeightSpaces, int], ...]
-    pairs: int
-    fixed: int
+            yield SparseMatrix(self.rows, self.cols, self._write(w), self.field)
 
 
 def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None):
@@ -189,11 +170,12 @@ def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None):
     return used, bucket, rows_of, cols_of, offsets, subset_pairs
 
 
-def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
-    """The p-th wedge flattening of t as parts of weight spaces, written one
-    weight at a time when each part is iterated; grading is
-    `mirror_grading(t)`, or None for the whole flattening as one weight
-    space.
+def koszul_weight_spaces(t: Tensor3, p: int,
+                         grading) -> tuple[tuple[WeightSpaces, int], ...]:
+    """The p-th wedge flattening of t as (WeightSpaces, count) parts whose
+    ranks add up with the counts, written one weight at a time when each
+    part is iterated; grading is `mirror_grading(t)`, or None for the whole
+    flattening as one weight space.
 
     The cells are those of `koszul_flattening`.  Column (j, S) gets the
     weight w = wB(j) + sum wA(S), and the grading makes the flattening
@@ -209,7 +191,7 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
     counted twice, and w = sigma(w), counted once; the others are their
     mirror images and are never written.  When sigma is not a function of
     w, or every weight is its own mirror, the one part holds every weight,
-    counted once.
+    counted once: there are two parts exactly when some weight was paired.
     """
     check_wedge_power(t.dims[0], p)
     a, b, c = t.dims
@@ -248,12 +230,11 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading) -> KoszulWeightSpaces:
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
     sigma = _mirror_map(subset_pairs, wb, b) if grading is not None else None
     if sigma is None or all(w == m for w, m in sigma.items()):
-        return KoszulWeightSpaces(((WeightSpaces(rows, cols, t.field, weights, write), 1),), 0, 0)
+        return ((WeightSpaces(rows, cols, t.field, weights, write), 1),)
     paired = [w for w in weights if w < sigma[w]]
     fixed = [w for w in weights if w == sigma[w]]
-    return KoszulWeightSpaces(((WeightSpaces(rows, cols, t.field, paired, write), 2),
-                               (WeightSpaces(rows, cols, t.field, fixed, write), 1)),
-                              len(paired), len(fixed))
+    return ((WeightSpaces(rows, cols, t.field, paired, write), 2),
+            (WeightSpaces(rows, cols, t.field, fixed, write), 1))
 
 
 def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
@@ -264,7 +245,7 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     c*C(a, p+1) rows by b*C(a, p) columns.  The matrix is the one weight
     space of `koszul_weight_spaces` with no grading.
     """
-    ((spaces, _),) = koszul_weight_spaces(t, p, None).parts
+    ((spaces, _),) = koszul_weight_spaces(t, p, None)
     (matrix,) = spaces
     return KoszulMatrix(matrix)
 
@@ -272,7 +253,11 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:
     """t with the chosen factor moved to the second place, the other two
     keeping their (A, B, C) order, so that its p = 0 wedge flattening is the
-    classical flattening of t for that factor (see `flatten_classical`)."""
+    classical flattening of t for that factor:
+      mode "A": (b*c) x a, entry at row j*c + k, column i (first two factors swapped)
+      mode "B": (a*c) x b, entry at row i*c + k, column j (t itself)
+      mode "C": (a*b) x c, entry at row i*b + j, column k (last two factors swapped)
+    """
     a, b, c = t.dims
     cells = t._cells.items()
     if mode == "A":
@@ -283,13 +268,3 @@ def classical_tensor(t: Tensor3, mode: str) -> Tensor3:
         raise InvalidDimension(f"mode must be A, B or C, got {mode!r}")
     return t
 
-
-def flatten_classical(t: Tensor3, mode: str) -> SparseMatrix:
-    """Classical flattening: the tensor as a linear map out of one factor's dual.
-
-    It is the p = 0 wedge flattening of `classical_tensor(t, mode)`:
-      mode "A": (b*c) x a, entry at row j*c + k, column i (first two factors swapped)
-      mode "B": (a*c) x b, entry at row i*c + k, column j (t itself)
-      mode "C": (a*b) x c, entry at row i*b + j, column k (last two factors swapped)
-    """
-    return koszul_flattening(classical_tensor(t, mode), 0).matrix

@@ -1,9 +1,9 @@
 """Exact rank computation over Q and F_p for sparse matrices.
 
-Rank results carry certification semantics: the rank over F_p of an integer
-matrix can only undercount the rank over Q, so a mod-p rank is a *sound*
-(possibly loose) input to a lower-bound certificate, while an exact-Q rank
-is tight for the matrix at hand.
+The rank over F_p of an integer matrix can only undercount the rank over Q,
+so a mod-p rank is a *sound* (possibly loose) input to a lower-bound
+certificate, while an exact-Q rank is tight for the matrix at hand; the
+label a rank earns is decided by `bounds._soundness`.
 
 A `SparseMatrix` holds one form from construction to splitting: a
 {col: value} map per nonempty row, filled in one validating pass that may
@@ -139,15 +139,15 @@ class SparseMatrix:
         # union-find nodes, so time and memory follow nnz, not the declared
         # row count.  Join each row to the first row seen in each of its
         # columns (path halving; a component's root is its smallest row).
-        # x tracks the root of row y's component while y is joined.
+        # x tracks the root of row y's component while y is joined; y
+        # starts as a root, since a row's parent is set only from its own
+        # turn on.
         order = sorted(rows)
         parent = list(range(len(order)))
         col_owner: dict[int, int] = {}
         owner_of = col_owner.setdefault
         for y, r in enumerate(order):
             x = y
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
             for c in rows[r]:
                 o = owner_of(c, y)
                 if o != y:
@@ -197,15 +197,17 @@ class RankResult:
     prime tried; under exact Q these are the classes that fraction-free
     elimination ranked.  settled_mod_2 counts the classes that the exact-Q
     pass over F_2 brought to full rank (always 0 for the other strategies);
-    the remaining classes were settled mod a prime.  split_ms is the time
-    spent splitting the matrices into row blocks, keying them and looking
-    the keys up in the class table, rank_ms that of the rank passes over
-    the class representatives; neither counts the writing of a streamed
-    matrix, and results that differ only in them compare equal.
+    the remaining classes were settled mod a prime.  nnz counts the
+    entries read: the matrix's, or the sum over a stream's matrices.
+    split_ms is the time spent splitting the matrices into row blocks,
+    keying them and looking the keys up in the class table, rank_ms that
+    of the rank passes over the class representatives; neither counts the
+    writing of a streamed matrix, and results that differ only in them
+    compare equal.
     """
 
     rank: int
-    certified_lower_bound_over_q: bool
+    nnz: int
     classes: int
     unsettled: int
     settled_mod_2: int
@@ -260,9 +262,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     rank = 0
     while heap:
         cnt, c = heapq.heappop(heap)
-        rs = col_rows.get(c)
-        if rs is None:
-            continue
+        rs = col_rows[c]
         if not rs:
             del col_rows[c]
             continue
@@ -394,32 +394,30 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     a class is ranked when first seen, after which only its key and rank
     are kept, to the end of the stream.  Each class is ranked mod the
     primes in turn, keeps its max, and stops at the first prime that
-    reaches min(block rows, block columns).  For an integer block rank_p <= rank_Q <= min(rows, cols), so
-    such a class is settled: no prime can raise it.  For each prime the
-    matrix's rank is the sum of its class ranks, so the sum of per-class
-    maxes is a sound lower bound on the Q-rank, and never below the whole
-    matrix's max over the primes.  When exact, each class is scaled
-    integral row by row (rank-preserving) and first ranked over F_2;
-    reduction Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a
-    class of full rank mod 2 is settled with no prime.  Any other class
-    runs the primes, and one that stays unsettled is ranked by
-    fraction-free elimination.  With integer_only, a matrix with a
-    non-integer entry raises BadPrime.
+    reaches min(block rows, block columns).  For an integer block
+    rank_p <= rank_Q <= min(rows, cols), so such a class is settled: no
+    prime can raise it.  For each prime the matrix's rank is the sum of its
+    class ranks, so the sum of per-class maxes is a sound lower bound on
+    the Q-rank, and never below the whole matrix's max over the primes.
+    When exact, each class is scaled integral row by row (rank-preserving)
+    and first ranked over F_2; reduction Z -> F_2 is a ring map, so
+    rank_2 <= rank_Q <= full and a class of full rank mod 2 is settled
+    with no prime.  Any other class runs the primes, and one that stays
+    unsettled is ranked by fraction-free elimination.  With integer_only,
+    a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
     for tag in tags:
         if not m.field.is_q and tag != m.field:
             raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
     ranks: dict[tuple, int] = {}  # content key -> rank of its class
-    rank = unsettled = settled_mod_2 = 0
+    rank = nnz = unsettled = settled_mod_2 = 0
     split_s = rank_s = 0.0
-    integral = True
     for space in (m,) if isinstance(m, SparseMatrix) else m:
-        if not space.is_integral():
-            if integer_only:
-                raise BadPrime("MultiPrime certification requires integer entries")
-            integral = False
+        if integer_only and not space.is_integral():
+            raise BadPrime("MultiPrime certification requires integer entries")
         scale = exact and not space.is_integral()
+        nnz += space.nnz
         t0, rank_before = time.perf_counter(), rank_s
         keys = space._block_keys()
         del space  # only the keys are ranked
@@ -448,16 +446,16 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
             ranks[key] = r
             rank += r
         split_s += time.perf_counter() - t0 - (rank_s - rank_before)
-    return RankResult(rank, m.field.is_q and (exact or integral), len(ranks), unsettled,
-                      settled_mod_2, split_s * 1000.0, rank_s * 1000.0)
+    return RankResult(rank, nnz, len(ranks), unsettled, settled_mod_2,
+                      split_s * 1000.0, rank_s * 1000.0)
 
 
 def rank_mod_p(m, p: int) -> RankResult:
     """Exact rank over F_p, one elimination per class of identical blocks.
 
-    Certified as a lower bound on the rank over Q exactly when the matrix is
-    over Q with integer entries (an integer matrix's mod-p rank never exceeds
-    its Q-rank); a matrix given over F_p has no Q lift to bound.
+    For an integer matrix over Q it is a lower bound on the rank over Q; a
+    matrix given over F_p has no Q lift to bound.  What a rank certifies is
+    decided by `bounds._soundness`.
     """
     return _rank_classes(m, (p,), False)
 

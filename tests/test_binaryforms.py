@@ -8,7 +8,7 @@ from oracles import dense_rows, rank_gauss_fractions
 
 from brlab.binaryforms import dual_surjectivity_check, restrict_matmul, restricted_koszul
 from brlab.errors import OrderViolation
-from brlab.exterior import flatten_classical
+from brlab.exterior import classical_tensor, koszul_flattening
 from brlab.rank_engine import rank_exact_q, rank_mod_p
 from brlab.scalars import FieldTag
 from brlab.tensor import Tensor3, matmul_tensor
@@ -60,7 +60,8 @@ def test_restriction_projector_33_full_row_rank():
     # The projection is onto: the restricted first factor is fully used.
     t = restrict_matmul(3, 3, 1)
     assert t.dims[0] == 5
-    assert rank_gauss_fractions(dense_rows(flatten_classical(t, "A"))) == 5
+    fa = koszul_flattening(classical_tensor(t, "A"), 0).matrix
+    assert rank_gauss_fractions(dense_rows(fa)) == 5
 
 
 def test_restriction_projector_order_violation():

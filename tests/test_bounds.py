@@ -201,8 +201,6 @@ def test_formula_certificates():
     assert cert.bound == 15 and cert.rank is None
     cert = formula_certificate("lickteig-square", 3, 3, 3)
     assert cert.bound == 14
-    cert = formula_certificate("corollary-2nl", 4, 4, 4)
-    assert cert.bound == 28
 
 
 def test_compare_table_contents():

@@ -13,7 +13,6 @@ from brlab.errors import InvalidDimension
 from brlab.exterior import (
     WedgeRangeWarning,
     _colex_tuples,
-    flatten_classical,
     koszul_flattening,
     redundancy_cap,
 )
@@ -148,7 +147,9 @@ def test_koszul_matches_the_brute_force_oracle(field):
 
 def test_koszul_p0_equals_classical_b():
     t = matmul_tensor(2, 3, 4)
-    assert koszul_flattening(t, 0).matrix == flatten_classical(t, "B")
+    c = t.dims[2]
+    assert koszul_flattening(t, 0).matrix.items() == \
+        sorted((i * c + k, j, v) for i, j, k, v in t.items())
 
 
 def test_koszul_rank_one_law_small():

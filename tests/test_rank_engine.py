@@ -57,7 +57,6 @@ def test_koszul_333_rank_mod_65521():
     km = koszul_flattening(matmul_tensor(3, 3, 3), 4)
     res = rank_mod_p(km.matrix, 65521)
     assert res.rank == 918
-    assert res.certified_lower_bound_over_q
 
 
 def test_permutation_matrix_full_rank():
@@ -85,7 +84,6 @@ def test_rank_exact_q_rational_entries():
                                    (1, 0, Fraction(3, 2)), (1, 1, Fraction(1, 1))], Q)
     assert rank_exact_q(singular).rank == rank_gauss_fractions(dense_rows(singular)) == 1
     assert not m.is_integral()
-    assert not rank_mod_p(m, 5).certified_lower_bound_over_q
 
 
 def test_multiprime_detects_unlucky_prime():
@@ -95,7 +93,6 @@ def test_multiprime_detects_unlucky_prime():
     primes = (65521,) + DEFAULT_CERTIFICATION_PRIMES[:2]
     res = rank_certified(m, MultiPrime(primes))
     assert res.rank == 3
-    assert res.certified_lower_bound_over_q
 
 
 def test_zero_matrix_both_strategies():
@@ -249,7 +246,7 @@ def test_multiprime_takes_max_per_class():
     m = SparseMatrix(2, 2, [(0, 0, 65521), (1, 1, 65537)], Q)
     assert rank_mod_p(m, 65521).rank == rank_mod_p(m, 65537).rank == 1
     res = rank_certified(m, MultiPrime((65521, 65537)))
-    assert (res.rank, res.certified_lower_bound_over_q) == (2, True)
+    assert res.rank == 2
     assert (res.classes, res.unsettled) == (2, 0)
 
 
@@ -307,8 +304,7 @@ def test_prime_field_matrix_not_certified_over_q():
     m = SparseMatrix(2, 2, [(0, 0, 3), (1, 1, 5)], fp)
     res = rank_mod_p(m, 7)
     assert res.rank == 2
-    assert not res.certified_lower_bound_over_q
-    assert rank_mod_p(_identity(2), 7).certified_lower_bound_over_q
+    # Its label, exact-Fp, is decided by bounds._soundness (test_bounds).
 
 
 def _place_copies(blocks, counts, rng, pad, shuffle_rows):
@@ -459,7 +455,7 @@ def test_exact_q_rational_rows_reduced_after_scaling():
     # (1, P), equal to the row (1, 1) mod 2, so the mod-P pass settles it.
     m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.certified_lower_bound_over_q) == (2, True)
+    assert res.rank == 2
     assert (res.unsettled, res.settled_mod_2) == (0, 0)
     with pytest.raises(BadPrime):
         rank_mod_p(m, P)

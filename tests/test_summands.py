@@ -64,10 +64,10 @@ def test_one_representative_is_flattened_per_class(monkeypatch):
     shapes = []
 
     def counting(flatten):
-        def flatten_counted(t, p, *args):
+        def flatten_and_record(t, p, *args):
             shapes.append(t.dims)
             return flatten(t, p, *args)
-        return flatten_counted
+        return flatten_and_record
 
     # A graded summand is streamed by weight, any other flattened whole.
     for flatten in (koszul_flattening, koszul_weight_spaces):

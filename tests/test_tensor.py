@@ -16,7 +16,7 @@ from brlab.errors import (
     ZeroFactor,
     ZeroScalar,
 )
-from brlab.exterior import flatten_classical
+from brlab.exterior import classical_tensor, koszul_flattening
 from brlab.rank_engine import rank_exact_q
 from brlab.scalars import FieldTag
 from brlab.tensor import (
@@ -60,7 +60,7 @@ def test_matmul_examples():
     t = matmul_tensor(3, 3, 3)
     assert t.dims == (9, 9, 9)
     assert t.nnz == 27
-    fb = flatten_classical(t, "B")
+    fb = koszul_flattening(classical_tensor(t, "B"), 0).matrix
     assert (fb.rows, fb.cols) == (81, 9)
     assert rank_gauss_fractions(dense_rows(fb)) == 9
     assert rank_exact_q(fb).rank == 9
@@ -89,7 +89,7 @@ def test_rank_one_examples():
     assert all(v == 1 for _, _, _, v in t.items())
 
     for mode in "ABC":
-        m = flatten_classical(t, mode)
+        m = koszul_flattening(classical_tensor(t, mode), 0).matrix
         assert rank_gauss_fractions(dense_rows(m)) == 1
         assert rank_exact_q(m).rank == 1
 
@@ -116,27 +116,27 @@ def test_add_and_scale():
 
 def test_flatten_conventions_explicit():
     t = Tensor3((2, 3, 4), [(1, 2, 3, 5)], Q)
-    fa = flatten_classical(t, "A")
+    fa = koszul_flattening(classical_tensor(t, "A"), 0).matrix
     assert (fa.rows, fa.cols) == (12, 2)
     assert fa.value(2 * 4 + 3, 1) == 5
-    fb = flatten_classical(t, "B")
+    fb = koszul_flattening(classical_tensor(t, "B"), 0).matrix
     assert (fb.rows, fb.cols) == (8, 3)
     assert fb.value(1 * 4 + 3, 2) == 5
-    fc = flatten_classical(t, "C")
+    fc = koszul_flattening(classical_tensor(t, "C"), 0).matrix
     assert (fc.rows, fc.cols) == (6, 4)
     assert fc.value(1 * 3 + 2, 3) == 5
     with pytest.raises(InvalidDimension):
-        flatten_classical(t, "D")
+        classical_tensor(t, "D")
     t = _random_tensor(random.Random(23), (2, 3, 5), fill=0.6)
     expected = {"A": {(j * 5 + k, i, v) for i, j, k, v in t.items()},
                 "B": {(i * 5 + k, j, v) for i, j, k, v in t.items()},
                 "C": {(i * 3 + j, k, v) for i, j, k, v in t.items()}}
     for mode, cells in expected.items():
-        assert set(flatten_classical(t, mode).items()) == cells
+        assert set(koszul_flattening(classical_tensor(t, mode), 0).matrix.items()) == cells
 
 
 def test_flatten_matmul_222_mode_b():
-    m = flatten_classical(matmul_tensor(2, 2, 2), "B")
+    m = koszul_flattening(classical_tensor(matmul_tensor(2, 2, 2), "B"), 0).matrix
     assert (m.rows, m.cols) == (16, 4)
     assert rank_gauss_fractions(dense_rows(m)) == 4
     assert rank_exact_q(m).rank == 4
@@ -144,7 +144,7 @@ def test_flatten_matmul_222_mode_b():
 
 def test_flatten_zero_tensor():
     t = Tensor3((2, 2, 2), [], Q)
-    assert rank_exact_q(flatten_classical(t, "B")).rank == 0
+    assert rank_exact_q(koszul_flattening(classical_tensor(t, "B"), 0).matrix).rank == 0
 
 
 def test_flatten_rank_invariant_under_storage_order():
@@ -154,8 +154,8 @@ def test_flatten_rank_invariant_under_storage_order():
     rng.shuffle(entries)
     t2 = Tensor3(t.dims, entries, Q)
     for mode in "ABC":
-        assert rank_exact_q(flatten_classical(t, mode)).rank == \
-            rank_exact_q(flatten_classical(t2, mode)).rank
+        assert rank_exact_q(koszul_flattening(classical_tensor(t, mode), 0).matrix).rank == \
+            rank_exact_q(koszul_flattening(classical_tensor(t2, mode), 0).matrix).rank
 
 
 def test_flatten_subadditive_on_random_pairs():
@@ -165,9 +165,9 @@ def test_flatten_subadditive_on_random_pairs():
         t = _random_tensor(rng, (3, 3, 3))
         total = add_tensors(s, t)
         for mode in "ABC":
-            r_sum = rank_exact_q(flatten_classical(total, mode)).rank
-            r_s = rank_exact_q(flatten_classical(s, mode)).rank
-            r_t = rank_exact_q(flatten_classical(t, mode)).rank
+            r_sum = rank_exact_q(koszul_flattening(classical_tensor(total, mode), 0).matrix).rank
+            r_s = rank_exact_q(koszul_flattening(classical_tensor(s, mode), 0).matrix).rank
+            r_t = rank_exact_q(koszul_flattening(classical_tensor(t, mode), 0).matrix).rank
             assert r_sum <= r_s + r_t
 
 
@@ -190,8 +190,9 @@ def test_projection_never_increases_flattening_rank():
         p = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
         proj = _project_first_factor(t, p)
         for mode in "ABC":
-            assert rank_exact_q(flatten_classical(proj, mode)).rank <= \
-                rank_exact_q(flatten_classical(t, mode)).rank
+            r_proj = rank_exact_q(koszul_flattening(classical_tensor(proj, mode), 0).matrix).rank
+            r_t = rank_exact_q(koszul_flattening(classical_tensor(t, mode), 0).matrix).rank
+            assert r_proj <= r_t
 
 
 def test_tensor_validation():

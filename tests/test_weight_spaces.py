@@ -35,7 +35,7 @@ def assembled(t, p, strategy):
     each row's in the order written."""
     rank = classes = settled = unsettled = written = whole = 0
     for summand, count in direct_summands(t):
-        for part, copies in koszul_weight_spaces(summand, p, mirror_grading(summand)).parts:
+        for part, copies in koszul_weight_spaces(summand, p, mirror_grading(summand)):
             matrix = SparseMatrix(part.rows, part.cols, [
                 (r, c, v) for space in part for r, row in space._rows.items()
                 for c, v in row.items()], summand.field)
@@ -74,16 +74,31 @@ def test_every_weight_space_is_a_union_of_blocks():
     # Written alone, the weight spaces hold cells of distinct rows, and
     # their row blocks are those of the part they make up.
     t = restrict_matmul(4, 4, 1)
-    for part, _ in koszul_weight_spaces(t, 3, mirror_grading(t)).parts:
+    for part, _ in koszul_weight_spaces(t, 3, mirror_grading(t)):
         keys, cells, rows = [], [], set()
         for space in part:
             assert rows.isdisjoint(space._rows)
             rows |= space._rows.keys()
             keys += [key for key, _ in space._block_keys()]
             cells += [(r, c, v) for r, row in space._rows.items() for c, v in row.items()]
-        assert part.nnz == len(cells)
+        assert rank_certified(part, ExactQ()).nnz == len(cells)
         matrix = SparseMatrix(part.rows, part.cols, cells, t.field)
         assert sorted(keys) == sorted(key for key, _ in matrix._block_keys())
+
+
+@pytest.mark.parametrize("t,p,fixed", [
+    (restrict_matmul(3, 3, 1), 2, 1),
+    (Tensor3((2, 2, 1), [(0, 0, 0, 1), (1, 1, 0, 1)], Q), 0, 0),
+], ids=["fixed", "none-fixed"])
+def test_a_part_writes_the_same_spaces_on_every_iteration(t, p, fixed):
+    # A part holds no state: iterating it again writes equal weight spaces,
+    # and the rank loop counts the entries of the spaces it reads.
+    (paired, two), (self_mirror, one) = koszul_weight_spaces(t, p, mirror_grading(t))
+    assert (two, one, len(self_mirror.weights)) == (2, 1, fixed)
+    for part in (paired, self_mirror):
+        first = list(part)
+        assert first == list(part)
+        assert rank_certified(part, ExactQ()).nnz == sum(m.nnz for m in first)
 
 
 def one_changed_value() -> Tensor3:
@@ -106,7 +121,7 @@ def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
     def spy_spaces(summand, p, grading):
         result = koszul_weight_spaces(summand, p, grading)
         calls.append(("koszul_weight_spaces", [(len(part.weights), copies)
-                                               for part, copies in result.parts]))
+                                               for part, copies in result]))
         return result
 
     monkeypatch.setattr(bounds, "koszul_flattening", spy_whole)
