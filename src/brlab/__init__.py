@@ -14,7 +14,6 @@ from .bounds import (
     bound_koszul,
     bound_matmul_restricted,
     compare_table,
-    corollary_2nl,
     lickteig_square,
 )
 from .binaryforms import (
@@ -83,7 +82,6 @@ __all__ = [
     "certification_primes",
     "compare_table",
     "conjugate",
-    "corollary_2nl",
     "dim_schur",
     "dual_surjectivity_check",
     "kernel_dim_formula",

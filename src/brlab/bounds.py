@@ -142,17 +142,17 @@ class FlatteningRank:
     weight spaces into row blocks, keying them and looking the keys up in
     the class tables, and flatten_ms the rest of the work on the
     representatives: the grading, the insertion tables, and writing and
-    validating the weight spaces.  block_classes counts the classes of
-    identical blocks ranked over all representatives, unsettled those that
-    no prime brought to full rank (`RankResult`): under ExactQ, the ones
-    fraction-free elimination ranked, and settled_mod_2 those that the
-    ExactQ pass over F_2 brought to full rank.  mirror_pairs and
-    mirror_fixed count the weight spaces of the representatives that were
-    flattened by mirror pairs (see `koszul_weight_spaces`): pairs of which
-    one space was flattened, and spaces that are their own mirror.
-    nnz_written counts the entries written, each representative's as often
-    as nnz counts it (`bound_classical` sums both over its three
-    flattenings).
+    validating the weight spaces.  block_classes counts the blocks ranked
+    over all representatives, one per class of identical blocks
+    (`RankResult.classes`), unsettled those that no prime brought to full
+    rank: under ExactQ, the ones fraction-free elimination ranked, and
+    settled_mod_2 those that the ExactQ pass over F_2 brought to full
+    rank.  mirror_pairs and mirror_fixed count the weight spaces of the
+    representatives that were flattened by mirror pairs (see
+    `koszul_weight_spaces`): pairs of which one space was flattened, and
+    spaces that are their own mirror.  nnz_written counts the entries
+    written, each representative's as often as nnz counts it
+    (`bound_classical` sums both over its three flattenings).
     """
 
     rows: int
@@ -314,13 +314,6 @@ def bound_formula_theorem1(m: int, n: int, l: int) -> int:
     if n < 1 or l < 1:
         raise InvalidDimension(f"need n, l >= 1, got n={n}, l={l}")
     return _ceil_div(n * l * (n + m - 1), m)
-
-
-def corollary_2nl(n: int, l: int) -> int:
-    """Square-case specialization 2nl - l of the restricted-map bound."""
-    if n < 1 or l < 1:
-        raise InvalidDimension(f"need n, l >= 1, got n={n}, l={l}")
-    return 2 * n * l - l
 
 
 def lickteig_square(n: int) -> int:

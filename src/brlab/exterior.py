@@ -9,7 +9,9 @@ entries, not the declared dimension.  The tables are flat machine-integer
 arrays, grouped by the weight of the subset under a grading of the tensor,
 so that the cells of one weight space of the flattening are written alone:
 `koszul_weight_spaces` streams them one weight at a time, and
-`koszul_flattening` is its one-weight case, the whole flattening.
+`koszul_flattening` is its one-weight case, the whole flattening.  A table
+holds only the weights that some written weight space reads, so the cells
+of a mirror image, which is never written, are never built either.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -20,8 +22,10 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, count
 from math import comb
 
 from .errors import InvalidDimension
@@ -31,15 +35,6 @@ from .tensor import Tensor3
 
 class WedgeRangeWarning(UserWarning):
     """p exceeds ceil(a/2) - 1: the flattening duplicates a complementary one."""
-
-
-def _colex_tuples(a: int, p: int):
-    if p == 0:
-        yield ()
-        return
-    for top in range(p - 1, a):
-        for rest in _colex_tuples(top, p - 1):
-            yield rest + (top,)
 
 
 @dataclass(frozen=True)
@@ -82,17 +77,33 @@ def check_wedge_power(a: int, p: int) -> None:
         )
 
 
-def _mirror_map(subset_pairs, wb: dict[int, int], b: int) -> dict[int, int] | None:
-    """sigma: weight -> mirror weight of the columns (j, S) whose j occurs,
-    from the distinct (sum wA(S), sum wA(rho S)) pairs; None when one
-    weight has two mirror weights."""
+def _weight_parts(a: int, b: int, p: int, wa: list[int] | None, wb: dict[int, int]):
+    """(parts, buckets): the weights of the p-th wedge flattening as the
+    (weights, count) parts of `koszul_weight_spaces`, and the set of subset
+    weights sum wA(S) (0 alone when wa is None).
+
+    The distinct (sum wA(S), sum wA(rho S)) over the p-subsets S give
+    sigma: weight -> mirror weight of the columns (j, S) whose j occurs
+    in wb, which is no function when one weight has two mirror weights.
+    """
+    if wa is None:
+        subset_pairs = {(0, 0)}
+    else:
+        wa_rho = wa[::-1]
+        subset_pairs = {(sum(map(wa.__getitem__, s)), sum(map(wa_rho.__getitem__, s)))
+                        for s in combinations(range(a), p)}
+    buckets = {u for u, _ in subset_pairs}
+    weights = sorted({u + wj for u in buckets for wj in set(wb.values()) or (0,)})
     sigma: dict[int, int] = {}
-    for w, w_rho in subset_pairs:
+    for u, u_rho in subset_pairs:
         for j, wj in wb.items():
-            m = wb[b - 1 - j] + w_rho
-            if sigma.setdefault(wj + w, m) != m:
-                return None
-    return sigma
+            m = wb[b - 1 - j] + u_rho
+            if sigma.setdefault(wj + u, m) != m:
+                return [(weights, 1)], buckets
+    if all(w == m for w, m in sigma.items()):
+        return [(weights, 1)], buckets
+    return ([([w for w in weights if w < sigma[w]], 2),
+             ([w for w in weights if w == sigma[w]], 1)], buckets)
 
 
 class WeightSpaces:
@@ -115,59 +126,90 @@ class WeightSpaces:
             yield SparseMatrix(self.rows, self.cols, self._write(w), self.field)
 
 
-def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None):
-    """Insertion tables of the first-factor indices that occur in t, grouped
-    by the weight sum wA(S) of the p-subset S (all 0 when wa is None).
-
-    Returns (used, bucket, rows_of, cols_of, offsets, subset_pairs).  For the
-    x-th used index i, rows_of[x] and cols_of[x] hold one cell per p-subset
-    S avoiding i: the row offset c*colex(S u {i}), bitwise negated when the
-    wedge sign is -1, and the column offset b*colex(S).  The cells run over
-    the subsets grouped by weight, in colex order within a weight, and those
-    of the g-th weight (bucket[u] = g) lie in offsets[x][g]:offsets[x][g+1].
-    subset_pairs holds the distinct (sum wA(S), sum wA(rho S)).
-    """
+def _slice_cells(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
+                 needed: dict[int, int], bucket: dict[int, int], new):
+    """The cells of the slices that needed names (see `_insertion_tables`),
+    in reverse colex order of the subsets: for each used index, its row
+    offsets, its column offsets and the bucket of each cell."""
     a, b, c = t.dims
-    used = sorted({i for i, _, _ in t._cells})
-    # Flat machine-integer arrays, unless the shape overflows them (a first
-    # factor far larger than any table, say).
-    fits = max(c * comb(a, p + 1), b * comb(a, p)) < 1 << 63
-    new = partial(array, "q") if fits else list
-    rows_of, cols_of, offsets = ([new() for _ in used] for _ in range(3))
-    if wa is None:
-        subsets = ((0, q, s) for q, s in enumerate(_colex_tuples(a, p)))
-    else:
-        # Grouped by weight; ties keep colex order.
-        subsets = sorted((sum(map(wa.__getitem__, s)), q, s)
-                         for q, s in enumerate(_colex_tuples(a, p)))
-        wa_rho = wa[::-1]
-    bucket, subset_pairs = {}, set()
+    rows_of, cols_of, groups = ([new() for _ in used] for _ in range(3))
+    # For each subset weight, its bucket and the indices whose slice it
+    # fills, increasing, each with C(i, pos+1) for every insertion place.
+    steps = [(i, [comb(i, pos + 1) for pos in range(p + 1)], rows.append, cols.append,
+              group.append) for i, rows, cols, group in zip(used, rows_of, cols_of, groups)]
+    walks = {u: (bucket[u], [steps[x] for x in range(len(used)) if xs >> x & 1])
+             for u, xs in needed.items()}
+    # binom[j][y] = C(y, j) for the elements y of a subset.  At p = 0 the one
+    # subset is empty, so no row is read, and a may be far larger than any
+    # table (combinations would hold range(a) too).
+    binom = [[comb(y, j) for y in range(a)] for j in range(p + 2)] if p else []
+    # combinations keeps the order of its input: over a-1, ..., 0 it gives
+    # each subset as a decreasing tuple, in reverse colex order.
+    subsets = combinations(range(a - 1, -1, -1), p) if p else [()]
     # The colex position of a subset s_0 < s_1 < ... is sum_j C(s_j, j+1).
     # Inserting i at place pos keeps the terms below pos (low), adds
     # C(i, pos+1), and moves each term from pos on one place up (high), so
     # no table of (p+1)-subsets is built.
-    for u, q, s in subsets:
-        if u not in bucket:
-            bucket[u] = len(bucket)
-            for off, rows in zip(offsets, rows_of):
-                off.append(len(rows))
-        subset_pairs.add((u, 0 if wa is None else sum(map(wa_rho.__getitem__, s))))
+    for q, s in zip(count(comb(a, p) - 1, -1), subsets):
+        walk = walks.get(0 if wa is None else sum(map(wa.__getitem__, s)))
+        if walk is None:
+            continue
+        g, indices = walk
+        s = s[::-1]
         col = q * b
-        low, high, pos = 0, sum(comb(x, j + 2) for j, x in enumerate(s)), 0
-        for i, rows, cols in zip(used, rows_of, cols_of):
+        low, high, pos = 0, sum(map(list.__getitem__, binom[2:], s)), 0
+        for i, insert, add_row, add_col, add_group in indices:
             while pos < p and s[pos] < i:
-                x = s[pos]
-                low += comb(x, pos + 1)
-                high -= comb(x, pos + 2)
+                y = s[pos]
+                low += binom[pos + 1][y]
+                high -= binom[pos + 2][y]
                 pos += 1
             if pos < p and s[pos] == i:
                 continue
-            row = (low + comb(i, pos + 1) + high) * c
-            rows.append(~row if pos % 2 else row)
-            cols.append(col)
-    for off, rows in zip(offsets, rows_of):
-        off.append(len(rows))
-    return used, bucket, rows_of, cols_of, offsets, subset_pairs
+            row = (low + insert[pos] + high) * c
+            add_row(~row if pos % 2 else row)
+            add_col(col)
+            add_group(g)
+    return rows_of, cols_of, groups
+
+
+def _insertion_tables(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
+                      needed: dict[int, int]):
+    """Insertion tables of the first-factor indices in `used`, holding only
+    the slices that the written weight spaces read.
+
+    The slice (x, u) of the index i = used[x] has one cell per p-subset S
+    avoiding i of weight sum wA(S) = u (all 0 when wa is None): the row
+    offset c*colex(S u {i}), bitwise negated when the wedge sign is -1, and
+    the column offset b*colex(S).  needed maps each weight u to the bitmask
+    of the positions x whose slice of weight u is read.  Returns (bucket,
+    rows_of, cols_of, offsets): bucket numbers the weights of needed in
+    increasing order, and rows_of[x] and cols_of[x] hold the slices of i,
+    that of the g-th weight (in colex order of S) in
+    offsets[x][g]:offsets[x][g+1], empty where it is not read.
+
+    The subsets are streamed twice in all, once by `_weight_parts` for the
+    weights and once here, and never held as a list.
+    """
+    a, b, c = t.dims
+    # Flat machine-integer arrays, unless the shape overflows them (a first
+    # factor far larger than any table, say).
+    fits = max(c * comb(a, p + 1), b * comb(a, p)) < 1 << 63
+    new = partial(array, "q") if fits else list
+    bucket = {u: g for g, u in enumerate(sorted(needed))}
+    # The appends that _slice_cells holds end with it, so each unsorted
+    # array is freed as soon as its sorted copy is made.
+    rows_of, cols_of, groups = _slice_cells(t, p, used, wa, needed, bucket, new)
+    # A stable sort by bucket, from the last cell to the first, puts each
+    # weight's cells in colex order.
+    offsets = []
+    for x, group in enumerate(groups):
+        order = sorted(range(len(group) - 1, -1, -1), key=group.__getitem__)
+        rows_of[x] = new(map(rows_of[x].__getitem__, order))
+        cols_of[x] = new(map(cols_of[x].__getitem__, order))
+        group = sorted(group)
+        offsets.append(array("q", (bisect_left(group, g) for g in range(len(bucket) + 1))))
+    return bucket, rows_of, cols_of, offsets
 
 
 def koszul_weight_spaces(t: Tensor3, p: int,
@@ -189,7 +231,10 @@ def koszul_weight_spaces(t: Tensor3, p: int,
     signed row and column permutation, and the two blocks have equal ranks
     over every field.  The parts are then the weights w < sigma(w), to be
     counted twice, and w = sigma(w), counted once; the others are their
-    mirror images and are never written.  When sigma is not a function of
+    mirror images and are never written, and the insertion tables
+    (`_insertion_tables`) are built for the written weights alone, so
+    under the mirror split they hold about half the cells of the
+    flattening.  When sigma is not a function of
     w, or every weight is its own mirror, the one part holds every weight,
     counted once: there are two parts exactly when some weight was paired.
     """
@@ -199,7 +244,7 @@ def koszul_weight_spaces(t: Tensor3, p: int,
     # At p = 0 the one subset is empty: no A weight is read, and a may be
     # far larger than any table.
     wa = [grading[0].get(x, 0) for x in range(a)] if grading is not None and p else None
-    used, bucket, rows_of, cols_of, offsets, subset_pairs = _insertion_tables(t, p, wa)
+    parts, buckets = _weight_parts(a, b, p, wa, wb)
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
@@ -209,9 +254,19 @@ def koszul_weight_spaces(t: Tensor3, p: int,
     # each entry's in colex order of S, so every row keeps its entries in
     # the order of the tensor's.
     p_mod = None if t.field.is_q else t.field.p
+    used = sorted({i for i, _, _ in t._cells})
     index = {i: x for x, i in enumerate(used)}
     entries = [(index[i], j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
                for (i, j, k), v in t._cells.items()]
+    # Only the slices that a written weight reads are built: a mirror
+    # image's are never.
+    needed: dict[int, int] = {}
+    for x, wj in {(x, wj) for x, _, _, _, _, wj in entries}:
+        for ws, _ in parts:
+            for w in ws:
+                if w - wj in buckets:
+                    needed[w - wj] = needed.get(w - wj, 0) | 1 << x
+    bucket, rows_of, cols_of, offsets = _insertion_tables(t, p, used, wa, needed)
 
     def write(w: int):
         for x, j, k, v, neg_v, wj in entries:
@@ -226,15 +281,8 @@ def koszul_weight_spaces(t: Tensor3, p: int,
                 else:
                     yield ~row + k, col + j, neg_v
 
-    weights = sorted({u + wj for u in bucket for wj in set(wb.values()) or (0,)})
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
-    sigma = _mirror_map(subset_pairs, wb, b) if grading is not None else None
-    if sigma is None or all(w == m for w, m in sigma.items()):
-        return ((WeightSpaces(rows, cols, t.field, weights, write), 1),)
-    paired = [w for w in weights if w < sigma[w]]
-    fixed = [w for w in weights if w == sigma[w]]
-    return ((WeightSpaces(rows, cols, t.field, paired, write), 2),
-            (WeightSpaces(rows, cols, t.field, fixed, write), 1))
+    return tuple((WeightSpaces(rows, cols, t.field, ws, write), copies) for ws, copies in parts)
 
 
 def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:

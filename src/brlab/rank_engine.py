@@ -20,14 +20,15 @@ one class in a table shared by the whole stream: a class is ranked when
 first seen, from its content key, and each later copy adds that rank.
 That is exact over every field: equal exact entries reduce to equal values
 mod p, so the copies have equal ranks mod every prime too.  The table
-keeps the key of every distinct class to the end of the stream, so it
-holds the distinct block contents of the whole stream.  The flattenings
-of matrix multiplication repeat blocks heavily, so their table is small
-and most of their blocks are never eliminated; the restricted map's
-weight spaces are one class each, so its table holds the whole written
-half.  (The l identical copies that the third index gives are split off
-earlier, on the tensor, by `tensor.direct_summands`, and of each pair of
-mirror weight spaces only one is written, by
+keeps only the keys of blocks with fewer than `_KEPT_BLOCK_ENTRIES`
+entries; a larger block is ranked and forgotten, and ranked again should
+it repeat.  The flattenings of matrix multiplication repeat small blocks
+heavily, so their table is small and whole, and most of their blocks are
+never eliminated; the restricted map's weight spaces are one class each
+and, from n = 9 on, too large to keep, so its table no longer holds the
+written half.  (The l identical copies that the third index gives are
+split off earlier, on the tensor, by `tensor.direct_summands`, and of each
+pair of mirror weight spaces only one is written, by
 `exterior.koszul_weight_spaces`.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
@@ -192,13 +193,15 @@ class SparseMatrix:
 class RankResult:
     """Outcome of one exact rank computation.
 
-    classes counts the classes of identical blocks ranked, and unsettled
-    those whose rank stayed below min(block rows, block columns) mod every
-    prime tried; under exact Q these are the classes that fraction-free
-    elimination ranked.  settled_mod_2 counts the classes that the exact-Q
-    pass over F_2 brought to full rank (always 0 for the other strategies);
-    the remaining classes were settled mod a prime.  nnz counts the
-    entries read: the matrix's, or the sum over a stream's matrices.
+    classes counts the blocks ranked: one per class of identical blocks,
+    plus one per repeat of a block too large for the class table (see
+    `_rank_classes`).  unsettled counts those whose rank stayed below
+    min(block rows, block columns) mod every prime tried; under exact Q
+    these are the ones that fraction-free elimination ranked.
+    settled_mod_2 counts those that the exact-Q pass over F_2 brought to
+    full rank (always 0 for the other strategies); the remaining ones were
+    settled mod a prime.  nnz counts the entries read: the matrix's, or
+    the sum over a stream's matrices.
     split_ms is the time spent splitting the matrices into row blocks,
     keying them and looking the keys up in the class table, rank_ms that
     of the rank passes over the class representatives; neither counts the
@@ -384,6 +387,19 @@ def _rank_f2(block, full: int) -> int:
     return len(basis)
 
 
+# The class table keeps a block only when it has fewer entries than this.
+# Blocks that repeat are small: the largest repeated block of the matmul
+# flattenings that bench/run.py ranks has 108 entries.  The largest block of
+# any job there has 17920 (a dense random integer 8 x 8 x 8 tensor at p = 3,
+# one block), and the largest at restricted n = 8 has 9810, so none of their
+# tables changes.  From restricted n = 9 on, the restricted map's weight
+# spaces pass the limit; each is a class of its own, so keeping their keys
+# would hold the whole written half to the end of the stream.  A larger
+# block is ranked and forgotten, and ranked again if it repeats: that costs
+# time, never a wrong rank.
+_KEPT_BLOCK_ENTRIES = 1 << 15
+
+
 def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                   integer_only: bool = False) -> RankResult:
     """The one rank loop, over a SparseMatrix or a stream of them that make
@@ -392,8 +408,11 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     Each matrix is split into row blocks and dropped; blocks with equal
     content keys form one class in a table shared by the whole stream, and
     a class is ranked when first seen, after which only its key and rank
-    are kept, to the end of the stream.  Each class is ranked mod the
-    primes in turn, keeps its max, and stops at the first prime that
+    are kept, to the end of the stream.  A block with `_KEPT_BLOCK_ENTRIES`
+    entries or more is not entered in the table: it is ranked, counted as
+    a class and forgotten, so a repeat is ranked again, as a class of its
+    own, and gets the same rank.  Each class is ranked mod the primes in
+    turn, keeps its max, and stops at the first prime that
     reaches min(block rows, block columns).  For an integer block
     rank_p <= rank_Q <= min(rows, cols), so such a class is settled: no
     prime can raise it.  For each prime the matrix's rank is the sum of its
@@ -411,7 +430,7 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
         if not m.field.is_q and tag != m.field:
             raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
     ranks: dict[tuple, int] = {}  # content key -> rank of its class
-    rank = nnz = unsettled = settled_mod_2 = 0
+    rank = nnz = classes = unsettled = settled_mod_2 = 0
     split_s = rank_s = 0.0
     for space in (m,) if isinstance(m, SparseMatrix) else m:
         if integer_only and not space.is_integral():
@@ -422,10 +441,12 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
         keys = space._block_keys()
         del space  # only the keys are ranked
         for key, ncols in keys:
-            r = ranks.get(key)
+            kept = len(key[1]) < _KEPT_BLOCK_ENTRIES
+            r = ranks.get(key) if kept else None
             if r is not None:
                 rank += r
                 continue
+            classes += 1
             t1 = time.perf_counter()
             block = _block_integral(key) if scale else key
             full = min(len(key[0]), ncols)
@@ -443,10 +464,11 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                     if exact:
                         r = _eliminate([dict(row) for row in _rows(block)], None)
             rank_s += time.perf_counter() - t1
-            ranks[key] = r
+            if kept:
+                ranks[key] = r
             rank += r
         split_s += time.perf_counter() - t0 - (rank_s - rank_before)
-    return RankResult(rank, nnz, len(ranks), unsettled, settled_mod_2,
+    return RankResult(rank, nnz, classes, unsettled, settled_mod_2,
                       split_s * 1000.0, rank_s * 1000.0)
 
 

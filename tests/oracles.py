@@ -71,6 +71,12 @@ def rank_gauss_mod_p(rows, p):
     return rank
 
 
+def colex_tuples(a, p):
+    """The p-subsets of range(a) as increasing tuples, in colex order
+    (compared from the largest element down)."""
+    return sorted(combinations(range(a), p), key=lambda s: s[::-1])
+
+
 def wedge_flattening(t, p):
     """The p-th wedge flattening of t from its definition, by brute force.
 
@@ -84,11 +90,7 @@ def wedge_flattening(t, p):
     reduced mod p.
     """
     a, b, c = t.dims
-
-    def colex(size):
-        return sorted(combinations(range(a), size), key=lambda s: s[::-1])
-
-    small, big = colex(p), colex(p + 1)
+    small, big = colex_tuples(a, p), colex_tuples(a, p + 1)
     row_labels = [(k, s) for s in big for k in range(c)]
     col_labels = [(j, s) for s in small for j in range(b)]
     row_at = {label: r for r, label in enumerate(row_labels)}

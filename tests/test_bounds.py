@@ -14,7 +14,6 @@ from brlab.bounds import (
     bound_koszul,
     bound_matmul_restricted,
     compare_table,
-    corollary_2nl,
     flattening_rank,
     formula_certificate,
     lickteig_square,
@@ -91,7 +90,7 @@ def test_bound_formula_examples():
     assert bound_formula_theorem1(3, 2, 2) == 6
     for n in range(1, 7):
         for l in range(1, 7):
-            assert bound_formula_theorem1(n, n, l) == 2 * n * l - l == corollary_2nl(n, l)
+            assert bound_formula_theorem1(n, n, l) == 2 * n * l - l
     with pytest.raises(OrderViolation):
         bound_formula_theorem1(2, 3, 1)
 

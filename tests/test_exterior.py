@@ -7,12 +7,11 @@ from math import comb
 
 import pytest
 
-from oracles import dense_rows, rank_gauss_fractions, wedge_flattening
+from oracles import colex_tuples, dense_rows, rank_gauss_fractions, wedge_flattening
 
 from brlab.errors import InvalidDimension
 from brlab.exterior import (
     WedgeRangeWarning,
-    _colex_tuples,
     koszul_flattening,
     redundancy_cap,
 )
@@ -24,11 +23,11 @@ Q = FieldTag.rationals()
 
 
 def test_enumerate_subsets_colex_examples():
-    assert list(_colex_tuples(3, 2)) == [(0, 1), (0, 2), (1, 2)]
+    assert list(colex_tuples(3, 2)) == [(0, 1), (0, 2), (1, 2)]
 
-    assert list(_colex_tuples(5, 0)) == [()]
+    assert list(colex_tuples(5, 0)) == [()]
 
-    subs = list(_colex_tuples(4, 2))
+    subs = list(colex_tuples(4, 2))
     assert len(subs) == 6
     assert subs[4] == (1, 3)
 
@@ -36,7 +35,7 @@ def test_enumerate_subsets_colex_examples():
 def test_subset_rank_matches_enumeration():
     # Colex order: a subset's position is the sum of C(s_idx, idx + 1).
     for a, p in [(4, 2), (6, 3), (7, 0), (7, 7), (9, 4)]:
-        for pos, s in enumerate(_colex_tuples(a, p)):
+        for pos, s in enumerate(colex_tuples(a, p)):
             assert sum(comb(x, idx + 1) for idx, x in enumerate(s)) == pos
 
 
@@ -47,7 +46,7 @@ def _single_vector_flattening(a, p, indices):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WedgeRangeWarning)
         km = koszul_flattening(t, p)
-    big, small = list(_colex_tuples(a, p + 1)), list(_colex_tuples(a, p))
+    big, small = list(colex_tuples(a, p + 1)), list(colex_tuples(a, p))
     return {(big[r], small[c]): v for r, c, v in km.matrix.items()}
 
 
@@ -66,7 +65,7 @@ def test_wedge_insert_double_annihilation():
     for a in range(2, 6):
         for p in range(a):
             cells = _single_vector_flattening(a, p, range(a))
-            for s in _colex_tuples(a, p):
+            for s in colex_tuples(a, p):
                 rows = {row for row, col in cells if col == s}
                 assert rows == {tuple(sorted(s + (i,))) for i in range(a) if i not in s}
 

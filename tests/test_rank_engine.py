@@ -10,7 +10,7 @@ from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
 
 import brlab.rank_engine as rank_engine
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from brlab.exterior import koszul_flattening
+from brlab.exterior import WeightSpaces, koszul_flattening
 from brlab.rank_engine import (
     ExactQ,
     MultiPrime,
@@ -248,6 +248,28 @@ def test_multiprime_takes_max_per_class():
     res = rank_certified(m, MultiPrime((65521, 65537)))
     assert res.rank == 2
     assert (res.classes, res.unsettled) == (2, 0)
+
+
+def _repeated(block, copies):
+    """A stream of copies of one block, each written as a weight space of
+    its own on the diagonal of a block diagonal matrix."""
+    rows, cols = max(r for r, _, _ in block) + 1, max(c for _, c, _ in block) + 1
+    return WeightSpaces(copies * rows, copies * cols, Q, list(range(copies)),
+                        lambda w: [(w * rows + r, w * cols + c, v) for r, c, v in block])
+
+
+def test_class_table_ranks_each_copy_of_a_block_too_large_to_keep():
+    # A 16384 x 16385 bidiagonal block of ones has 2^15 entries, the least
+    # that the class table does not keep: each copy is ranked on its own.
+    n = 1 << 14
+    bidiagonal = [(r, c, 1) for r in range(n) for c in (r, r + 1)]
+    assert len(bidiagonal) == 1 << 15
+    for res in (rank_exact_q(_repeated(bidiagonal, 2)), rank_mod_p(_repeated(bidiagonal, 2), 7)):
+        assert (res.rank, res.classes, res.nnz) == (2 * n, 2, 4 * n)
+    # A small block that repeats is still ranked once.
+    small = [(0, 0, 1), (0, 1, 2), (1, 1, 3)]
+    res = rank_exact_q(_repeated(small, 3))
+    assert (res.rank, res.classes) == (6, 1)
 
 
 def test_multiprime_resolves_primes_at_construction(monkeypatch):

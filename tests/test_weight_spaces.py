@@ -141,6 +141,16 @@ def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
             assert (fr.mirror_pairs, fr.nnz_written) == (0, fr.nnz)
 
 
+def _peak(run):
+    """The peak of memory traced while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
     # Restricted n = 7, one summand: 25 of its 49 weight spaces are written,
     # the largest holding 2492 of the 45276 entries.  The stream holds one
@@ -148,15 +158,17 @@ def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
     # flattening holds all 49 at once.
     t = restrict_matmul(7, 7, 1)
 
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def whole():
         return rank_certified(koszul_flattening(t, 6).matrix, ExactQ())
 
-    assert peak(lambda: flattening_rank(t, 6)) < peak(whole) / 4
+    assert _peak(lambda: flattening_rank(t, 6)) < _peak(whole) / 4
+
+
+def test_insertion_tables_hold_the_written_weights_alone():
+    # Matmul (4,4,1) at p = 7 splits into 2216 mirror pairs and no fixed
+    # weight, so the tables hold the 51480 cells of the written half, two
+    # machine integers each, and no list of its 11440 subsets is built.
+    # Tables of all 102960 cells, built from such a list, peak near 5 MB.
+    t = matmul_tensor(4, 4, 1)
+    grading = mirror_grading(t)
+    assert _peak(lambda: koszul_weight_spaces(t, 7, grading)) < 3_500_000
