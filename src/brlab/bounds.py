@@ -35,7 +35,7 @@ from .exterior import (
     redundancy_cap,
 )
 from .rank_engine import ExactQ, MultiPrime, rank_certified
-from .tensor import Tensor3, direct_summands, mirror_grading, tensor_to_json
+from .tensor import Tensor3, direct_summands, index_symmetries, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
 SOUND_EXACT_FP = "exact-Fp"
@@ -147,10 +147,10 @@ class FlatteningRank:
     (`RankResult.classes`), unsettled those that no prime brought to full
     rank: under ExactQ, the ones fraction-free elimination ranked, and
     settled_mod_2 those that the ExactQ pass over F_2 brought to full
-    rank.  mirror_pairs and mirror_fixed count the weight spaces of the
-    representatives that were flattened by mirror pairs (see
-    `koszul_weight_spaces`): pairs of which one space was flattened, and
-    spaces that are their own mirror.  nnz_written counts the entries
+    rank.  orbits and orbit_weights count the weight spaces of the graded
+    representatives (see `koszul_weight_spaces`): the orbits, one weight
+    space of each written, and the weight spaces they cover, each
+    representative's once.  nnz_written counts the entries
     written, each representative's as often as nnz counts it
     (`bound_classical` sums both over its three flattenings).
     """
@@ -169,15 +169,16 @@ class FlatteningRank:
     block_classes: int
     unsettled: int
     settled_mod_2: int
-    mirror_pairs: int
-    mirror_fixed: int
+    orbits: int
+    orbit_weights: int
     nnz_written: int
 
 
 def flattening_rank(t: Tensor3, p: int,
                     strategy: MultiPrime | ExactQ | None = None) -> FlatteningRank:
     """Rank of the p-th wedge flattening of t, one direct summand at a time,
-    one weight space at a time, and one weight space of each mirror pair.
+    one weight space at a time, and one weight space of each orbit of the
+    summand's index symmetries.
 
     The flattening of a direct sum whose summands share the first factor is
     block diagonal, one block per summand, so its rank is the sum of count *
@@ -185,20 +186,23 @@ def flattening_rank(t: Tensor3, p: int,
     representative is flattened and ranked once.  A representative that is
     symmetric under the reversal of all three factors is graded
     (`mirror_grading`), and its flattening is block diagonal over the
-    weights (`koszul_weight_spaces`): each part is ranked as a stream of
-    its weight spaces, so that one space is held at a time besides the
-    part's class table (`rank_engine._rank_classes`), the part of the
-    lower weight of each mirror pair counting twice, since the reversal
-    maps it onto its mirror by a signed permutation, and the part of
-    self-mirror weight once.  Any other representative is ranked as one
-    weight space, its whole flattening (`koszul_flattening`).
+    weights (`koszul_weight_spaces`).  Its index symmetries
+    (`index_symmetries`, the reversal first) permute the weight spaces, a
+    space onto one of equal rank by a signed row and column permutation,
+    so one space per orbit is written.  Each part, the orbits of one size,
+    is ranked as a stream of its weight spaces, so that one space is held
+    at a time besides the part's class table (`rank_engine._rank_classes`),
+    and its rank counts once per weight of the orbit.  Any other
+    representative is ranked as one weight space, its whole flattening
+    (`koszul_flattening`), and never reaches the symmetry search.
     The strategy defaults to exact rank over t's field: ExactQ over Q, its
     prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
     `rank_engine._rank_classes`: the parts' blocks are blocks of the whole
-    flattening, and a block and its mirror have equal ranks mod every prime.
+    flattening, and the blocks of one orbit have equal ranks mod every
+    prime.
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
@@ -206,7 +210,7 @@ def flattening_rank(t: Tensor3, p: int,
     strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
     rank = nnz = block_classes = unsettled = settled_mod_2 = 0
-    pairs = fixed = written = 0
+    orbits = covered = written = 0
     rank_ms = split_ms = total_ms = 0.0
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
@@ -221,10 +225,10 @@ def flattening_rank(t: Tensor3, p: int,
                 # flattening time from it.
                 parts = ((koszul_flattening(summand, p).matrix, 1),)
             else:
-                parts = koszul_weight_spaces(summand, p, grading)
-                if len(parts) == 2:
-                    pairs += len(parts[0][0].weights)
-                    fixed += len(parts[1][0].weights)
+                parts = koszul_weight_spaces(summand, p, grading, index_symmetries(summand))
+                for part, size in parts:
+                    orbits += len(part.weights)
+                    covered += size * len(part.weights)
             for part, copies in parts:
                 res = rank_certified(part, strat)
                 split_ms += res.split_ms
@@ -240,7 +244,7 @@ def flattening_rank(t: Tensor3, p: int,
                           _soundness(strat, t.field.is_q, unsettled),
                           sum(count for _, count in summands), len(summands),
                           rank_ms, split_ms, total_ms - rank_ms - split_ms, block_classes,
-                          unsettled, settled_mod_2, pairs, fixed, written)
+                          unsettled, settled_mod_2, orbits, covered, written)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -269,12 +273,12 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
     divisor 1, and the best one's label.  The recorded times, nnz,
-    block-class and mirror counts are those of all three ranks."""
+    block-class and orbit counts are those of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
     summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
-              "settled_mod_2", "mirror_pairs", "mirror_fixed", "nnz_written")
+              "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
     return _certificate("classical", descriptor, replace(
         best, **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 

@@ -152,12 +152,11 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
         n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
         _note(args, f"exact-Q: {n} class{'' if n == 1 else 'es'}, {f2} settled mod 2, "
                     f"{n - f2 - u} mod p, {u} fell back")
-    if fr.mirror_pairs:
-        n = fr.mirror_pairs
-        _note(args, f"mirror: {n} weight pair{'' if n == 1 else 's'}, {fr.mirror_fixed} fixed, "
+    if fr.orbits:
+        _note(args, f"orbits: {fr.orbits} of {fr.orbit_weights} weights written, "
                     f"nnz {fr.nnz_written} of {fr.nnz}")
     else:
-        _note(args, "mirror: none")
+        _note(args, "orbits: none")
     _summand_note(args, fr.summands, fr.classes)
 
 

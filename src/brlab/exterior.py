@@ -11,7 +11,8 @@ so that the cells of one weight space of the flattening are written alone:
 `koszul_weight_spaces` streams them one weight at a time, and
 `koszul_flattening` is its one-weight case, the whole flattening.  A table
 holds only the weights that some written weight space reads, so the cells
-of a mirror image, which is never written, are never built either.
+of a weight space that another of its orbit stands for, which is never
+written, are never built either.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -77,33 +78,73 @@ def check_wedge_power(a: int, p: int) -> None:
         )
 
 
-def _weight_parts(a: int, b: int, p: int, wa: list[int] | None, wb: dict[int, int]):
+def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symmetries):
     """(parts, buckets): the weights of the p-th wedge flattening as the
-    (weights, count) parts of `koszul_weight_spaces`, and the set of subset
-    weights sum wA(S) (0 alone when wa is None).
+    (orbit representatives, orbit size) parts of `koszul_weight_spaces`,
+    and the set of subset weights sum wA(S) (0 alone when wa is None).
 
-    The distinct (sum wA(S), sum wA(rho S)) over the p-subsets S give
-    sigma: weight -> mirror weight of the columns (j, S) whose j occurs
-    in wb, which is no function when one weight has two mirror weights.
+    A generator g = (piA, piB, ...) of `tensor.index_symmetries` sends
+    column (j, S) to (piB(j), piA(S)), so it maps the weight w = u(S) +
+    wB(j) to sigma_g(w) = u(piA S) + wB(piB j) whenever that is one value
+    over all the (S, j) of weight w; a generator for which it is not, as
+    when the subset weights u(S) -> u(piA S) already are not a function,
+    is dropped.  All these weights come from one pass over the subsets:
+    each index carries its weight under the identity and under every
+    generator, offset to be nonnegative, in the bit fields of one integer,
+    each field wide enough for a sum of p + 1 of them, so that one sum per
+    subset packs u(S) with every u(piA S), and one more addition per
+    (subset weight, j) packs w with every sigma_g(w).  The orbits of the
+    weights under the kept generators are the parts, each orbit written as
+    its smallest weight, and grouped by size: largest first, the orbits of
+    size 1 last (possibly none).  With no grading (wb empty) the one
+    weight is 0.
     """
+    if not wb:
+        return [([0], 1)], {0}
+    top = max(map(abs, [*(wa or ()), *wb.values()]))
+    bits = (2 * top * (p + 1)).bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * (len(symmetries) + 1), bits)
+
+    def packed(weight, xs, factor: int) -> list[int]:
+        """For each x of xs, weight[x] and then weight[pi(x)] for each
+        generator's pi of the factor, offset by top, in consecutive fields."""
+        maps = [{}] + [g[factor] for g in symmetries]
+        return [sum(weight[pi.get(x, x)] + top << s for pi, s in zip(maps, shifts)) for x in xs]
+
     if wa is None:
-        subset_pairs = {(0, 0)}
+        sums = {0}
     else:
-        wa_rho = wa[::-1]
-        subset_pairs = {(sum(map(wa.__getitem__, s)), sum(map(wa_rho.__getitem__, s)))
-                        for s in combinations(range(a), p)}
-    buckets = {u for u, _ in subset_pairs}
-    weights = sorted({u + wj for u in buckets for wj in set(wb.values()) or (0,)})
-    sigma: dict[int, int] = {}
-    for u, u_rho in subset_pairs:
-        for j, wj in wb.items():
-            m = wb[b - 1 - j] + u_rho
-            if sigma.setdefault(wj + u, m) != m:
-                return [(weights, 1)], buckets
-    if all(w == m for w, m in sigma.items()):
-        return [(weights, 1)], buckets
-    return ([([w for w in weights if w < sigma[w]], 2),
-             ([w for w in weights if w == sigma[w]], 1)], buckets)
+        pack_a = packed(wa, range(a), 0)
+        sums = {sum(map(pack_a.__getitem__, s)) for s in combinations(range(a), p)}
+    buckets = {(s & mask) - p * top for s in sums}
+    pack_b = packed(wb, wb, 1)
+    shift = (p + 1) * top
+    # image[w]: the packed weights of the first column of weight w seen;
+    # dropped has bit g set when sigma_g takes two values on some weight.
+    image: dict[int, int] = {}
+    dropped = 0
+    for col in {s + q for s in sums for q in pack_b}:
+        diff = image.setdefault((col & mask) - shift, col) ^ col
+        if diff:
+            dropped |= sum(1 << g for g, s in enumerate(shifts) if diff >> s & mask)
+    kept = [s for g, s in enumerate(shifts) if g and not dropped >> g & 1]
+    by_size: dict[int, list[int]] = {1: []}
+    seen: set[int] = set()
+    for w in sorted(image):
+        if w in seen:
+            continue
+        orbit, todo = {w}, [w]
+        while todo:
+            col = image[todo.pop()]
+            for s in kept:
+                x = (col >> s & mask) - shift
+                if x not in orbit:
+                    orbit.add(x)
+                    todo.append(x)
+        seen |= orbit
+        by_size.setdefault(len(orbit), []).append(w)
+    return [(reps, size) for size, reps in sorted(by_size.items(), reverse=True)], buckets
 
 
 class WeightSpaces:
@@ -212,31 +253,35 @@ def _insertion_tables(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
     return bucket, rows_of, cols_of, offsets
 
 
-def koszul_weight_spaces(t: Tensor3, p: int,
-                         grading) -> tuple[tuple[WeightSpaces, int], ...]:
+def koszul_weight_spaces(t: Tensor3, p: int, grading,
+                         symmetries=()) -> tuple[tuple[WeightSpaces, int], ...]:
     """The p-th wedge flattening of t as (WeightSpaces, count) parts whose
     ranks add up with the counts, written one weight at a time when each
     part is iterated; grading is `mirror_grading(t)`, or None for the whole
-    flattening as one weight space.
+    flattening as one weight space, and symmetries are generators from
+    `index_symmetries(t)`, none by default.
 
     The cells are those of `koszul_flattening`.  Column (j, S) gets the
     weight w = wB(j) + sum wA(S), and the grading makes the flattening
     block diagonal over w: the entry's row (k, S u {i}) has weight
-    sum wA(S u {i}) - wC(k) = w.  Its mirror weight w' is the weight of the
-    column rho(j, S) = (b-1-j, {a-1-s}).  Reversing the first factor changes
-    sign(i, S) by (-1)^p, so the flattening takes the cell at (rho(row),
-    rho(col)) to +-1 times the cell at (row, col), one sign for all cells.
-    When w' is one value sigma(w) on every column of weight w, rho
-    therefore maps the block of weight w onto that of weight sigma(w) by a
-    signed row and column permutation, and the two blocks have equal ranks
-    over every field.  The parts are then the weights w < sigma(w), to be
-    counted twice, and w = sigma(w), counted once; the others are their
-    mirror images and are never written, and the insertion tables
-    (`_insertion_tables`) are built for the written weights alone, so
-    under the mirror split they hold about half the cells of the
-    flattening.  When sigma is not a function of
-    w, or every weight is its own mirror, the one part holds every weight,
-    counted once: there are two parts exactly when some weight was paired.
+    sum wA(S u {i}) - wC(k) = w.  A generator g = (piA, piB, piC) with
+    t(gx) = eps t(x) sends column (j, S) to (piB(j), piA(S)) and row
+    (k, S') to (piC(k), piA(S')), and the cell there is eps times the cell
+    at (row, col) times the signs of sorting piA(S) and piA(S'): the only
+    change is a sign per row and per column.  When the weight of the image
+    column is one value sigma_g(w) on every column of weight w, g
+    therefore maps the block of weight w onto that of weight sigma_g(w) by
+    a signed row and column permutation, and the two blocks have equal
+    ranks over Q and modulo every prime.  So every weight space of one
+    orbit of the generators has one rank, and the parts are the orbits'
+    smallest weights, grouped by orbit size, each counted as often as its
+    orbit has weights (`_weight_parts`).  The other weights of each orbit
+    are never written, and the insertion tables (`_insertion_tables`) are
+    built for the written weights alone.  A generator whose sigma_g is not
+    a function of w is dropped; with no generator left, or none given, or
+    every orbit a single weight, the one part holds every weight, counted
+    once.  Under the reversal rho alone the parts are the weights w <
+    sigma(w), counted twice, and the self-mirror ones, counted once.
     """
     check_wedge_power(t.dims[0], p)
     a, b, c = t.dims
@@ -244,7 +289,7 @@ def koszul_weight_spaces(t: Tensor3, p: int,
     # At p = 0 the one subset is empty: no A weight is read, and a may be
     # far larger than any table.
     wa = [grading[0].get(x, 0) for x in range(a)] if grading is not None and p else None
-    parts, buckets = _weight_parts(a, b, p, wa, wb)
+    parts, buckets = _weight_parts(a, p, wa, wb, symmetries)
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
@@ -258,8 +303,8 @@ def koszul_weight_spaces(t: Tensor3, p: int,
     index = {i: x for x, i in enumerate(used)}
     entries = [(index[i], j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
                for (i, j, k), v in t._cells.items()]
-    # Only the slices that a written weight reads are built: a mirror
-    # image's are never.
+    # Only the slices that a written weight reads are built: those of the
+    # other weights of an orbit never are.
     needed: dict[int, int] = {}
     for x, wj in {(x, wj) for x, _, _, _, _, wj in entries}:
         for ws, _ in parts:

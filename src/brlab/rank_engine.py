@@ -28,8 +28,8 @@ never eliminated; the restricted map's weight spaces are one class each
 and, from n = 9 on, too large to keep, so its table no longer holds the
 written half.  (The l identical copies that the third index gives are
 split off earlier, on the tensor, by `tensor.direct_summands`, and of each
-pair of mirror weight spaces only one is written, by
-`exterior.koszul_weight_spaces`.)
+orbit of weight spaces under the tensor's index symmetries only one is
+written, by `exterior.koszul_weight_spaces`.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,

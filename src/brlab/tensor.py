@@ -138,6 +138,24 @@ def direct_summands(t: Tensor3) -> list[tuple[Tensor3, int]]:
             for (bs, cs, local), count in groups.items()]
 
 
+def _symmetry_sign(t: Tensor3, move) -> int | None:
+    """The sign eps = +-1 with t(move x) = eps * t(x) on every entry x, one
+    sign for the whole tensor (-v is p - v over F_p), or None when there is
+    none or t has no entries.  move maps cells one-to-one, so once every
+    entry lands on an entry, the entries fill the image and every other
+    cell maps to a zero: the identity holds on every cell."""
+    cells = t._cells
+    p = None if t.field.is_q else t.field.p
+    flip = None
+    for x, v in cells.items():
+        u = cells.get(move(x))
+        f = u != v  # over F_2, where -v is v, only a missing entry flips
+        if f and u != (-v if p is None else p - v) or flip not in (None, f):
+            return None
+        flip = f
+    return None if flip is None else -1 if flip else 1
+
+
 def mirror_grading(t: Tensor3) -> tuple[dict[int, int], dict[int, int]] | None:
     """Weights (wA, wB) of an integer grading of t, when t is symmetric under
     the reversal rho: (i, j, k) -> (a-1-i, b-1-j, c-1-k); else None.
@@ -160,15 +178,7 @@ def mirror_grading(t: Tensor3) -> tuple[dict[int, int], dict[int, int]] | None:
     """
     a, b, c = t.dims
     cells = t._cells
-    p = None if t.field.is_q else t.field.p
-    flip = None
-    for (i, j, k), v in cells.items():
-        u = cells.get((a - 1 - i, b - 1 - j, c - 1 - k))
-        f = u != v  # over F_2, where -v is v, only a missing entry flips
-        if f and u != (-v if p is None else p - v) or flip not in (None, f):
-            return None
-        flip = f
-    if flip is None:
+    if _symmetry_sign(t, lambda x: (a - 1 - x[0], b - 1 - x[1], c - 1 - x[2])) is None:
         return None
     # Unknown A_i is i, B_j is a + j, C_k is a + b + k.  pivots maps each
     # pivot unknown to its value as a combination of free unknowns, kept
@@ -220,6 +230,146 @@ def mirror_grading(t: Tensor3) -> tuple[dict[int, int], dict[int, int]] | None:
             return None
     return ({x: w for x, w in weight.items() if x < a},
             {x - a: w for x, w in weight.items() if a <= x < a + b})
+
+
+def index_symmetries(t: Tensor3) -> list[tuple[dict, dict, dict, int]]:
+    """Generators (piA, piB, piC, eps) of index-permutation automorphisms g
+    of t: t(gx) = eps * t(x) on every cell, with one sign eps = +-1 for each
+    generator (-v is p - v over F_p), gx = (piA(i), piB(j), piC(k)).  Each
+    pi maps the indices in use of its factor onto themselves; an unused
+    index is fixed.  The reversal rho comes first when t is symmetric under
+    it (`mirror_grading`).
+
+    The search is individualization-refinement (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014) on the indices in use of the
+    three factors.  Colour refinement splits the indices by factor and then
+    by the multiset of (value up to sign, colours of the other two indices)
+    over their entries, until the colours are stable; colours are numbered
+    from these signatures alone, so equal steps on isomorphic tensors give
+    equal colours.  One search path individualizes the first index of the
+    first cell of two or more, refines, and repeats until every index has
+    its own colour.  Then, from the deepest level up, each other index w of
+    that level's cell is individualized instead and followed down one path,
+    which takes the first path's later choices where it can.  At each
+    depth, matching its cells in order with the first path's cells of the
+    same colour gives a candidate g, taken when it maps the first path's
+    index to w (at the leaf, the match is leaf to leaf).  Orbit pruning
+    skips each w that the generators found so far, among those that fix
+    the path above that level, already map the first path's index to.
+    Every candidate is verified on every entry before it is kept, so a
+    generator is an automorphism whatever the search misses.  The cost is
+    a few refinements per index of a cell on the path, each linear in nnz
+    up to sorting.
+    """
+    cells = t._cells
+    dims = t.dims
+    used = [sorted({x[f] for x in cells}) for f in range(3)]
+    labels = [(f, i) for f in range(3) for i in used[f]]
+    vertex = {label: x for x, label in enumerate(labels)}
+    n = len(labels)
+    p = None if t.field.is_q else t.field.p
+    unsigned = abs if p is None else lambda v: min(v, p - v)
+    kinds = {u: e for e, u in enumerate(sorted({unsigned(v) for v in cells.values()}))}
+    # near[x]: (value class, the other two indices in factor order) per entry of x.
+    near: list[list[tuple[int, int, int]]] = [[] for _ in labels]
+    for (i, j, k), v in cells.items():
+        x, y, z, e = vertex[0, i], vertex[1, j], vertex[2, k], kinds[unsigned(v)]
+        near[x].append((e, y, z))
+        near[y].append((e, x, z))
+        near[z].append((e, x, y))
+
+    def refine(colour: list[int]) -> list[int]:
+        count = len(set(colour))
+        while True:
+            sigs = [(colour[x], tuple(sorted((e, colour[y], colour[z]) for e, y, z in near[x])))
+                    for x in range(n)]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            colour = [rank[s] for s in sigs]
+            if len(rank) == count:
+                return colour
+            count = len(rank)
+
+    def split(colour: list[int], v: int) -> list[int]:
+        return refine([2 * col + (x != v) for x, col in enumerate(colour)])
+
+    def cells_of(colour: list[int]) -> list[list[int]]:
+        members: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
+        for x, col in enumerate(colour):
+            members[col].append(x)
+        return members
+
+    def first_cell(colour: list[int]) -> list[int]:
+        return next((xs for xs in cells_of(colour) if len(xs) > 1), [])
+
+    def orbit(x: int, perms) -> set[int]:
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for perm in perms:
+                if perm[y] not in seen:
+                    seen.add(perm[y])
+                    todo.append(perm[y])
+        return seen
+
+    def as_maps(perm: list[int]):
+        maps: tuple[dict, dict, dict] = ({}, {}, {})
+        for x, y in enumerate(perm):
+            f, i = labels[x]
+            maps[f][i] = labels[y][1]
+        return maps
+
+    def verified(perm: list[int]):
+        pa, pb, pc = as_maps(perm)
+        eps = _symmetry_sign(t, lambda x: (pa[x[0]], pb[x[1]], pc[x[2]]))
+        return None if eps is None else (pa, pb, pc, eps)
+
+    # Colours keep the factor order (each refinement ranks by the old
+    # colour first), so matching two colourings cell by cell maps every
+    # factor to itself.
+    path: list[tuple[list[int], list[int]]] = []
+    colour = refine([f for f, _ in labels])
+    while cell := first_cell(colour):
+        path.append((colour, cell))
+        colour = split(colour, cell[0])
+    colourings = [colour for colour, _ in path] + [colour]
+    chosen = [cell[0] for _, cell in path]
+    found: list[tuple[list[int], tuple]] = []
+    rho = _symmetry_sign(t, lambda x: tuple(d - 1 - y for d, y in zip(dims, x)))
+    if rho is not None:
+        perm = [vertex[f, dims[f] - 1 - i] for f, i in labels]
+        found.append((perm, as_maps(perm) + (rho,)))
+    for level in range(len(path) - 1, -1, -1):
+        colour, cell = path[level]
+        prefix = chosen[:level]
+        stab = [perm for perm, _ in found if all(perm[x] == x for x in prefix)]
+        reached = orbit(chosen[level], stab)
+        for w in cell:
+            if w in reached:
+                continue
+            # Follow w down, at each depth matching its cells in order with
+            # the first path's cells of the same colour: the candidate at
+            # the leaf is the leaf-to-leaf match, and an earlier one that
+            # verifies ends the descent.
+            other = split(colour, w)
+            for depth in range(level + 1, len(colourings)):
+                theirs, mine = cells_of(colourings[depth]), cells_of(other)
+                if list(map(len, theirs)) != list(map(len, mine)):
+                    break
+                perm = [0] * n
+                for xs, ys in zip(theirs, mine):
+                    for x, y in zip(xs, ys):
+                        perm[x] = y
+                g = verified(perm) if perm[chosen[level]] == w else None
+                if g is not None:
+                    found.append((perm, g))
+                    if all(perm[x] == x for x in prefix):
+                        stab.append(perm)
+                        reached = orbit(chosen[level], stab)
+                    break
+                if depth < len(chosen):
+                    deeper = mine[colourings[depth][chosen[depth]]]
+                    other = split(other, chosen[depth] if chosen[depth] in deeper else deeper[0])
+    return [g for _, g in found]
 
 
 def rank_one_tensor(u, v, w, field: FieldTag | None = None) -> Tensor3:

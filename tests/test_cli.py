@@ -142,14 +142,15 @@ def test_bound_single_prime_field(capsys):
 
 
 def test_multiprime_label_needs_every_class_settled(capsys):
-    # Five classes of the (3,3,3) p = 4 flattening stay short of full rank
-    # mod every prime, so the rank is only a lower bound on the Q-rank.
+    # One class of the written orbits of the (3,3,3) p = 4 flattening stays
+    # short of full rank mod every prime, so the rank is only a lower bound
+    # on the Q-rank.
     code, out, _ = run(capsys, "bound", "--method", "koszul", "--p", "4", "--m", "3", "--n", "3",
                        "--l", "3", "--field", "multiprime")
     assert code == 0
     doc = json.loads(out)
     assert (doc["rank"], doc["soundness"]) == (918, "mod-p-lower-bound")
-    assert bound_koszul(matmul_tensor(3, 3, 3), 4, MultiPrime()).flattening.unsettled == 5
+    assert bound_koszul(matmul_tensor(3, 3, 3), 4, MultiPrime()).flattening.unsettled == 1
 
 
 def test_bound_bad_prime_exit_3(capsys):
@@ -426,8 +427,8 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
-    assert err.splitlines()[1:] == ["exact-Q: 23 classes, 18 settled mod 2, 0 mod p, 5 fell back",
-                                    "mirror: 61 weight pairs, 4 fixed, nnz 1020 of 1890",
+    assert err.splitlines()[1:] == ["exact-Q: 7 classes, 6 settled mod 2, 0 mod p, 1 fell back",
+                                    "orbits: 9 of 126 weights written, nnz 180 of 1890",
                                     "summands: 3 in 1 class"]
     # Telemetry only: the certificate is that of a quiet run.
     code, quiet, _ = run(capsys, *argv, "--field", "q")

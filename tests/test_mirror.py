@@ -19,7 +19,7 @@ from brlab.exterior import (WedgeRangeWarning, WeightSpaces, classical_tensor, k
                             koszul_weight_spaces)
 from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
 from brlab.scalars import FieldTag, certification_primes
-from brlab.tensor import Tensor3, direct_summands, matmul_tensor, mirror_grading
+from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
 Q = FieldTag.rationals()
 F7 = FieldTag.prime_field(7)
@@ -65,10 +65,12 @@ def whole_rank(t, p, strategy):
 
 
 def written(t, p):
-    """The parts of `koszul_weight_spaces` under t's mirror grading, each
-    read by iterating it: (copies, {(row, col): value}) per part."""
+    """The parts of `koszul_weight_spaces` under t's mirror grading and the
+    reversal alone, the first of t's index symmetries, each read by
+    iterating it: (copies, {(row, col): value}) per part."""
+    rho = index_symmetries(t)[:1]
     return [(copies, {(r, c): v for space in part for r, c, v in space.items()})
-            for part, copies in koszul_weight_spaces(t, p, mirror_grading(t))]
+            for part, copies in koszul_weight_spaces(t, p, mirror_grading(t), rho)]
 
 
 def mirror_image(t, p, whole, cells):
@@ -160,7 +162,7 @@ def test_every_summand_of_a_matmul_tensor_is_split():
         for summand, _ in direct_summands(t):
             assert len(written(summand, p)) == 2
         fr = flattening_rank(t, p)
-        assert fr.mirror_pairs > 0 and fr.nnz_written < fr.nnz
+        assert fr.orbits > 0 and fr.nnz_written < fr.nnz
         assert fr.rank == whole_rank(t, p, ExactQ())
 
 
@@ -187,7 +189,7 @@ def test_one_broken_entry_gets_no_pairing(change):
             assert (part.weights, copies) == ([0], 1)
             fr = flattening_rank(t, p)
             assert fr.rank == whole_rank(t, p, ExactQ())
-            assert (fr.mirror_pairs, fr.nnz_written) == (0, fr.nnz)
+            assert (fr.orbits, fr.nnz_written) == (0, fr.nnz)
 
 
 def test_mixed_signs_get_no_pairing():
@@ -248,9 +250,9 @@ def test_bound_classical_sums_the_mirror_split():
     t = matmul_tensor(2, 3, 2)
     frs = [flattening_rank(classical_tensor(t, mode), 0) for mode in "ABC"]
     fr = bound_classical(t).flattening
-    for key in ("mirror_pairs", "mirror_fixed", "nnz_written", "nnz"):
+    for key in ("orbits", "orbit_weights", "nnz_written", "nnz"):
         assert getattr(fr, key) == sum(getattr(f, key) for f in frs)
-    assert fr.nnz == 3 * t.nnz and fr.mirror_pairs > 0
+    assert fr.nnz == 3 * t.nnz and fr.orbits > 0
 
 
 def run(capsys, *argv):
@@ -263,15 +265,15 @@ def test_verbose_mirror_line(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--method", "koszul-restricted",
                        "--m", "3", "--n", "3", "--l", "3", "--verbose")
     assert code == 0
-    assert "mirror: 4 weight pairs, 1 fixed, nnz 99 of 162" in err.splitlines()
+    assert "orbits: 5 of 9 weights written, nnz 99 of 162" in err.splitlines()
     path = tmp_path / "t.json"
     path.write_text('{"field": "Q", "dims": [2, 2, 1], '
                     '"entries": [[0, 0, 0, "1"], [1, 1, 0, "1"]]}\n')
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "0",
                        "--tensor", str(path), "--verbose")
-    assert code == 0 and "mirror: 1 weight pair, 0 fixed, nnz 1 of 2" in err.splitlines()
+    assert code == 0 and "orbits: 1 of 2 weights written, nnz 1 of 2" in err.splitlines()
     path.write_text('{"field": "Q", "dims": [2, 2, 2], '
                     '"entries": [[0, 0, 0, "1"], [1, 1, 0, "2"]]}\n')
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "0",
                        "--tensor", str(path), "--verbose")
-    assert code == 0 and "mirror: none" in err.splitlines()
+    assert code == 0 and "orbits: none" in err.splitlines()

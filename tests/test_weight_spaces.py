@@ -13,7 +13,7 @@ from brlab.bounds import flattening_rank
 from brlab.exterior import WedgeRangeWarning, koszul_flattening, koszul_weight_spaces
 from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
 from brlab.scalars import FieldTag, certification_primes
-from brlab.tensor import Tensor3, direct_summands, matmul_tensor, mirror_grading
+from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
 Q = FieldTag.rationals()
 F7 = FieldTag.prime_field(7)
@@ -35,7 +35,8 @@ def assembled(t, p, strategy):
     each row's in the order written."""
     rank = classes = settled = unsettled = written = whole = 0
     for summand, count in direct_summands(t):
-        for part, copies in koszul_weight_spaces(summand, p, mirror_grading(summand)):
+        for part, copies in koszul_weight_spaces(summand, p, mirror_grading(summand),
+                                                 index_symmetries(summand)):
             matrix = SparseMatrix(part.rows, part.cols, [
                 (r, c, v) for space in part for r, row in space._rows.items()
                 for c, v in row.items()], summand.field)
@@ -93,7 +94,8 @@ def test_every_weight_space_is_a_union_of_blocks():
 def test_a_part_writes_the_same_spaces_on_every_iteration(t, p, fixed):
     # A part holds no state: iterating it again writes equal weight spaces,
     # and the rank loop counts the entries of the spaces it reads.
-    (paired, two), (self_mirror, one) = koszul_weight_spaces(t, p, mirror_grading(t))
+    (paired, two), (self_mirror, one) = koszul_weight_spaces(t, p, mirror_grading(t),
+                                                             index_symmetries(t))
     assert (two, one, len(self_mirror.weights)) == (2, 1, fixed)
     for part in (paired, self_mirror):
         first = list(part)
@@ -118,8 +120,8 @@ def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
         calls.append(("koszul_flattening", None))
         return koszul_flattening(summand, p)
 
-    def spy_spaces(summand, p, grading):
-        result = koszul_weight_spaces(summand, p, grading)
+    def spy_spaces(summand, p, grading, symmetries):
+        result = koszul_weight_spaces(summand, p, grading, symmetries)
         calls.append(("koszul_weight_spaces", [(len(part.weights), copies)
                                                for part, copies in result]))
         return result
@@ -135,10 +137,10 @@ def test_one_changed_value_takes_the_one_weight_path(monkeypatch, t, graded):
         [(name, parts)] = calls
         if graded:
             assert name == "koszul_weight_spaces" and [n for _, n in parts] == [2, 1]
-            assert fr.mirror_pairs == parts[0][0] > 0
+            assert fr.orbits == sum(n for n, _ in parts) > 0
         else:
             assert name == "koszul_flattening"
-            assert (fr.mirror_pairs, fr.nnz_written) == (0, fr.nnz)
+            assert (fr.orbits, fr.nnz_written) == (0, fr.nnz)
 
 
 def _peak(run):
@@ -165,10 +167,12 @@ def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
 
 
 def test_insertion_tables_hold_the_written_weights_alone():
-    # Matmul (4,4,1) at p = 7 splits into 2216 mirror pairs and no fixed
-    # weight, so the tables hold the 51480 cells of the written half, two
-    # machine integers each, and no list of its 11440 subsets is built.
-    # Tables of all 102960 cells, built from such a list, peak near 5 MB.
+    # Matmul (4,4,1) at p = 7 has 4432 weight spaces in 44 orbits of its
+    # index symmetries, so the tables hold the 2459 cells of the written
+    # orbits, two machine integers each, and no list of its 11440 subsets
+    # is built.  Tables of all 102960 cells, built from such a list, peak
+    # near 5 MB, and those of the 51480 cells of one space per mirror pair
+    # near 2.4 MB.
     t = matmul_tensor(4, 4, 1)
-    grading = mirror_grading(t)
-    assert _peak(lambda: koszul_weight_spaces(t, 7, grading)) < 3_500_000
+    grading, symmetries = mirror_grading(t), index_symmetries(t)
+    assert _peak(lambda: koszul_weight_spaces(t, 7, grading, symmetries)) < 2_000_000
