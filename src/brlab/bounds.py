@@ -132,27 +132,27 @@ def _ceil_div(num: int, den: int) -> int:
 
 @dataclass(frozen=True)
 class FlatteningRank:
-    """Rank of a tensor's wedge flattening, computed summand by summand.
+    """Rank of a tensor's wedge flattening, from one rank pass over the
+    weight spaces written for its direct summands.
 
     rows, cols and nnz are those of the whole flattening; summands counts
     the direct summands and classes the groups of equal ones, of which only
-    one representative each was flattened and ranked.  soundness is the
-    certificate label the rank earns (`_soundness`).  rank_ms is the time
-    of the rank passes alone, split_ms that of splitting the flattened
-    weight spaces into row blocks, keying them and looking the keys up in
-    the class tables, and flatten_ms the rest of the work on the
-    representatives: the grading, the insertion tables, and writing and
-    validating the weight spaces.  block_classes counts the blocks ranked
-    over all representatives, one per class of identical blocks
+    one representative each was flattened.  soundness is the certificate
+    label the rank earns (`_soundness`).  rank_ms is the time of the rank
+    passes alone, split_ms that of splitting the written weight spaces
+    into row blocks, keying them and looking the keys up in the class
+    table, and flatten_ms the rest of the work on the representatives:
+    the grading, the symmetry search, the insertion tables, and writing and
+    validating the weight spaces.  block_classes counts the blocks ranked,
+    one per class of identical blocks over all representatives
     (`RankResult.classes`), unsettled those that no prime brought to full
     rank: under ExactQ, the ones fraction-free elimination ranked, and
     settled_mod_2 those that the ExactQ pass over F_2 brought to full
     rank.  orbits and orbit_weights count the weight spaces of the graded
     representatives (see `koszul_weight_spaces`): the orbits, one weight
     space of each written, and the weight spaces they cover, each
-    representative's once.  nnz_written counts the entries
-    written, each representative's as often as nnz counts it
-    (`bound_classical` sums both over its three flattenings).
+    representative's once.  nnz_written counts the entries written, each
+    once (`bound_classical` sums both over its three flattenings).
     """
 
     rows: int
@@ -176,75 +176,70 @@ class FlatteningRank:
 
 def flattening_rank(t: Tensor3, p: int,
                     strategy: MultiPrime | ExactQ | None = None) -> FlatteningRank:
-    """Rank of the p-th wedge flattening of t, one direct summand at a time,
-    one weight space at a time, and one weight space of each orbit of the
-    summand's index symmetries.
+    """Rank of the p-th wedge flattening of t, in one rank pass over one
+    weight space of each orbit of each direct summand group.
 
     The flattening of a direct sum whose summands share the first factor is
-    block diagonal, one block per summand, so its rank is the sum of count *
-    rank over the groups of equal summands (`direct_summands`); each group's
-    representative is flattened and ranked once.  A representative that is
-    symmetric under the reversal of all three factors is graded
-    (`mirror_grading`), and its flattening is block diagonal over the
-    weights (`koszul_weight_spaces`).  Its index symmetries
-    (`index_symmetries`, the reversal first) permute the weight spaces, a
-    space onto one of equal rank by a signed row and column permutation,
-    so one space per orbit is written.  Each part, the orbits of one size,
-    is ranked as a stream of its weight spaces, so that one space is held
-    at a time besides the part's class table (`rank_engine._rank_classes`),
-    and its rank counts once per weight of the orbit.  Any other
-    representative is ranked as one weight space, its whole flattening
-    (`koszul_flattening`), and never reaches the symmetry search.
-    The strategy defaults to exact rank over t's field: ExactQ over Q, its
+    block diagonal, one block per summand, so equal summands
+    (`direct_summands`) have equal flattenings and one representative of
+    each group is flattened.  A representative that is symmetric under the
+    reversal of all three factors is graded (`mirror_grading`), and its
+    flattening is block diagonal over the weights (`koszul_weight_spaces`).
+    Its index symmetries (`index_symmetries`, the reversal first) permute
+    the weight spaces, a space onto one of equal rank by a signed row and
+    column permutation, so one space per orbit is written.  Any other
+    representative is one weight space, its whole flattening
+    (`koszul_flattening`), and never reaches the symmetry search.  Each
+    written space stands for group size * orbit size copies, and the
+    spaces reach `rank_certified` as one stream of (space, copies) pairs,
+    so that one space is held at a time besides the one class table that
+    serves every group and orbit (`rank_engine._rank_classes`).  The
+    strategy defaults to exact rank over t's field: ExactQ over Q, its
     prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
-    `rank_engine._rank_classes`: the parts' blocks are blocks of the whole
-    flattening, and the blocks of one orbit have equal ranks mod every
-    prime.
+    `rank_engine._rank_classes`: the written blocks are blocks of the whole
+    flattening, and the blocks they stand for have equal ranks mod every
+    prime.  Each tensor entry fills one cell per p-subset avoiding its
+    first index, and no two cells collide, so the flattening has
+    t.nnz * C(a-1, p) entries.
     """
     a, b, c = t.dims
     check_wedge_power(a, p)
-    rows, cols = c * comb(a, p + 1), b * comb(a, p)
     strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
-    rank = nnz = block_classes = unsettled = settled_mod_2 = 0
-    orbits = covered = written = 0
-    rank_ms = split_ms = total_ms = 0.0
+    orbits = covered = 0
+
+    def spaces():
+        nonlocal orbits, covered
+        for summand, count in summands:
+            grading = mirror_grading(summand)
+            if grading is None:
+                # The whole flattening, from the call that bench/tracer.py
+                # times for the flattening time and nnz of random_dense.
+                yield koszul_flattening(summand, p).matrix, count
+                continue
+            reps, space = koszul_weight_spaces(summand, p, grading, index_symmetries(summand))
+            orbits += len(reps)
+            covered += sum(size for _, size in reps)
+            # space(w) is yielded unnamed, so no frame holds it while it is ranked.
+            for w, size in reps:
+                yield space(w), count * size
+
+    t0 = time.perf_counter()
     with warnings.catch_warnings():
         # check_wedge_power above has warned once for every summand.
         warnings.simplefilter("ignore", WedgeRangeWarning)
-        for summand, count in summands:
-            t0 = time.perf_counter()
-            grading = mirror_grading(summand)
-            if grading is None:
-                # One weight space, the whole flattening, which
-                # koszul_flattening writes: bench/tracer.py times that
-                # call, and its traced random_dense run reads the
-                # flattening time from it.
-                parts = ((koszul_flattening(summand, p).matrix, 1),)
-            else:
-                parts = koszul_weight_spaces(summand, p, grading, index_symmetries(summand))
-                for part, size in parts:
-                    orbits += len(part.weights)
-                    covered += size * len(part.weights)
-            for part, copies in parts:
-                res = rank_certified(part, strat)
-                split_ms += res.split_ms
-                rank_ms += res.rank_ms
-                rank += count * copies * res.rank
-                nnz += count * copies * res.nnz
-                written += count * res.nnz
-                block_classes += res.classes
-                unsettled += res.unsettled
-                settled_mod_2 += res.settled_mod_2
-            total_ms += (time.perf_counter() - t0) * 1000.0
-    return FlatteningRank(rows, cols, rank, nnz, strat,
-                          _soundness(strat, t.field.is_q, unsettled),
+        res = rank_certified(spaces(), strat)
+    total_ms = (time.perf_counter() - t0) * 1000.0
+    return FlatteningRank(c * comb(a, p + 1), b * comb(a, p), res.rank,
+                          t.nnz * comb(a - 1, p), strat,
+                          _soundness(strat, t.field.is_q, res.unsettled),
                           sum(count for _, count in summands), len(summands),
-                          rank_ms, split_ms, total_ms - rank_ms - split_ms, block_classes,
-                          unsettled, settled_mod_2, orbits, covered, written)
+                          res.rank_ms, res.split_ms, total_ms - res.rank_ms - res.split_ms,
+                          res.classes, res.unsettled, res.settled_mod_2, orbits, covered,
+                          res.nnz)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,

@@ -8,11 +8,11 @@ over its cells without any subset search, so the tables follow the
 entries, not the declared dimension.  The tables are flat machine-integer
 arrays, grouped by the weight of the subset under a grading of the tensor,
 so that the cells of one weight space of the flattening are written alone:
-`koszul_weight_spaces` streams them one weight at a time, and
-`koszul_flattening` is its one-weight case, the whole flattening.  A table
-holds only the weights that some written weight space reads, so the cells
-of a weight space that another of its orbit stands for, which is never
-written, are never built either.
+`koszul_weight_spaces` returns a function that writes one weight space per
+call, and `koszul_flattening` is its one-weight case, the whole
+flattening.  A table holds only the weights that some written weight
+space reads, so the cells of a weight space that another of its orbit
+stands for, which is never written, are never built either.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -79,8 +79,8 @@ def check_wedge_power(a: int, p: int) -> None:
 
 
 def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symmetries):
-    """(parts, buckets): the weights of the p-th wedge flattening as the
-    (orbit representatives, orbit size) parts of `koszul_weight_spaces`,
+    """(reps, buckets): the weights of the p-th wedge flattening as the
+    (orbit representative, orbit size) pairs of `koszul_weight_spaces`,
     and the set of subset weights sum wA(S) (0 alone when wa is None).
 
     A generator g = (piA, piB, ...) of `tensor.index_symmetries` sends
@@ -94,13 +94,15 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
     each field wide enough for a sum of p + 1 of them, so that one sum per
     subset packs u(S) with every u(piA S), and one more addition per
     (subset weight, j) packs w with every sigma_g(w).  The orbits of the
-    weights under the kept generators are the parts, each orbit written as
-    its smallest weight, and grouped by size: largest first, the orbits of
-    size 1 last (possibly none).  With no grading (wb empty) the one
-    weight is 0.
+    weights under the kept generators give the pairs, each orbit written as
+    its smallest weight, the largest of these first.  Under the reversal
+    alone the representatives are the weights up to the middle one, so on
+    the restricted map, whose weight spaces grow toward the middle, the
+    largest space is written first, while the class table of the rank loop
+    is still empty.  With no grading (wb empty) the one weight is 0.
     """
     if not wb:
-        return [([0], 1)], {0}
+        return [(0, 1)], {0}
     top = max(map(abs, [*(wa or ()), *wb.values()]))
     bits = (2 * top * (p + 1)).bit_length()
     mask = (1 << bits) - 1
@@ -129,7 +131,7 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
         if diff:
             dropped |= sum(1 << g for g, s in enumerate(shifts) if diff >> s & mask)
     kept = [s for g, s in enumerate(shifts) if g and not dropped >> g & 1]
-    by_size: dict[int, list[int]] = {1: []}
+    reps: list[tuple[int, int]] = []
     seen: set[int] = set()
     for w in sorted(image):
         if w in seen:
@@ -143,28 +145,8 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
                     orbit.add(x)
                     todo.append(x)
         seen |= orbit
-        by_size.setdefault(len(orbit), []).append(w)
-    return [(reps, size) for size, reps in sorted(by_size.items(), reverse=True)], buckets
-
-
-class WeightSpaces:
-    """One part of a wedge flattening, as a stream of its weight spaces.
-
-    Each iteration writes the cells of one weight at a time into a
-    `SparseMatrix` of the flattening's full shape and yields that matrix,
-    which no other reference holds.  The flattening is block diagonal over
-    the weights (see `koszul_weight_spaces`), so each yielded matrix is a
-    union of row blocks of the whole one.
-    """
-
-    def __init__(self, rows: int, cols: int, field, weights: list[int], write):
-        self.rows, self.cols, self.field = rows, cols, field
-        self.weights = weights
-        self._write = write
-
-    def __iter__(self):
-        for w in self.weights:
-            yield SparseMatrix(self.rows, self.cols, self._write(w), self.field)
+        reps.append((w, len(orbit)))
+    return reps[::-1], buckets
 
 
 def _slice_cells(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
@@ -253,13 +235,15 @@ def _insertion_tables(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
     return bucket, rows_of, cols_of, offsets
 
 
-def koszul_weight_spaces(t: Tensor3, p: int, grading,
-                         symmetries=()) -> tuple[tuple[WeightSpaces, int], ...]:
-    """The p-th wedge flattening of t as (WeightSpaces, count) parts whose
-    ranks add up with the counts, written one weight at a time when each
-    part is iterated; grading is `mirror_grading(t)`, or None for the whole
-    flattening as one weight space, and symmetries are generators from
-    `index_symmetries(t)`, none by default.
+def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
+    """(reps, space): the p-th wedge flattening of t as orbit
+    representatives with their sizes, a list of (weight, orbit size) pairs,
+    and a function that writes the weight space of one weight as a
+    `SparseMatrix` of the flattening's full shape, a union of row blocks of
+    the whole one.  The rank of the flattening is the sum of size *
+    rank(space(w)) over reps.  grading is `mirror_grading(t)`, or None for
+    the whole flattening as one weight space, and symmetries are
+    generators from `index_symmetries(t)`, none by default.
 
     The cells are those of `koszul_flattening`.  Column (j, S) gets the
     weight w = wB(j) + sum wA(S), and the grading makes the flattening
@@ -273,15 +257,15 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading,
     therefore maps the block of weight w onto that of weight sigma_g(w) by
     a signed row and column permutation, and the two blocks have equal
     ranks over Q and modulo every prime.  So every weight space of one
-    orbit of the generators has one rank, and the parts are the orbits'
-    smallest weights, grouped by orbit size, each counted as often as its
-    orbit has weights (`_weight_parts`).  The other weights of each orbit
-    are never written, and the insertion tables (`_insertion_tables`) are
+    orbit of the generators has one rank, and reps holds the orbits'
+    smallest weights, largest first, each with the number of weights of
+    its orbit (`_weight_parts`).  The other weights of each orbit are
+    never written, and the insertion tables (`_insertion_tables`) are
     built for the written weights alone.  A generator whose sigma_g is not
-    a function of w is dropped; with no generator left, or none given, or
-    every orbit a single weight, the one part holds every weight, counted
-    once.  Under the reversal rho alone the parts are the weights w <
-    sigma(w), counted twice, and the self-mirror ones, counted once.
+    a function of w is dropped; with no generator left, or none given,
+    every weight is its own orbit, of size 1.  Under the reversal rho
+    alone the representatives are the weights w < sigma(w), of size 2,
+    and the self-mirror ones, of size 1.
     """
     check_wedge_power(t.dims[0], p)
     a, b, c = t.dims
@@ -289,7 +273,7 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading,
     # At p = 0 the one subset is empty: no A weight is read, and a may be
     # far larger than any table.
     wa = [grading[0].get(x, 0) for x in range(a)] if grading is not None and p else None
-    parts, buckets = _weight_parts(a, p, wa, wb, symmetries)
+    reps, buckets = _weight_parts(a, p, wa, wb, symmetries)
 
     # Entry (i, j, k) and subset S fix the cell, and the cell gives back
     # S, j, k and i = S' \ S, so every cell is written at most once and
@@ -307,13 +291,12 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading,
     # other weights of an orbit never are.
     needed: dict[int, int] = {}
     for x, wj in {(x, wj) for x, _, _, _, _, wj in entries}:
-        for ws, _ in parts:
-            for w in ws:
-                if w - wj in buckets:
-                    needed[w - wj] = needed.get(w - wj, 0) | 1 << x
+        for w, _ in reps:
+            if w - wj in buckets:
+                needed[w - wj] = needed.get(w - wj, 0) | 1 << x
     bucket, rows_of, cols_of, offsets = _insertion_tables(t, p, used, wa, needed)
 
-    def write(w: int):
+    def cells(w: int):
         for x, j, k, v, neg_v, wj in entries:
             g = bucket.get(w - wj)
             if g is None:
@@ -327,7 +310,7 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading,
                     yield ~row + k, col + j, neg_v
 
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
-    return tuple((WeightSpaces(rows, cols, t.field, ws, write), copies) for ws, copies in parts)
+    return reps, lambda w: SparseMatrix(rows, cols, cells(w), t.field)
 
 
 def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
@@ -338,9 +321,8 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     c*C(a, p+1) rows by b*C(a, p) columns.  The matrix is the one weight
     space of `koszul_weight_spaces` with no grading.
     """
-    ((spaces, _),) = koszul_weight_spaces(t, p, None)
-    (matrix,) = spaces
-    return KoszulMatrix(matrix)
+    _, space = koszul_weight_spaces(t, p, None)
+    return KoszulMatrix(space(0))
 
 
 def classical_tensor(t: Tensor3, mode: str) -> Tensor3:

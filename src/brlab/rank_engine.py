@@ -12,12 +12,13 @@ matrix that is block diagonal after a row and column permutation has the
 sum of its blocks' ranks.  The split is made on the exact entries and
 stays valid mod every prime, since reduction mod p can only make entries
 vanish, never create new ones.  A rank pass takes one matrix, or a stream
-of matrices that together make up one block diagonal matrix (the weight
-spaces of `exterior.koszul_weight_spaces`); each is split into blocks and
+of (matrix, copies) pairs whose matrices, each taken copies times, make up
+one block diagonal matrix (the weight spaces of a flattening, each
+standing for its summand group and orbit); each is split into blocks and
 dropped, so that one matrix is held at a time.  Blocks that are identical up
 to a column relabelling (checked entry by entry, never by hash alone) form
 one class in a table shared by the whole stream: a class is ranked when
-first seen, from its content key, and each later copy adds that rank.
+first seen, from its content key, and each copy adds that rank.
 That is exact over every field: equal exact entries reduce to equal values
 mod p, so the copies have equal ranks mod every prime too.  The table
 keeps only the keys of blocks with fewer than `_KEPT_BLOCK_ENTRIES`
@@ -29,7 +30,9 @@ and, from n = 9 on, too large to keep, so its table no longer holds the
 written half.  (The l identical copies that the third index gives are
 split off earlier, on the tensor, by `tensor.direct_summands`, and of each
 orbit of weight spaces under the tensor's index symmetries only one is
-written, by `exterior.koszul_weight_spaces`.)
+written, by `exterior.koszul_weight_spaces`; `bounds.flattening_rank`
+gives each written space the summand group size times the orbit size as
+its copies.)
 
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
@@ -201,7 +204,7 @@ class RankResult:
     settled_mod_2 counts those that the exact-Q pass over F_2 brought to
     full rank (always 0 for the other strategies); the remaining ones were
     settled mod a prime.  nnz counts the entries read: the matrix's, or
-    the sum over a stream's matrices.
+    the sum over a stream's matrices, each once whatever its copies.
     split_ms is the time spent splitting the matrices into row blocks,
     keying them and looking the keys up in the class table, rank_ms that
     of the rank passes over the class representatives; neither counts the
@@ -402,10 +405,12 @@ _KEPT_BLOCK_ENTRIES = 1 << 15
 
 def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                   integer_only: bool = False) -> RankResult:
-    """The one rank loop, over a SparseMatrix or a stream of them that make
-    up one block diagonal matrix (`exterior.WeightSpaces`).
+    """The one rank loop, over a SparseMatrix or a stream of (SparseMatrix,
+    copies) pairs whose matrices, each taken copies times, make up one
+    block diagonal matrix; each block adds copies times its class's rank.
 
-    Each matrix is split into row blocks and dropped; blocks with equal
+    Each matrix's field is checked against the strategy (FieldMismatch),
+    then the matrix is split into row blocks and dropped; blocks with equal
     content keys form one class in a table shared by the whole stream, and
     a class is ranked when first seen, after which only its key and rank
     are kept, to the end of the stream.  A block with `_KEPT_BLOCK_ENTRIES`
@@ -426,13 +431,16 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
-    for tag in tags:
-        if not m.field.is_q and tag != m.field:
-            raise FieldMismatch(f"matrix over {m.field} cannot be reduced mod {tag.p}")
     ranks: dict[tuple, int] = {}  # content key -> rank of its class
     rank = nnz = classes = unsettled = settled_mod_2 = 0
     split_s = rank_s = 0.0
-    for space in (m,) if isinstance(m, SparseMatrix) else m:
+    for space, copies in ((m, 1),) if isinstance(m, SparseMatrix) else m:
+        if exact and not space.field.is_q:
+            raise FieldMismatch(
+                f"exact-Q rank needs rational entries, matrix is over {space.field}")
+        for tag in tags:
+            if not space.field.is_q and tag != space.field:
+                raise FieldMismatch(f"matrix over {space.field} cannot be reduced mod {tag.p}")
         if integer_only and not space.is_integral():
             raise BadPrime("MultiPrime certification requires integer entries")
         scale = exact and not space.is_integral()
@@ -444,7 +452,7 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
             kept = len(key[1]) < _KEPT_BLOCK_ENTRIES
             r = ranks.get(key) if kept else None
             if r is not None:
-                rank += r
+                rank += copies * r
                 continue
             classes += 1
             t1 = time.perf_counter()
@@ -466,7 +474,7 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
             rank_s += time.perf_counter() - t1
             if kept:
                 ranks[key] = r
-            rank += r
+            rank += copies * r
         split_s += time.perf_counter() - t0 - (rank_s - rank_before)
     return RankResult(rank, nnz, classes, unsettled, settled_mod_2,
                       split_s * 1000.0, rank_s * 1000.0)
@@ -490,15 +498,13 @@ def rank_exact_q(m) -> RankResult:
     class that prime leaves short too.  Both moduli are fixed, not read from
     BRLAB_PRIMES: they never decide a rank, they only skip work.
     """
-    if not m.field.is_q:
-        raise FieldMismatch(f"exact-Q rank needs rational entries, matrix is over {m.field}")
     return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 
 
 def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
     """Rank with certified-lower-bound semantics, of a SparseMatrix or of a
-    stream of them that make up one block diagonal matrix (see
-    `_rank_classes`).
+    stream of (SparseMatrix, copies) pairs that make up one block diagonal
+    matrix (see `_rank_classes`).
 
     MultiPrime: the rank loop over the strategy's primes, each class keeping
     its max over the primes it tried; sound for lower-bound certificates on

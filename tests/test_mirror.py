@@ -15,9 +15,9 @@ import brlab.bounds as bounds
 import brlab.cli as cli
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import bound_classical, flattening_rank
-from brlab.exterior import (WedgeRangeWarning, WeightSpaces, classical_tensor, koszul_flattening,
+from brlab.exterior import (WedgeRangeWarning, classical_tensor, koszul_flattening,
                             koszul_weight_spaces)
-from brlab.rank_engine import ExactQ, MultiPrime, rank_certified
+from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
 from brlab.scalars import FieldTag, certification_primes
 from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
@@ -65,12 +65,15 @@ def whole_rank(t, p, strategy):
 
 
 def written(t, p):
-    """The parts of `koszul_weight_spaces` under t's mirror grading and the
-    reversal alone, the first of t's index symmetries, each read by
-    iterating it: (copies, {(row, col): value}) per part."""
-    rho = index_symmetries(t)[:1]
-    return [(copies, {(r, c): v for space in part for r, c, v in space.items()})
-            for part, copies in koszul_weight_spaces(t, p, mirror_grading(t), rho)]
+    """The cells of the weight spaces that `koszul_weight_spaces` writes
+    under t's mirror grading and the reversal alone, the first of t's index
+    symmetries, grouped by orbit size: (size, {(row, col): value}) per
+    size, the pairs first, the fixed spaces last (possibly none)."""
+    reps, space = koszul_weight_spaces(t, p, mirror_grading(t), index_symmetries(t)[:1])
+    parts = {1: {}}
+    for w, size in reps:
+        parts.setdefault(size, {}).update(((r, c), v) for r, c, v in space(w).items())
+    return sorted(parts.items(), reverse=True)
 
 
 def mirror_image(t, p, whole, cells):
@@ -185,8 +188,7 @@ def test_one_broken_entry_gets_no_pairing(change):
     for p in range(t.dims[0]):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WedgeRangeWarning)
-            [(part, copies)] = koszul_weight_spaces(t, p, None)
-            assert (part.weights, copies) == ([0], 1)
+            assert koszul_weight_spaces(t, p, None)[0] == [(0, 1)]
             fr = flattening_rank(t, p)
             assert fr.rank == whole_rank(t, p, ExactQ())
             assert (fr.orbits, fr.nnz_written) == (0, fr.nnz)
@@ -205,7 +207,7 @@ def test_trivial_grading_keeps_every_column_fixed():
                             for k in range(2)], Q)
     assert mirror_grading(t) is not None
     for p in (0, 1):
-        assert len(koszul_weight_spaces(t, p, mirror_grading(t))) == 1
+        assert len(koszul_weight_spaces(t, p, mirror_grading(t))[0]) == 1
         [(copies, cells)] = written(t, p)
         assert copies == 1
         assert sorted((r, c, v) for (r, c), v in cells.items()) == \
@@ -228,20 +230,20 @@ def test_derived_grading_holds_on_every_summand_entry(t):
 
 
 def test_split_is_timed_apart_from_the_rank(monkeypatch):
-    # Each part reaches the rank loop as a stream of weight spaces, which
+    # The written weight spaces reach the rank loop as one stream, which
     # times its block split and its rank passes apart.
     seen = []
 
-    def rank_streamed(part, strategy):
-        res = rank_certified(part, strategy)
-        seen.append((isinstance(part, WeightSpaces), res.split_ms > 0, res.rank_ms > 0))
+    def rank_streamed(spaces, strategy):
+        res = rank_certified(spaces, strategy)
+        seen.append((isinstance(spaces, SparseMatrix), res.split_ms > 0, res.rank_ms > 0))
         return res
 
     monkeypatch.setattr(bounds, "rank_certified", rank_streamed)
     start = time.perf_counter()
     fr = flattening_rank(restrict_matmul(3, 3, 1), 2)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    assert seen == [(True, True, True), (True, True, True)]
+    assert seen == [(False, True, True)]
     assert fr.split_ms > 0 and fr.rank_ms > 0 and fr.flatten_ms > 0
     assert fr.split_ms + fr.rank_ms + fr.flatten_ms <= elapsed_ms
 
@@ -265,7 +267,7 @@ def test_verbose_mirror_line(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--method", "koszul-restricted",
                        "--m", "3", "--n", "3", "--l", "3", "--verbose")
     assert code == 0
-    assert "orbits: 5 of 9 weights written, nnz 99 of 162" in err.splitlines()
+    assert "orbits: 5 of 9 weights written, nnz 33 of 162" in err.splitlines()
     path = tmp_path / "t.json"
     path.write_text('{"field": "Q", "dims": [2, 2, 1], '
                     '"entries": [[0, 0, 0, "1"], [1, 1, 0, "1"]]}\n')

@@ -104,11 +104,9 @@ def test_each_generator_maps_a_weight_space_onto_one_of_equal_rank(shape, p):
             image = (pb[j], tuple(sorted(pa.get(x, x) for x in s)))
             w, w_image = weight_of(grading, j, s), weight_of(grading, *image)
             assert rank.get(w, 0) == rank.get(w_image, 0)
-    parts = koszul_weight_spaces(t, p, grading, symmetries)
-    assert sum(size * len(part.weights) for part, size in parts) == len(
-        {weight_of(grading, j, s) for j, s in cols})
-    assert sum(size * rank.get(w, 0) for part, size in parts for w in part.weights) == \
-        sum(rank.values())
+    reps, _ = koszul_weight_spaces(t, p, grading, symmetries)
+    assert sum(size for _, size in reps) == len({weight_of(grading, j, s) for j, s in cols})
+    assert sum(size * rank.get(w, 0) for w, size in reps) == sum(rank.values())
 
 
 def commuting_with_reversal(rng, d):
@@ -229,18 +227,17 @@ def test_generator_with_no_weight_map_is_dropped(p):
     whole = rank_certified(koszul_flattening(t, p).matrix, ExactQ()).rank
 
     def ranked(grading):
-        parts = koszul_weight_spaces(t, p, grading, [swap])
-        rank = sum(size * rank_certified(part, ExactQ()).rank for part, size in parts)
-        return rank, sum(len(part.weights) for part, _ in parts)
+        reps, space = koszul_weight_spaces(t, p, grading, [swap])
+        return rank_certified([(space(w), size) for w, size in reps], ExactQ()).rank, len(reps)
 
     coarse = ({0: 1, 1: 0, 2: 0}, {0: 1, 1: 0, 2: 0})
     fine_rank, fine_written = ranked(mirror_grading(t))
     coarse_rank, coarse_written = ranked(coarse)
     assert fine_rank == coarse_rank == whole
-    [(part, size)] = koszul_weight_spaces(t, p, coarse, [swap])
-    assert size == 1 and len(part.weights) == coarse_written
-    assert coarse_written == len(koszul_weight_spaces(t, p, coarse)[0][0].weights)
-    assert fine_written < len(koszul_weight_spaces(t, p, mirror_grading(t))[0][0].weights)
+    reps, _ = koszul_weight_spaces(t, p, coarse, [swap])
+    assert [size for _, size in reps] == [1] * coarse_written
+    assert coarse_written == len(koszul_weight_spaces(t, p, coarse)[0])
+    assert fine_written < len(koszul_weight_spaces(t, p, mirror_grading(t))[0])
 
 
 def _cli(argv, seed):

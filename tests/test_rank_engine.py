@@ -10,7 +10,7 @@ from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
 
 import brlab.rank_engine as rank_engine
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from brlab.exterior import WeightSpaces, koszul_flattening
+from brlab.exterior import koszul_flattening
 from brlab.rank_engine import (
     ExactQ,
     MultiPrime,
@@ -250,12 +250,13 @@ def test_multiprime_takes_max_per_class():
     assert (res.classes, res.unsettled) == (2, 0)
 
 
-def _repeated(block, copies):
-    """A stream of copies of one block, each written as a weight space of
-    its own on the diagonal of a block diagonal matrix."""
+def _repeated(block, copies, field=Q):
+    """A stream of copies of one block, each a matrix of its own on the
+    diagonal of a block diagonal matrix, taken once."""
     rows, cols = max(r for r, _, _ in block) + 1, max(c for _, c, _ in block) + 1
-    return WeightSpaces(copies * rows, copies * cols, Q, list(range(copies)),
-                        lambda w: [(w * rows + r, w * cols + c, v) for r, c, v in block])
+    return [(SparseMatrix(copies * rows, copies * cols,
+                          [(w * rows + r, w * cols + c, v) for r, c, v in block], field), 1)
+            for w in range(copies)]
 
 
 def test_class_table_ranks_each_copy_of_a_block_too_large_to_keep():
@@ -270,6 +271,27 @@ def test_class_table_ranks_each_copy_of_a_block_too_large_to_keep():
     small = [(0, 0, 1), (0, 1, 2), (1, 1, 3)]
     res = rank_exact_q(_repeated(small, 3))
     assert (res.rank, res.classes) == (6, 1)
+
+
+def test_stream_copies_multiply_ranks_from_one_class_table():
+    # One block taken twice, then the same block once: one class, ranked
+    # once, and the stream's rank counts it three times.
+    block = [(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 4)]
+    r = rank_gauss_fractions(dense_rows(SparseMatrix(3, 2, block, Q)))
+    (first, _), (second, _) = _repeated(block, 2)
+    stream = [(first, 2), (second, 1)]
+    for res in (rank_exact_q(stream), rank_mod_p(stream, 7)):
+        assert (res.rank, res.classes, res.nnz) == (3 * r, 1, 8)
+
+
+def test_field_mismatch_inside_a_stream():
+    # Each matrix of a stream is checked, not only the first.
+    f7 = FieldTag.prime_field(7)
+    stream = _repeated([(0, 0, 1), (1, 1, 1)], 2) + _repeated([(0, 0, 1)], 1, f7)
+    with pytest.raises(FieldMismatch):
+        rank_exact_q(stream)
+    with pytest.raises(FieldMismatch):
+        rank_certified(stream, MultiPrime((11,)))
 
 
 def test_multiprime_resolves_primes_at_construction(monkeypatch):
