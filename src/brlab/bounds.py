@@ -16,11 +16,9 @@ over Q is ranked over exact Q and one over F_p mod p.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -35,6 +33,7 @@ from .exterior import (
     redundancy_cap,
 )
 from .rank_engine import ExactQ, MultiPrime, rank_certified
+from .record import Record
 from .tensor import Tensor3, direct_summands, index_symmetries, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
@@ -47,26 +46,17 @@ SOUND_CLOSED_FORM = "closed-form"
 _TABLE_RANK_COLS = 600
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Auditable record tying a computed rank to a border-rank lower bound."""
+class BoundCertificate(Record):
+    """Auditable record tying a computed rank to a border-rank lower bound.
 
-    method: str
-    descriptor: dict
-    rows: int | None
-    cols: int | None
-    rank: int | None
-    divisor: int | None
-    quotient: Fraction
-    bound: int
-    field_label: str
-    soundness: str
-    p: int | None = None
-    flags: tuple[str, ...] = ()
-    timings_ms: float = 0.0
-    # Telemetry outside the canonical payload: the ranked flattening with
-    # its summand split and block-class counts (None for closed forms).
-    flattening: FlatteningRank | None = None
+    flattening is telemetry outside the canonical payload: the ranked
+    `FlatteningRank` with its summand split and block-class counts (None
+    for closed forms).
+    """
+
+    __slots__ = ("method", "descriptor", "rows", "cols", "rank", "divisor", "quotient", "bound",
+                 "field_label", "soundness", "p", "flags", "timings_ms", "flattening")
+    _defaults = {"p": None, "flags": (), "timings_ms": 0.0, "flattening": None}
 
     def to_json(self) -> dict:
         doc = {
@@ -94,6 +84,8 @@ class BoundCertificate:
 
 def tensor_descriptor(t: Tensor3) -> dict:
     """Content hash of the canonical JSON form, for file-based tensors."""
+    import hashlib  # here, so that jobs on built-in tensors never load it
+
     blob = json.dumps(tensor_to_json(t), separators=(",", ":")).encode("ascii")
     return {"sha256": hashlib.sha256(blob).hexdigest()}
 
@@ -130,8 +122,7 @@ def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-@dataclass(frozen=True)
-class FlatteningRank:
+class FlatteningRank(Record):
     """Rank of a tensor's wedge flattening, from one rank pass over the
     weight spaces written for its direct summands.
 
@@ -153,25 +144,12 @@ class FlatteningRank:
     space of each written, and the weight spaces they cover, each
     representative's once.  nnz_written counts the entries written, each
     once (`bound_classical` sums both over its three flattenings).
+    strategy is the `MultiPrime` or `ExactQ` that ranked it.
     """
 
-    rows: int
-    cols: int
-    rank: int
-    nnz: int
-    strategy: MultiPrime | ExactQ
-    soundness: str
-    summands: int
-    classes: int
-    rank_ms: float
-    split_ms: float
-    flatten_ms: float
-    block_classes: int
-    unsettled: int
-    settled_mod_2: int
-    orbits: int
-    orbit_weights: int
-    nnz_written: int
+    __slots__ = ("rows", "cols", "rank", "nnz", "strategy", "soundness", "summands", "classes",
+                 "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
+                 "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -274,8 +252,8 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     best = max(frs, key=lambda fr: fr.rank)
     summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
               "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
-    return _certificate("classical", descriptor, replace(
-        best, **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
+    return _certificate("classical", descriptor, best.replace(
+        **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

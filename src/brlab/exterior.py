@@ -24,13 +24,13 @@ from __future__ import annotations
 import warnings
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, count
 from math import comb
 
 from .errors import InvalidDimension
 from .rank_engine import SparseMatrix
+from .record import Record
 from .tensor import Tensor3
 
 
@@ -38,8 +38,7 @@ class WedgeRangeWarning(UserWarning):
     """p exceeds ceil(a/2) - 1: the flattening duplicates a complementary one."""
 
 
-@dataclass(frozen=True)
-class KoszulMatrix:
+class KoszulMatrix(Record):
     """Wedge-power flattening as an explicit sparse matrix.
 
     Row index of (k, S') is colex(S')*c + k; column index of (j, S) is
@@ -47,7 +46,7 @@ class KoszulMatrix:
     flattening including its row order.
     """
 
-    matrix: SparseMatrix
+    __slots__ = ("matrix",)
 
     @property
     def rows(self) -> int:

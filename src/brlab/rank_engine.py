@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
+from .record import Record
 from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
 
 
@@ -192,8 +192,7 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, field={self.field})"
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Record):
     """Outcome of one exact rank computation.
 
     classes counts the blocks ranked: one per class of identical blocks,
@@ -212,26 +211,24 @@ class RankResult:
     compare equal.
     """
 
-    rank: int
-    nnz: int
-    classes: int
-    unsettled: int
-    settled_mod_2: int
-    split_ms: float = field(compare=False)
-    rank_ms: float = field(compare=False)
+    __slots__ = ("rank", "nnz", "classes", "unsettled", "settled_mod_2", "split_ms", "rank_ms")
+    _compared = ("rank", "nnz", "classes", "unsettled", "settled_mod_2")
 
 
-@dataclass(frozen=True)
-class MultiPrime:
-    """Take the max of ranks over a list of primes, by default the active
-    certification primes, resolved once at construction."""
+class MultiPrime(Record):
+    """Take the max of ranks over a list of primes (a tuple), by default the
+    active certification primes, resolved once at construction."""
 
-    primes: tuple[int, ...] = field(default_factory=certification_primes)
+    __slots__ = ("primes",)
+
+    def __init__(self, primes: tuple[int, ...] | None = None) -> None:
+        super().__init__(certification_primes() if primes is None else primes)
 
 
-@dataclass(frozen=True)
-class ExactQ:
+class ExactQ(Record):
     """Exact rank over the rationals."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrime, DivisionByZero, FormatError
+from .record import Record
 
 # Bound on a user-given modulus ("Fp:<p>", --field fp:P, BRLAB_PRIMES),
 # well inside the range where is_prime is exact.
@@ -123,8 +123,7 @@ def parse_natural(s: str) -> int:
         raise FormatError(f"bad natural number {s!r}") from exc
 
 
-@dataclass(frozen=True)
-class FieldTag:
+class FieldTag(Record):
     """Field of computation: the rationals ("Q") or F_p for a checked prime.
 
     Values stay unwrapped (int or non-integral Fraction for Q, int in [0, p)
@@ -132,21 +131,20 @@ class FieldTag:
     as text.  Arithmetic on them is plain Python followed by `coerce`.
     """
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "Q":
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind == "Q":
+            if p is not None:
                 raise BadPrime("the rationals carry no modulus")
-        elif self.kind == "Fp":
-            p = self.p
+        elif kind == "Fp":
             if p is None or not (2 <= p < PRIME_MODULUS_CAP):
                 raise BadPrime(f"modulus {p} outside [2, 2^62)")
             if not is_prime(p):
                 raise BadPrime(f"modulus {p} is not prime")
         else:
-            raise BadPrime(f"unknown field kind {self.kind!r}")
+            raise BadPrime(f"unknown field kind {kind!r}")
+        super().__init__(kind, p)
 
     @staticmethod
     def rationals() -> "FieldTag":
