@@ -20,7 +20,10 @@ to a column relabelling (checked entry by entry, never by hash alone) form
 one class in a table shared by the whole stream: a class is ranked when
 first seen, from its content key, and each copy adds that rank.
 That is exact over every field: equal exact entries reduce to equal values
-mod p, so the copies have equal ranks mod every prime too.  The table
+mod p, so the copies have equal ranks mod every prime too.  The exact-Q
+rank keys a rational matrix with each row scaled by the lcm of its
+denominators, so its keys hold ints and "identical" means equal after
+that row scaling, which keeps the rank over Q.  The table
 keeps only the keys of blocks with fewer than `_KEPT_BLOCK_ENTRIES`
 entries; a larger block is ranked and forgotten, and ranked again should
 it repeat.  The flattenings of matrix multiplication repeat small blocks
@@ -37,27 +40,40 @@ its copies.)
 Every strategy ranks these classes in one loop, `_rank_classes`, which
 also makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with three steps per class: a bit-packed rank over F_2 (`_rank_f2`), then
-the first default certification prime (2^30 - 35), then fraction-free
-elimination where both fall short of full rank.
+with three steps per class, all on ints: a bit-packed rank over F_2
+(`_rank_f2`), then the first default certification prime (2^30 - 35), then
+fraction-free elimination where both fall short of full rank.
 
-One sparse elimination loop serves both fields; it differs between F_p and
-Q only in how an updated row is reduced (mod p, with the pivot row left
-unscaled, or by its integer content).  Elimination is deterministic: pivots
-are chosen on the sparsest active column, ties broken by lowest column
-index, then sparsest row, then lowest row index.  Repeated runs give
-identical results.
+One sparse elimination loop, `_eliminate`, serves both fields, with one
+inner loop for each: mod p, with the pivot row left unscaled, or over the
+integers, each updated row divided by its content.  Elimination is
+deterministic: pivots are chosen on the sparsest active column, ties broken
+by lowest column index, then sparsest row, then lowest row index.
+Repeated runs give identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from .record import Record
 from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
+
+
+def _scaled_row(values):
+    """A row's values over Q times the lcm of their denominators: ints, and
+    the same row up to a nonzero factor, so a matrix keeps its rank over Q.
+    """
+    d = 1
+    for v in values:
+        if type(v) is not int:
+            d = lcm(d, v.denominator)
+    if d == 1:
+        return values
+    return [v * d if type(v) is int else v.numerator * (d // v.denominator) for v in values]
 
 
 class SparseMatrix:
@@ -88,10 +104,10 @@ class SparseMatrix:
             elif c in row:
                 raise FormatError(f"duplicate entry at ({r},{c})")
             v = coerce(v)
-            if v == 0:
-                raise FormatError(f"stored zero at ({r},{c})")
             if type(v) is not int:
-                integral = False
+                integral = False  # a Fraction that is not an integer, so not zero
+            elif not v:
+                raise FormatError(f"stored zero at ({r},{c})")
             row[c] = v
         self.rows = rows
         self.cols = cols
@@ -119,7 +135,7 @@ class SparseMatrix:
         """True when every entry is an integer (stored as int over Q)."""
         return self._integral
 
-    def _block_keys(self) -> list[tuple[tuple, int]]:
+    def _block_keys(self, scaled: bool = False) -> list[tuple[tuple, int]]:
         """(content key, distinct columns) of each row block, in order of
         the block's smallest row.
 
@@ -137,6 +153,12 @@ class SparseMatrix:
         rank loop compares keys by full tuple equality, entry by entry, so a
         hash collision cannot merge different blocks, and ranks each class
         from its key, which holds the block (`_rows`).
+
+        scaled, for a matrix over Q, keys each row times the lcm of its
+        entries' denominators (`_scaled_row`), so that every value is an
+        int, and equal keys mean equal ranks over Q.  Only the exact-Q rank
+        keys this way: a mod-p rank keys the exact values, so that a
+        denominator p divides still raises BadPrime.
         """
         rows = self._rows
         # The nonempty rows in increasing order, numbered 0..R-1, are the
@@ -175,7 +197,7 @@ class SparseMatrix:
             for r in block:
                 row = rows[r]
                 cols += row
-                vals += row.values()
+                vals += _scaled_row(row.values()) if scaled else row.values()
                 lens.append(len(row))
             labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
             keys.append(((tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals)),
@@ -195,11 +217,12 @@ class SparseMatrix:
 class RankResult(Record):
     """Outcome of one exact rank computation.
 
-    classes counts the blocks ranked: one per class of identical blocks,
-    plus one per repeat of a block too large for the class table (see
-    `_rank_classes`).  unsettled counts those whose rank stayed below
-    min(block rows, block columns) mod every prime tried; under exact Q
-    these are the ones that fraction-free elimination ranked.
+    classes counts the blocks ranked: one per class of identical blocks
+    (under exact Q, identical after each row is scaled by the lcm of its
+    denominators), plus one per repeat of a block too large for the class
+    table (see `_rank_classes`).  unsettled counts those whose rank stayed
+    below min(block rows, block columns) mod every prime tried; under exact
+    Q these are the ones that fraction-free elimination ranked.
     settled_mod_2 counts those that the exact-Q pass over F_2 brought to
     full rank (always 0 for the other strategies); the remaining ones were
     settled mod a prime.  nnz counts the entries read: the matrix's, or
@@ -248,13 +271,18 @@ def _strip_content(row: dict[int, int]) -> None:
 
 def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     """Sparse Gaussian elimination on integer row dicts (consumed): the rank
-    over F_p, or over Q when p is None.
+    over F_p, whose entries are residues in [1, p), or over Q when p is
+    None.
 
-    Over F_p the pivot row is kept as it is: each updated row's factor f is
-    multiplied by the pivot's inverse, and the update row <- row - f*piv is
-    reduced mod p.  Over Q the pivot row loses its integer content, and the
-    update row <- g*row - f*piv (g the pivot entry) is followed by removal of
-    the row's content, so entries stay integers with no exactness caveats.
+    The pivot's column is taken out of the pivot row once, and the row's
+    other items are listed once for all the rows it updates.  Each update
+    is row <- row + f*piv, one multiply-add per pivot entry, with the
+    factor f negated beforehand, and the F_p and Q loops are written apart.
+    Over F_p the pivot row is kept as it is, f = -row[c]/piv[c] mod p, and
+    each sum is reduced mod p.  Over Q the pivot row loses its integer
+    content, the row is multiplied by the pivot entry g with f = -row[c],
+    and the updated row loses its content, so entries stay integers with
+    no exactness caveats.
     """
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(rows):
@@ -272,44 +300,57 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
         if len(rs) != cnt:
             heapq.heappush(heap, (len(rs), c))
             continue
-        r = min(rs, key=lambda rr: (len(rows[rr]), rr))
-        piv = rows[r]
-        if p is None:
-            _strip_content(piv)
-            g = piv[c]
-        else:
-            inv = pow(piv[c], -1, p)
-        for rr in rs:
-            if rr == r:
-                continue
-            row = rows[rr]
-            f = row.pop(c)
-            if p is not None:
-                f = f * inv % p
-            elif g != 1:
-                for cc in row:
-                    row[cc] *= g
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                x = row.get(cc, 0) - f * vv
-                if p is not None:
-                    x %= p
-                if x:
-                    if cc not in row:
-                        col_rows[cc].add(rr)
-                    row[cc] = x
-                elif cc in row:
-                    del row[cc]
-                    col_rows[cc].discard(rr)
-            if p is None:
-                _strip_content(row)
-        for cc in piv:
-            if cc != c:
-                col_rows[cc].discard(r)
-        rows[r] = {}
         del col_rows[c]
         rank += 1
+        r = min(rs, key=lambda rr: (len(rows[rr]), rr))
+        rs.discard(r)  # now the rows to update
+        piv = rows[r]
+        rows[r] = None
+        if p is None and rs:
+            _strip_content(piv)
+        g = piv.pop(c)
+        for cc in piv:
+            col_rows[cc].discard(r)
+        items = list(piv.items())
+        if p is not None:
+            ninv = -pow(g, -1, p)
+            for rr in rs:
+                row = rows[rr]
+                f = row.pop(c) * ninv % p
+                get = row.get
+                for cc, vv in items:
+                    x = get(cc)
+                    if x is None:  # fill-in: f and vv are nonzero mod p
+                        row[cc] = f * vv % p
+                        col_rows[cc].add(rr)
+                    else:
+                        x = (x + f * vv) % p
+                        if x:
+                            row[cc] = x
+                        else:
+                            del row[cc]
+                            col_rows[cc].discard(rr)
+        else:
+            for rr in rs:
+                row = rows[rr]
+                f = -row.pop(c)
+                if g != 1:
+                    for cc in row:
+                        row[cc] *= g
+                get = row.get
+                for cc, vv in items:
+                    x = get(cc)
+                    if x is None:
+                        row[cc] = f * vv
+                        col_rows[cc].add(rr)
+                    else:
+                        x += f * vv
+                        if x:
+                            row[cc] = x
+                        else:
+                            del row[cc]
+                            col_rows[cc].discard(rr)
+                _strip_content(row)
     return rank
 
 
@@ -341,23 +382,6 @@ def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
                 d[c] = x
         rows.append(d)
     return rows
-
-
-def _block_integral(key: tuple) -> tuple:
-    """The content key of a block over Q with each row scaled by the lcm of
-    its denominators (rank-preserving); integer rows keep their values."""
-    lens, cols, vals = key
-    scaled, i = [], 0
-    for k in lens:
-        row = vals[i:i + k]
-        i += k
-        d = 1
-        for v in row:
-            if type(v) is not int:
-                d = d * v.denominator // gcd(d, v.denominator)
-        scaled += row if d == 1 else [
-            v * d if type(v) is int else v.numerator * (d // v.denominator) for v in row]
-    return lens, cols, tuple(scaled)
 
 
 def _rank_f2(block, full: int) -> int:
@@ -420,12 +444,14 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     prime can raise it.  For each prime the matrix's rank is the sum of its
     class ranks, so the sum of per-class maxes is a sound lower bound on
     the Q-rank, and never below the whole matrix's max over the primes.
-    When exact, each class is scaled integral row by row (rank-preserving)
-    and first ranked over F_2; reduction Z -> F_2 is a ring map, so
-    rank_2 <= rank_Q <= full and a class of full rank mod 2 is settled
-    with no prime.  Any other class runs the primes, and one that stays
-    unsettled is ranked by fraction-free elimination.  With integer_only,
-    a matrix with a non-integer entry raises BadPrime.
+    When exact, a matrix that is not integral is keyed with each row scaled
+    by the lcm of its denominators (`SparseMatrix._block_keys`), which
+    keeps the Q-rank, so blocks equal after that scaling share a class and
+    every class holds ints.  Each class is first ranked over F_2; reduction
+    Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a class of full
+    rank mod 2 is settled with no prime.  Any other class runs the primes,
+    and one that stays unsettled is ranked by fraction-free elimination.
+    With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
     ranks: dict[tuple, int] = {}  # content key -> rank of its class
@@ -440,10 +466,9 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                 raise FieldMismatch(f"matrix over {space.field} cannot be reduced mod {tag.p}")
         if integer_only and not space.is_integral():
             raise BadPrime("MultiPrime certification requires integer entries")
-        scale = exact and not space.is_integral()
         nnz += space.nnz
         t0, rank_before = time.perf_counter(), rank_s
-        keys = space._block_keys()
+        keys = space._block_keys(exact and not space.is_integral())
         del space  # only the keys are ranked
         for key, ncols in keys:
             kept = len(key[1]) < _KEPT_BLOCK_ENTRIES
@@ -453,21 +478,20 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                 continue
             classes += 1
             t1 = time.perf_counter()
-            block = _block_integral(key) if scale else key
             full = min(len(key[0]), ncols)
-            if exact and _rank_f2(_rows(block), full) == full:
+            if exact and _rank_f2(_rows(key), full) == full:
                 settled_mod_2 += 1
                 r = full
             else:
                 r = 0
                 for tag in tags:
-                    r = max(r, _eliminate(_block_mod_p(_rows(block), tag), tag.p))
+                    r = max(r, _eliminate(_block_mod_p(_rows(key), tag), tag.p))
                     if r == full:
                         break
                 else:  # no prime reached full rank
                     unsettled += 1
                     if exact:
-                        r = _eliminate([dict(row) for row in _rows(block)], None)
+                        r = _eliminate([dict(row) for row in _rows(key)], None)
             rank_s += time.perf_counter() - t1
             if kept:
                 ranks[key] = r

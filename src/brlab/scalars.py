@@ -173,9 +173,14 @@ class FieldTag(Record):
     def coerce(self, v):
         """Bring an int or Fraction into this field's raw representation.
 
-        Over Q that is an int for integral values and a Fraction otherwise.
+        Over Q that is an int for integral values and a Fraction otherwise;
+        an int, and a Fraction that is not an integer, come back as they are
+        (a Fraction is always in lowest terms).
         """
-        if self.is_q:
+        if self.kind == "Q":
+            t = type(v)
+            if t is int or (t is Fraction and v.denominator != 1):
+                return v
             if isinstance(v, int):
                 return int(v)
             q = Fraction(v)

@@ -624,3 +624,98 @@ def test_exact_q_dense_koszul_flattenings_against_oracle():
         res = rank_exact_q(m)
         assert res.rank == rank_gauss_fractions(dense_rows(m))
         assert res.unsettled == fallbacks
+
+
+class _CountingRow(dict):
+    """A row dict that counts, in a dict shared by all rows of a matrix,
+    the writes to a column the row did not hold (fill-in) and the entries
+    deleted (an update that cancelled to zero), the two branches of an
+    update in `_eliminate`."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, items, counts):
+        super().__init__(items)
+        self.counts = counts
+
+    def __setitem__(self, c, v):
+        if c not in self:
+            self.counts["fill"] += 1
+        super().__setitem__(c, v)
+
+    def __delitem__(self, c):
+        self.counts["cancel"] += 1
+        super().__delitem__(c)
+
+
+def _entry(rng):
+    """A multiple of 7, a digit, or 0."""
+    if rng.random() < 0.3:
+        return rng.choice((-14, -7, 7, 21))
+    return rng.randint(-9, 9) if rng.random() < 0.45 else 0
+
+
+def _dependent_rows(rng, rows, cols):
+    """Dense integer rows: random rows with entries that are often
+    multiples of 7, some rows scaled by 7, and some rows that are integer
+    combinations of two earlier ones, in shuffled order."""
+    dense = []
+    for _ in range(rows):
+        if len(dense) >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(dense, 2)
+            s, t = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2, 7))
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [_entry(rng) for _ in range(cols)]
+            if rng.random() < 0.15:
+                row = [7 * x for x in row]
+        dense.append(row)
+    rng.shuffle(dense)
+    return dense
+
+
+def test_eliminate_against_oracles():
+    # _eliminate alone, over F_7, F_(2^30 - 35) and Q, against dense
+    # textbook elimination.  The matrices reach both update branches in
+    # every field, and the multiples of 7 lower some ranks mod 7 only.
+    rng = random.Random(21)
+    counts = {p: {"fill": 0, "cancel": 0} for p in (7, P, None)}
+    deficient = lower_mod_7 = 0
+    for _ in range(120):
+        nrows, ncols = rng.randint(4, 12), rng.randint(4, 12)
+        dense = _dependent_rows(rng, nrows, ncols)
+        ranks = {}
+        for p, seen in counts.items():
+            if p is None:
+                ranks[p] = rank_gauss_fractions(dense)
+                rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+            else:
+                ranks[p] = rank_gauss_mod_p(dense, p)
+                rows = [{c: v % p for c, v in enumerate(row) if v % p} for row in dense]
+            assert rank_engine._eliminate([_CountingRow(r, seen) for r in rows], p) == ranks[p]
+        deficient += ranks[None] < min(nrows, ncols)
+        lower_mod_7 += ranks[7] < ranks[None]
+    for p, seen in counts.items():
+        assert seen["fill"] > 30 and seen["cancel"] > 100, (p, seen)
+    assert deficient > 20 and lower_mod_7 > 5
+
+
+def test_exact_q_keys_rows_scaled_by_their_denominators():
+    # Rows (1/2, 1/3) and (1/5, -1/5) scale to (3, 2) and (1, -1), so the
+    # two 2x2 blocks below are equal after scaling: one class under exact
+    # Q, two mod a prime, whose keys keep the exact values.
+    first = [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (1, 0, 1), (1, 1, -1)]
+    second = [(0, 0, 3), (0, 1, 2), (1, 0, Fraction(1, 5)), (1, 1, Fraction(-1, 5))]
+    m = SparseMatrix(40, 40, first + [(r + 2, c + 7, v) for r, c, v in second], Q)
+    res = rank_exact_q(m)
+    assert res.rank == rank_gauss_fractions(dense_rows(m)) == 4
+    assert res.classes == 1
+    assert all(type(v) is int for key, _ in m._block_keys(True) for v in key[2])
+    assert len({key for key, _ in m._block_keys(True)}) == 1
+    res = rank_mod_p(m, 7)
+    assert (res.rank, res.classes) == (4, 2)
+    # Non-exact ranks read the exact values, so a prime that divides a
+    # denominator still raises.
+    for p in (2, 3, 5):
+        with pytest.raises(BadPrime):
+            rank_mod_p(m, p)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from brlab.errors import BadPrime, DivisionByZero, FormatError
+from brlab.rank_engine import SparseMatrix
 from brlab.scalars import (
     DEFAULT_CERTIFICATION_PRIMES,
     PRIME_MODULUS_CAP,
@@ -120,3 +121,22 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes_below_60)
     assert is_prime(65521)
     assert not is_prime(65521 * 65537)
+
+
+def test_coerce_over_q_returns_ints_and_fractions_as_they_are():
+    q = FieldTag.rationals()
+    for v, want in ((True, 1), (Fraction(4, 2), 2), (-3, -3), (Fraction(-6, 3), -2)):
+        got = q.coerce(v)
+        assert type(got) is int and got == want
+    half = q.coerce(0.5)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    third = Fraction(-1, 3)
+    assert q.coerce(third) is third
+    big = 10 ** 40 + 1
+    assert q.coerce(big) is big
+    # The matrix built on coerce still rejects stored zeros and duplicates.
+    for bad in ([(0, 0, Fraction(0))], [(0, 0, Fraction(0, 5))], [(0, 0, False)],
+                [(0, 0, Fraction(1, 2)), (0, 0, Fraction(1, 2))],
+                [(0, 1, 3), (0, 1, Fraction(6, 2))]):
+        with pytest.raises(FormatError):
+            SparseMatrix(2, 2, bad, q)
