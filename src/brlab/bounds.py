@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from fractions import Fraction
 from math import comb
 
 from .binaryforms import restrict_matmul
 from .errors import InvalidDimension, OrderViolation
 from .exterior import (
-    WedgeRangeWarning,
     check_wedge_power,
     classical_tensor,
     koszul_flattening,
@@ -173,7 +171,9 @@ def flattening_rank(t: Tensor3, p: int,
     so that one space is held at a time besides the one class table that
     serves every group and orbit (`rank_engine._rank_classes`).  The
     strategy defaults to exact rank over t's field: ExactQ over Q, its
-    prime over F_p.
+    prime over F_p.  p is checked here (`check_wedge_power`), before any
+    summand is flattened; the `koszul_flattening` of an ungraded summand
+    checks it again, from a second place.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-class maxes over the primes, a sound lower bound by the argument of
@@ -206,10 +206,7 @@ def flattening_rank(t: Tensor3, p: int,
                 yield space(w), count * size
 
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        # check_wedge_power above has warned once for every summand.
-        warnings.simplefilter("ignore", WedgeRangeWarning)
-        res = rank_certified(spaces(), strat)
+    res = rank_certified(spaces(), strat)
     total_ms = (time.perf_counter() - t0) * 1000.0
     return FlatteningRank(c * comb(a, p + 1), b * comb(a, p), res.rank,
                           t.nnz * comb(a - 1, p), strat,

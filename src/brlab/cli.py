@@ -22,6 +22,7 @@ from .bounds import (
     formula_certificate,
 )
 from .errors import BadPrime, BrlabError, DivisionByZero, FormatError
+from .exterior import WedgeRangeWarning
 from .rank_engine import ExactQ, MultiPrime
 from .repcomb import (
     formula_range_validated,
@@ -352,6 +353,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_note
+            # flattening_rank checks p, and so does the koszul_flattening of
+            # each summand that it does not grade: each note shows once.
+            warnings.simplefilter("once", WedgeRangeWarning)
             return args.func(args)
     except (BadPrime, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,17 +2,17 @@
 
 Basis vectors of the p-th exterior power of the first tensor factor are
 labeled by strictly increasing index subsets, enumerated in
-*colexicographic* order.  For each first-factor index that occurs in the
-tensor, an insertion table of subset positions spreads each tensor entry
-over its cells without any subset search, so the tables follow the
-entries, not the declared dimension.  The tables are flat machine-integer
-arrays, grouped by the weight of the subset under a grading of the tensor,
-so that the cells of one weight space of the flattening are written alone:
+*colexicographic* order.  Insertion tables of subset positions spread
+each tensor entry over its cells without any subset search: one slice per
+first-factor index that occurs in the tensor and per subset weight under a
+grading of the tensor, a pair of flat machine-integer arrays, so the
+tables follow the entries, not the declared dimension, and the cells of
+one weight space of the flattening are written alone.
 `koszul_weight_spaces` returns a function that writes one weight space per
 call, and `koszul_flattening` is its one-weight case, the whole
-flattening.  A table holds only the weights that some written weight
-space reads, so the cells of a weight space that another of its orbit
-stands for, which is never written, are never built either.
+flattening.  Only the slices that some written weight space reads are
+built, so the cells of a weight space that another of its orbit stands
+for, which is never written, are never built either.
 
 The sign convention wedges the incoming vector on the left,
 a_i ^ (a_{s1} ^ ... ^ a_{sp}); any consistent convention yields the same
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from bisect import bisect_left
 from functools import partial
 from itertools import combinations, count
 from math import comb
@@ -148,19 +147,31 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
     return reps[::-1], buckets
 
 
-def _slice_cells(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
-                 needed: dict[int, int], bucket: dict[int, int], new):
-    """The cells of the slices that needed names (see `_insertion_tables`),
-    in reverse colex order of the subsets: for each used index, its row
-    offsets, its column offsets and the bucket of each cell."""
+def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, needed: dict[int, set[int]]):
+    """Insertion tables of the first-factor indices, holding only the
+    slices that the written weight spaces read: tables[u][i] is the slice
+    of index i at subset weight u, for every i in needed[u].
+
+    The slice has one cell per p-subset S avoiding i of weight
+    sum wA(S) = u (all 0 when wa is None), in colex order of S, as a pair
+    of arrays: the row offsets c*colex(S u {i}), each bitwise negated when
+    the wedge sign is -1, and the column offsets b*colex(S).  One pass over
+    the subsets, in reverse colex order, appends to every slice of its
+    weight, and each slice is then reversed in place.  The subsets are
+    streamed twice in all, once by `_weight_parts` for the weights and once
+    here, and never held as a list.
+    """
     a, b, c = t.dims
-    rows_of, cols_of, groups = ([new() for _ in used] for _ in range(3))
-    # For each subset weight, its bucket and the indices whose slice it
-    # fills, increasing, each with C(i, pos+1) for every insertion place.
-    steps = [(i, [comb(i, pos + 1) for pos in range(p + 1)], rows.append, cols.append,
-              group.append) for i, rows, cols, group in zip(used, rows_of, cols_of, groups)]
-    walks = {u: (bucket[u], [steps[x] for x in range(len(used)) if xs >> x & 1])
-             for u, xs in needed.items()}
+    # Flat machine-integer arrays, unless the shape overflows them (a first
+    # factor far larger than any table, say).
+    fits = max(c * comb(a, p + 1), b * comb(a, p)) < 1 << 63
+    new = partial(array, "q") if fits else list
+    tables = {u: {i: (new(), new()) for i in indices} for u, indices in needed.items()}
+    # For each subset weight, the indices whose slice it fills, increasing,
+    # each with C(i, pos+1) for every insertion place.
+    walks = {u: [(i, [comb(i, pos + 1) for pos in range(p + 1)], rows.append, cols.append)
+                 for i, (rows, cols) in sorted(table.items())]
+             for u, table in tables.items()}
     # binom[j][y] = C(y, j) for the elements y of a subset.  At p = 0 the one
     # subset is empty, so no row is read, and a may be far larger than any
     # table (combinations would hold range(a) too).
@@ -176,11 +187,10 @@ def _slice_cells(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
         walk = walks.get(0 if wa is None else sum(map(wa.__getitem__, s)))
         if walk is None:
             continue
-        g, indices = walk
         s = s[::-1]
         col = q * b
         low, high, pos = 0, sum(map(list.__getitem__, binom[2:], s)), 0
-        for i, insert, add_row, add_col, add_group in indices:
+        for i, insert, add_row, add_col in walk:
             while pos < p and s[pos] < i:
                 y = s[pos]
                 low += binom[pos + 1][y]
@@ -191,47 +201,11 @@ def _slice_cells(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
             row = (low + insert[pos] + high) * c
             add_row(~row if pos % 2 else row)
             add_col(col)
-            add_group(g)
-    return rows_of, cols_of, groups
-
-
-def _insertion_tables(t: Tensor3, p: int, used: list[int], wa: list[int] | None,
-                      needed: dict[int, int]):
-    """Insertion tables of the first-factor indices in `used`, holding only
-    the slices that the written weight spaces read.
-
-    The slice (x, u) of the index i = used[x] has one cell per p-subset S
-    avoiding i of weight sum wA(S) = u (all 0 when wa is None): the row
-    offset c*colex(S u {i}), bitwise negated when the wedge sign is -1, and
-    the column offset b*colex(S).  needed maps each weight u to the bitmask
-    of the positions x whose slice of weight u is read.  Returns (bucket,
-    rows_of, cols_of, offsets): bucket numbers the weights of needed in
-    increasing order, and rows_of[x] and cols_of[x] hold the slices of i,
-    that of the g-th weight (in colex order of S) in
-    offsets[x][g]:offsets[x][g+1], empty where it is not read.
-
-    The subsets are streamed twice in all, once by `_weight_parts` for the
-    weights and once here, and never held as a list.
-    """
-    a, b, c = t.dims
-    # Flat machine-integer arrays, unless the shape overflows them (a first
-    # factor far larger than any table, say).
-    fits = max(c * comb(a, p + 1), b * comb(a, p)) < 1 << 63
-    new = partial(array, "q") if fits else list
-    bucket = {u: g for g, u in enumerate(sorted(needed))}
-    # The appends that _slice_cells holds end with it, so each unsorted
-    # array is freed as soon as its sorted copy is made.
-    rows_of, cols_of, groups = _slice_cells(t, p, used, wa, needed, bucket, new)
-    # A stable sort by bucket, from the last cell to the first, puts each
-    # weight's cells in colex order.
-    offsets = []
-    for x, group in enumerate(groups):
-        order = sorted(range(len(group) - 1, -1, -1), key=group.__getitem__)
-        rows_of[x] = new(map(rows_of[x].__getitem__, order))
-        cols_of[x] = new(map(cols_of[x].__getitem__, order))
-        group = sorted(group)
-        offsets.append(array("q", (bisect_left(group, g) for g in range(len(bucket) + 1))))
-    return bucket, rows_of, cols_of, offsets
+    for table in tables.values():
+        for rows, cols in table.values():
+            rows.reverse()
+            cols.reverse()
+    return tables
 
 
 def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
@@ -240,9 +214,12 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     and a function that writes the weight space of one weight as a
     `SparseMatrix` of the flattening's full shape, a union of row blocks of
     the whole one.  The rank of the flattening is the sum of size *
-    rank(space(w)) over reps.  grading is `mirror_grading(t)`, or None for
-    the whole flattening as one weight space, and symmetries are
-    generators from `index_symmetries(t)`, none by default.
+    rank(space(w)) over reps, and space refuses, with ValueError, a weight
+    that is not in reps: the tables lack the slices it reads.  grading is
+    `mirror_grading(t)`, or None for the whole flattening as one weight
+    space, and symmetries are generators from `index_symmetries(t)`, none
+    by default.  p is not checked here (`koszul_flattening` and
+    `bounds.flattening_rank` check it).
 
     The cells are those of `koszul_flattening`.  Column (j, S) gets the
     weight w = wB(j) + sum wA(S), and the grading makes the flattening
@@ -259,14 +236,15 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     orbit of the generators has one rank, and reps holds the orbits'
     smallest weights, largest first, each with the number of weights of
     its orbit (`_weight_parts`).  The other weights of each orbit are
-    never written, and the insertion tables (`_insertion_tables`) are
-    built for the written weights alone.  A generator whose sigma_g is not
-    a function of w is dropped; with no generator left, or none given,
-    every weight is its own orbit, of size 1.  Under the reversal rho
+    never written, and the insertion tables (`_insertion_tables`) hold
+    the slices that the written weights read alone: for each weight w of
+    reps and each entry (i, j, k), that of i at subset weight w - wB(j).
+    A generator whose sigma_g is not a function of w is dropped; with no
+    generator left, or none given, every weight is its own orbit, of
+    size 1.  Under the reversal rho
     alone the representatives are the weights w < sigma(w), of size 2,
     and the self-mirror ones, of size 1.
     """
-    check_wedge_power(t.dims[0], p)
     a, b, c = t.dims
     wb = grading[1] if grading is not None else {}
     # At p = 0 the one subset is empty: no A weight is read, and a may be
@@ -282,34 +260,37 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     # each entry's in colex order of S, so every row keeps its entries in
     # the order of the tensor's.
     p_mod = None if t.field.is_q else t.field.p
-    used = sorted({i for i, _, _ in t._cells})
-    index = {i: x for x, i in enumerate(used)}
-    entries = [(index[i], j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
+    entries = [(i, j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
                for (i, j, k), v in t._cells.items()]
     # Only the slices that a written weight reads are built: those of the
     # other weights of an orbit never are.
-    needed: dict[int, int] = {}
-    for x, wj in {(x, wj) for x, _, _, _, _, wj in entries}:
+    needed: dict[int, set[int]] = {}
+    for i, wj in {(i, wj) for i, _, _, _, _, wj in entries}:
         for w, _ in reps:
             if w - wj in buckets:
-                needed[w - wj] = needed.get(w - wj, 0) | 1 << x
-    bucket, rows_of, cols_of, offsets = _insertion_tables(t, p, used, wa, needed)
+                needed.setdefault(w - wj, set()).add(i)
+    tables = _insertion_tables(t, p, wa, needed)
 
     def cells(w: int):
-        for x, j, k, v, neg_v, wj in entries:
-            g = bucket.get(w - wj)
-            if g is None:
+        for i, j, k, v, neg_v, wj in entries:
+            table = tables.get(w - wj)
+            if table is None:
                 continue
-            off = offsets[x]
-            start, stop = off[g], off[g + 1]
-            for row, col in zip(rows_of[x][start:stop], cols_of[x][start:stop]):
+            for row, col in zip(*table[i]):
                 if row >= 0:
                     yield row + k, col + j, v
                 else:
                     yield ~row + k, col + j, neg_v
 
     rows, cols = c * comb(a, p + 1), b * comb(a, p)
-    return reps, lambda w: SparseMatrix(rows, cols, cells(w), t.field)
+    written = {w for w, _ in reps}
+
+    def space(w: int) -> SparseMatrix:
+        if w not in written:
+            raise ValueError(f"weight {w} is not one of the written representatives")
+        return SparseMatrix(rows, cols, cells(w), t.field)
+
+    return reps, space
 
 
 def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
@@ -318,8 +299,10 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
     value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
     c*C(a, p+1) rows by b*C(a, p) columns.  The matrix is the one weight
-    space of `koszul_weight_spaces` with no grading.
+    space of `koszul_weight_spaces` with no grading.  p is checked by
+    `check_wedge_power`.
     """
+    check_wedge_power(t.dims[0], p)
     _, space = koszul_weight_spaces(t, p, None)
     return KoszulMatrix(space(0))
 

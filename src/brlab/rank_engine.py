@@ -121,9 +121,6 @@ class SparseMatrix:
         rows = self._rows
         return [(r, c, v) for r in sorted(rows) for c, v in sorted(rows[r].items())]
 
-    def value(self, r: int, c: int):
-        return self._rows.get(r, {}).get(c, 0)
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows,

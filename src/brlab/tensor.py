@@ -55,9 +55,6 @@ class Tensor3:
         """Entries as (i, j, k, value) sorted lexicographically."""
         return [(i, j, k, self._cells[(i, j, k)]) for i, j, k in sorted(self._cells)]
 
-    def value(self, i: int, j: int, k: int):
-        return self._cells.get((i, j, k), 0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented

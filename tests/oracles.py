@@ -18,6 +18,12 @@ def dense_rows(matrix):
     return rows
 
 
+def stored(x):
+    """The entries of a SparseMatrix or Tensor3 as a dict from index tuple
+    to value; an index it lacks holds 0."""
+    return {cell[:-1]: cell[-1] for cell in x.items()}
+
+
 def rank_gauss_fractions(rows):
     """Rank by plain Gaussian elimination over Fraction, no pivoting tricks."""
     rows = [[Fraction(x) for x in row] for row in rows]

@@ -469,9 +469,19 @@ def test_tensor_file_field_rule_exit_codes(tmp_path, capsys, field, value, expec
 
 @pytest.mark.parametrize("argv", [
     ["bound", "--method", "koszul", "--p", "2", "--m", "2", "--n", "2", "--l", "1"],
+    # Three equal graded summands, one flattened.
+    ["bound", "--method", "koszul", "--p", "2", "--m", "2", "--n", "2", "--l", "3"],
+    # Three summands that no grading splits, each flattened whole, so that
+    # koszul_flattening checks p as well as flattening_rank.
+    ["bound", "--method", "koszul", "--p", "2", "--tensor", "ungraded"],
     ["kernel-dim", "--m", "2", "--n", "2", "--p", "2", "--l", "1", "--check", "rank"],
-], ids=["bound", "kernel-dim"])
-def test_range_warning_is_one_note_line(capsys, argv):
+], ids=["bound", "bound-3-summands", "bound-ungraded", "kernel-dim"])
+def test_range_warning_is_one_note_line(capsys, tmp_path, argv):
+    if "ungraded" in argv:
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"field": "Q", "dims": [4, 3, 3], "entries": [
+            [0, 0, 0, "1"], [1, 1, 1, "2"], [2, 2, 2, "3"]]}))
+        argv = [str(path) if x == "ungraded" else x for x in argv]
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert err == ("note: p=2 exceeds ceil(a/2)-1=1; "

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p, wedge_flattening
+from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p, stored, wedge_flattening
 
 import brlab
 from brlab.bounds import bound_classical, flattening_rank
@@ -35,11 +35,12 @@ def automorphic(t, g) -> bool:
     maps extended by the identity to unused indices."""
     pa, pb, pc, eps = g
     a, b, c = t.dims
+    cells = stored(t)
     for i in range(a):
         for j in range(b):
             for k in range(c):
-                v = t.value(pa.get(i, i), pb.get(j, j), pc.get(k, k))
-                if v != t.field.coerce(eps * t.value(i, j, k)):
+                v = cells.get((pa.get(i, i), pb.get(j, j), pc.get(k, k)), 0)
+                if v != t.field.coerce(eps * cells.get((i, j, k), 0)):
                     return False
     return True
 
@@ -238,6 +239,24 @@ def test_generator_with_no_weight_map_is_dropped(p):
     assert [size for _, size in reps] == [1] * coarse_written
     assert coarse_written == len(koszul_weight_spaces(t, p, coarse)[0])
     assert fine_written < len(koszul_weight_spaces(t, p, mirror_grading(t))[0])
+
+
+def test_space_refuses_a_weight_outside_the_representatives():
+    # Matmul (3,3,1) at p = 3: with its index symmetries, 88 of its weights
+    # are not written.  The tables hold only the slices that written weights
+    # read, so such a weight would come back with missing entries (weight
+    # 47551 with none of its 2): space refuses it.
+    t = matmul_tensor(3, 3, 1)
+    grading = mirror_grading(t)
+    every = {w for w, _ in koszul_weight_spaces(t, 3, grading)[0]}
+    reps, space = koszul_weight_spaces(t, 3, grading, index_symmetries(t))
+    others = every - {w for w, _ in reps}
+    assert len(others) == 88 and 47551 in others
+    for w in others:
+        with pytest.raises(ValueError, match=f"weight {w} "):
+            space(w)
+    whole = koszul_flattening(t, 3).matrix
+    assert sum(size * space(w).nnz for w, size in reps) == whole.nnz
 
 
 def _cli(argv, seed):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p
+from oracles import dense_rows, rank_gauss_fractions, rank_gauss_mod_p, stored
 
 import brlab.rank_engine as rank_engine
 from brlab.errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
@@ -198,8 +198,8 @@ def test_sparse_matrix_validation():
 
 def test_q_storage_int_or_fraction():
     m = SparseMatrix(2, 2, [(0, 0, Fraction(2, 1)), (1, 1, Fraction(1, 3))], Q)
-    assert type(m.value(0, 0)) is int
-    assert type(m.value(1, 1)) is Fraction
+    assert type(stored(m)[0, 0]) is int
+    assert type(stored(m)[1, 1]) is Fraction
     assert m == SparseMatrix(2, 2, [(0, 0, 2), (1, 1, Fraction(1, 3))], Q)
     assert SparseMatrix(1, 1, [(0, 0, Fraction(4, 2))], Q).is_integral()
     # One Fraction among ints makes a Q matrix non-integral; over F_p every

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rows, rank_gauss_fractions
+from oracles import dense_rows, rank_gauss_fractions, stored
 
 from brlab.errors import (
     BadPrime,
@@ -118,13 +118,13 @@ def test_flatten_conventions_explicit():
     t = Tensor3((2, 3, 4), [(1, 2, 3, 5)], Q)
     fa = koszul_flattening(classical_tensor(t, "A"), 0).matrix
     assert (fa.rows, fa.cols) == (12, 2)
-    assert fa.value(2 * 4 + 3, 1) == 5
+    assert stored(fa)[2 * 4 + 3, 1] == 5
     fb = koszul_flattening(classical_tensor(t, "B"), 0).matrix
     assert (fb.rows, fb.cols) == (8, 3)
-    assert fb.value(1 * 4 + 3, 2) == 5
+    assert stored(fb)[1 * 4 + 3, 2] == 5
     fc = koszul_flattening(classical_tensor(t, "C"), 0).matrix
     assert (fc.rows, fc.cols) == (6, 4)
-    assert fc.value(1 * 3 + 2, 3) == 5
+    assert stored(fc)[1 * 3 + 2, 3] == 5
     with pytest.raises(InvalidDimension):
         classical_tensor(t, "D")
     t = _random_tensor(random.Random(23), (2, 3, 5), fill=0.6)
@@ -264,7 +264,7 @@ def test_json_field_and_values_are_ascii_digits():
         tensor_from_json(bad)
     good = json.loads(json.dumps(doc))
     good["entries"][0][3] = "-13"
-    assert tensor_from_json(good).value(0, 0, 0) == 1
+    assert stored(tensor_from_json(good))[0, 0, 0] == 1
 
 
 def test_json_rejects_infinite_dimension_or_index():
