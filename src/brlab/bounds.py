@@ -128,12 +128,14 @@ class FlatteningRank(Record):
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened.  soundness is the certificate
     label the rank earns (`_soundness`).  rank_ms is the time of the rank
-    passes alone, split_ms that of splitting the written weight spaces
-    into row blocks, keying them and looking the keys up in the class
-    table, and flatten_ms the rest of the work on the representatives:
-    the grading, the symmetry search, the insertion tables, and writing and
-    validating the weight spaces.  block_classes counts the blocks ranked,
-    one per class of identical blocks over all representatives
+    passes alone, peeling included, split_ms that of splitting what the
+    written weight spaces leave after peeling into row blocks, keying them
+    and looking the keys up in the class table, and flatten_ms the rest of
+    the work on the representatives: the grading, the symmetry search, the
+    insertion tables, and writing and validating the weight spaces.  peeled
+    counts the pivots that peeling took from the written spaces, each space
+    once (`RankResult.peeled`), and block_classes the blocks left and
+    ranked, one per class of identical blocks over all representatives
     (`RankResult.classes`), unsettled those that no prime brought to full
     rank: under ExactQ, the ones fraction-free elimination ranked, and
     settled_mod_2 those that the ExactQ pass over F_2 brought to full
@@ -146,7 +148,7 @@ class FlatteningRank(Record):
     """
 
     __slots__ = ("rows", "cols", "rank", "nnz", "strategy", "soundness", "summands", "classes",
-                 "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
+                 "rank_ms", "split_ms", "flatten_ms", "peeled", "block_classes", "unsettled",
                  "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
 
 
@@ -213,8 +215,8 @@ def flattening_rank(t: Tensor3, p: int,
                           _soundness(strat, t.field.is_q, res.unsettled),
                           sum(count for _, count in summands), len(summands),
                           res.rank_ms, res.split_ms, total_ms - res.rank_ms - res.split_ms,
-                          res.classes, res.unsettled, res.settled_mod_2, orbits, covered,
-                          res.nnz)
+                          res.peeled, res.classes, res.unsettled, res.settled_mod_2, orbits,
+                          covered, res.nnz)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -247,8 +249,8 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
-    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "block_classes", "unsettled",
-              "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
+    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "peeled", "block_classes",
+              "unsettled", "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
     return _certificate("classical", descriptor, best.replace(
         **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 

@@ -86,18 +86,20 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
     wB(j) to sigma_g(w) = u(piA S) + wB(piB j) whenever that is one value
     over all the (S, j) of weight w; a generator for which it is not, as
     when the subset weights u(S) -> u(piA S) already are not a function,
-    is dropped.  All these weights come from one pass over the subsets:
-    each index carries its weight under the identity and under every
-    generator, offset to be nonnegative, in the bit fields of one integer,
-    each field wide enough for a sum of p + 1 of them, so that one sum per
-    subset packs u(S) with every u(piA S), and one more addition per
-    (subset weight, j) packs w with every sigma_g(w).  The orbits of the
-    weights under the kept generators give the pairs, each orbit written as
-    its smallest weight, the largest of these first.  Under the reversal
-    alone the representatives are the weights up to the middle one, so on
-    the restricted map, whose weight spaces grow toward the middle, the
-    largest space is written first, while the class table of the rank loop
-    is still empty.  With no grading (wb empty) the one weight is 0.
+    is dropped.  All these weights come from sums of packed ints: each
+    index carries its weight under the identity and under every generator,
+    offset to be nonnegative, in the bit fields of one integer, each field
+    wide enough for a sum of p + 1 of them, so that the sum over a subset
+    packs u(S) with every u(piA S), and one more addition per
+    (subset weight, j) packs w with every sigma_g(w).  The distinct subset
+    sums are built index by index, as the sets of sums of q-subsets for
+    q = 0..p, so the C(a, p) subsets are never enumerated.  The orbits of
+    the weights under the kept generators give the pairs, each orbit
+    written as its smallest weight, the largest of these first.  Under the
+    reversal alone the representatives are the weights up to the middle
+    one, so on the restricted map, whose weight spaces grow toward the
+    middle, the largest space is written first.  With no grading (wb
+    empty) the one weight is 0.
     """
     if not wb:
         return [(0, 1)], {0}
@@ -115,8 +117,15 @@ def _weight_parts(a: int, p: int, wa: list[int] | None, wb: dict[int, int], symm
     if wa is None:
         sums = {0}
     else:
-        pack_a = packed(wa, range(a), 0)
-        sums = {sum(map(pack_a.__getitem__, s)) for s in combinations(range(a), p)}
+        # by_size[q]: the packed weights of the q-subsets of the indices
+        # taken so far, one index at a time; q runs downward, so that each
+        # index is used once, and skips the sizes that the indices left can
+        # no longer bring to p.
+        by_size = [{0}] + [set() for _ in range(p)]
+        for x, left in zip(packed(wa, range(a), 0), range(a - 1, -1, -1)):
+            for q in range(p, max(p - left, 1) - 1, -1):
+                by_size[q] |= {s + x for s in by_size[q - 1]}
+        sums = by_size[p]
     buckets = {(s & mask) - p * top for s in sums}
     pack_b = packed(wb, wb, 1)
     shift = (p + 1) * top
@@ -158,8 +167,7 @@ def _insertion_tables(t: Tensor3, p: int, wa: list[int] | None, needed: dict[int
     the wedge sign is -1, and the column offsets b*colex(S).  One pass over
     the subsets, in reverse colex order, appends to every slice of its
     weight, and each slice is then reversed in place.  The subsets are
-    streamed twice in all, once by `_weight_parts` for the weights and once
-    here, and never held as a list.
+    streamed once, here, and never held as a list.
     """
     a, b, c = t.dims
     # Flat machine-integer arrays, unless the shape overflows them (a first

@@ -7,38 +7,41 @@ label a rank earns is decided by `bounds._soundness`.
 
 A `SparseMatrix` holds one form from construction to splitting: a
 {col: value} map per nonempty row, filled in one validating pass that may
-read its entries from a generator.  Sparse ranks run per row block: a
-matrix that is block diagonal after a row and column permutation has the
-sum of its blocks' ranks.  The split is made on the exact entries and
-stays valid mod every prime, since reduction mod p can only make entries
-vanish, never create new ones.  A rank pass takes one matrix, or a stream
-of (matrix, copies) pairs whose matrices, each taken copies times, make up
-one block diagonal matrix (the weight spaces of a flattening, each
-standing for its summand group and orbit); each is split into blocks and
-dropped, so that one matrix is held at a time.  Blocks that are identical up
-to a column relabelling (checked entry by entry, never by hash alone) form
-one class in a table shared by the whole stream: a class is ranked when
-first seen, from its content key, and each copy adds that rank.
-That is exact over every field: equal exact entries reduce to equal values
-mod p, so the copies have equal ranks mod every prime too.  The exact-Q
-rank keys a rational matrix with each row scaled by the lcm of its
-denominators, so its keys hold ints and "identical" means equal after
-that row scaling, which keeps the rank over Q.  The table
-keeps only the keys of blocks with fewer than `_KEPT_BLOCK_ENTRIES`
-entries; a larger block is ranked and forgotten, and ranked again should
-it repeat.  The flattenings of matrix multiplication repeat small blocks
-heavily, so their table is small and whole, and most of their blocks are
-never eliminated; the restricted map's weight spaces are one class each
-and, from n = 9 on, too large to keep, so its table no longer holds the
-written half.  (The l identical copies that the third index gives are
-split off earlier, on the tensor, by `tensor.direct_summands`, and of each
-orbit of weight spaces under the tensor's index symmetries only one is
-written, by `exterior.koszul_weight_spaces`; `bounds.flattening_rank`
-gives each written space the summand group size times the orbit size as
-its copies.)
+read its entries from a generator.  A rank pass takes one matrix, or a
+stream of (matrix, copies) pairs whose matrices, each taken copies times,
+make up one block diagonal matrix (the weight spaces of a flattening, each
+standing for its summand group and orbit); each is peeled, split into
+blocks and dropped, so that one matrix is held at a time.  Peeling
+(`_peel`, the structural pivots that open structured Gaussian elimination)
+takes out, one after another, the columns with a single entry left, each
+with its row and rank 1, in one pass over the entries with no fill; the
+restricted map's weight spaces peel to nothing.  Sparse ranks of what is
+left run per row block: a matrix that is block diagonal after a row and
+column permutation has the sum of its blocks' ranks.  The split is made on
+the exact entries and stays valid mod every prime, since reduction mod p
+can only make entries vanish, never create new ones.  Blocks that are
+identical up to a column relabelling (checked entry by entry, never by
+hash alone) form one class in a table shared by the whole stream: a class
+is ranked when first seen, from its content key, and each copy adds that
+rank.  That is exact over every field: equal exact entries reduce to equal
+values mod p, so the copies have equal ranks mod every prime too.  The
+exact-Q rank keys a rational matrix with each row scaled by the lcm of its
+denominators, so its keys hold ints and "identical" means equal after that
+row scaling, which keeps the rank over Q.  The table keeps only the keys
+of blocks with fewer than `_KEPT_BLOCK_ENTRIES` entries; a larger block is
+ranked and forgotten, and ranked again should it repeat.  The flattenings
+of matrix multiplication repeat small blocks heavily, so their table is
+small and whole, and most of their blocks are never eliminated; the
+restricted map's weight spaces never reach the table.  (The l identical
+copies that the third index gives are split off earlier, on the tensor,
+by `tensor.direct_summands`, and of each orbit of weight spaces under the
+tensor's index symmetries only one is written, by
+`exterior.koszul_weight_spaces`; `bounds.flattening_rank` gives each
+written space the summand group size times the orbit size as its
+copies.)
 
-Every strategy ranks these classes in one loop, `_rank_classes`, which
-also makes the soundness argument: `rank_mod_p` runs it with one prime,
+Every strategy peels and ranks in one loop, `_rank_classes`, which also
+makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
 with three steps per class, all on ints: a bit-packed rank over F_2
 (`_rank_f2`), then the first default certification prime (2^30 - 35), then
@@ -94,6 +97,7 @@ class SparseMatrix:
         row_maps: dict[int, dict] = {}
         row_of = row_maps.get
         coerce = field.coerce
+        mod_p = not field.is_q  # over Q an int is already in raw form
         integral = True
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
@@ -103,7 +107,8 @@ class SparseMatrix:
                 row = row_maps[r] = {}
             elif c in row:
                 raise FormatError(f"duplicate entry at ({r},{c})")
-            v = coerce(v)
+            if mod_p or type(v) is not int:
+                v = coerce(v)
             if type(v) is not int:
                 integral = False  # a Fraction that is not an integer, so not zero
             elif not v:
@@ -132,75 +137,6 @@ class SparseMatrix:
         """True when every entry is an integer (stored as int over Q)."""
         return self._integral
 
-    def _block_keys(self, scaled: bool = False) -> list[tuple[tuple, int]]:
-        """(content key, distinct columns) of each row block, in order of
-        the block's smallest row.
-
-        A row block is a connected component of the row/column graph of the
-        nonzero entries: the matrix is block diagonal over these after a row
-        and column permutation, so elimination runs per block and ranks add.
-        Entries only vanish under reduction mod p, so the split stays valid
-        for every prime.
-
-        A key lists the block's rows in increasing order: the entry count of
-        each row, then every entry's column relabelled in order of first
-        appearance in the block, then every value.  Equal keys mean equal
-        blocks up to a column permutation, hence equal ranks over every
-        field (equal exact values also reduce to equal values mod p).  The
-        rank loop compares keys by full tuple equality, entry by entry, so a
-        hash collision cannot merge different blocks, and ranks each class
-        from its key, which holds the block (`_rows`).
-
-        scaled, for a matrix over Q, keys each row times the lcm of its
-        entries' denominators (`_scaled_row`), so that every value is an
-        int, and equal keys mean equal ranks over Q.  Only the exact-Q rank
-        keys this way: a mod-p rank keys the exact values, so that a
-        denominator p divides still raises BadPrime.
-        """
-        rows = self._rows
-        # The nonempty rows in increasing order, numbered 0..R-1, are the
-        # union-find nodes, so time and memory follow nnz, not the declared
-        # row count.  Join each row to the first row seen in each of its
-        # columns (path halving; a component's root is its smallest row).
-        # x tracks the root of row y's component while y is joined; y
-        # starts as a root, since a row's parent is set only from its own
-        # turn on.
-        order = sorted(rows)
-        parent = list(range(len(order)))
-        col_owner: dict[int, int] = {}
-        owner_of = col_owner.setdefault
-        for y, r in enumerate(order):
-            x = y
-            for c in rows[r]:
-                o = owner_of(c, y)
-                if o != y:
-                    while parent[o] != o:
-                        parent[o] = o = parent[parent[o]]
-                    if o < x:
-                        parent[x] = x = o
-                    elif x < o:
-                        parent[o] = x
-        # Rows in increasing order meet each root first, so the blocks come
-        # out ordered by their smallest row.
-        groups: dict[int, list[int]] = {}
-        for y, r in enumerate(order):
-            root = y
-            while parent[root] != root:
-                root = parent[root]
-            groups.setdefault(root, []).append(r)
-        keys = []
-        for block in groups.values():
-            cols, vals, lens = [], [], []
-            for r in block:
-                row = rows[r]
-                cols += row
-                vals += _scaled_row(row.values()) if scaled else row.values()
-                lens.append(len(row))
-            labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
-            keys.append(((tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals)),
-                         len(labels)))
-        return keys
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -214,25 +150,28 @@ class SparseMatrix:
 class RankResult(Record):
     """Outcome of one exact rank computation.
 
-    classes counts the blocks ranked: one per class of identical blocks
-    (under exact Q, identical after each row is scaled by the lcm of its
-    denominators), plus one per repeat of a block too large for the class
-    table (see `_rank_classes`).  unsettled counts those whose rank stayed
+    peeled counts the pivots that peeling took (`_peel`), each of rank 1,
+    in each matrix once whatever its copies.  classes counts the blocks
+    left and ranked: one per class of identical blocks (under exact Q,
+    identical after each row is scaled by the lcm of its denominators),
+    plus one per repeat of a block too large for the class table (see
+    `_rank_classes`).  unsettled counts those whose rank stayed
     below min(block rows, block columns) mod every prime tried; under exact
     Q these are the ones that fraction-free elimination ranked.
     settled_mod_2 counts those that the exact-Q pass over F_2 brought to
     full rank (always 0 for the other strategies); the remaining ones were
     settled mod a prime.  nnz counts the entries read: the matrix's, or
     the sum over a stream's matrices, each once whatever its copies.
-    split_ms is the time spent splitting the matrices into row blocks,
-    keying them and looking the keys up in the class table, rank_ms that
-    of the rank passes over the class representatives; neither counts the
-    writing of a streamed matrix, and results that differ only in them
-    compare equal.
+    split_ms is the time spent splitting the peeled matrices into row
+    blocks, keying them and looking the keys up in the class table, rank_ms
+    that of peeling and of the rank passes over the class representatives;
+    neither counts the writing of a streamed matrix, and results that
+    differ only in them compare equal.
     """
 
-    __slots__ = ("rank", "nnz", "classes", "unsettled", "settled_mod_2", "split_ms", "rank_ms")
-    _compared = ("rank", "nnz", "classes", "unsettled", "settled_mod_2")
+    __slots__ = ("rank", "nnz", "peeled", "classes", "unsettled", "settled_mod_2", "split_ms",
+                 "rank_ms")
+    _compared = ("rank", "nnz", "peeled", "classes", "unsettled", "settled_mod_2")
 
 
 class MultiPrime(Record):
@@ -249,6 +188,130 @@ class ExactQ(Record):
     """Exact rank over the rationals."""
 
     __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
+# structural pivots and row blocks
+# ---------------------------------------------------------------------------
+
+def _peel(rows: dict[int, dict], primes: tuple[int, ...]) -> tuple[int, dict[int, dict]]:
+    """(peeled, live): the number of structural pivots of a matrix's rows,
+    and the rows left once they are gone (rows itself when there is none).
+
+    A column whose only entry is v != 0, in row r, gives
+    rank(M) = 1 + rank(M without row r) over Q, and mod every prime that
+    does not divide v: the pivot clears its column without touching another
+    row.  One pass over the entries counts each column's live rows and
+    keeps the XOR of their indices, packed in one int per column, the count
+    above the bits of the row indices, so that a column with one live row
+    names it.  Each such column is then taken in turn: its row goes, and
+    every column of that row loses it, which may leave another column with
+    one live row.  With primes empty (exact Q) every entry is a pivot;
+    otherwise only an int entry that no prime of primes divides, and a
+    column whose entry is not is passed over.  No column lists are built,
+    no row is changed and nothing fills in.  The count does not depend on
+    the order the columns are taken in: a column that has one live row with
+    a pivot entry keeps them until that row goes.
+    """
+    if not rows:
+        return 0, rows
+    one = 1 << max(rows).bit_length()
+    two = one << 1  # one <= x < two: a column with one live row, x ^ one
+    acc: dict[int, int] = {}
+    get = acc.get
+    for r, row in rows.items():
+        for c in row:
+            acc[c] = (get(c, 0) ^ r) + one
+    todo = [c for c, x in acc.items() if x < two]
+    dead: set[int] = set()
+    for c in todo:  # todo grows while it is read
+        x = acc[c]
+        if x < one:
+            continue  # its row went with another pivot
+        r = x ^ one
+        row = rows[r]
+        if primes:
+            v = row[c]
+            if not all(v % p for p in primes):
+                continue
+        dead.add(r)
+        for cc in row:
+            x = (acc[cc] ^ r) - one
+            acc[cc] = x
+            if one <= x < two:
+                todo.append(cc)
+    if not dead:
+        return 0, rows
+    return len(dead), {r: row for r, row in rows.items() if r not in dead}
+
+
+def _block_keys(rows: dict[int, dict], scaled: bool = False) -> list[tuple[tuple, int]]:
+    """(content key, distinct columns) of each row block, in order of
+    the block's smallest row.
+
+    A row block is a connected component of the row/column graph of the
+    nonzero entries: the matrix is block diagonal over these after a row
+    and column permutation, so elimination runs per block and ranks add.
+    Entries only vanish under reduction mod p, so the split stays valid
+    for every prime.
+
+    A key lists the block's rows in increasing order: the entry count of
+    each row, then every entry's column relabelled in order of first
+    appearance in the block, then every value.  Equal keys mean equal
+    blocks up to a column permutation, hence equal ranks over every
+    field (equal exact values also reduce to equal values mod p).  The
+    rank loop compares keys by full tuple equality, entry by entry, so a
+    hash collision cannot merge different blocks, and ranks each class
+    from its key, which holds the block (`_rows`).
+
+    scaled, for a matrix over Q, keys each row times the lcm of its
+    entries' denominators (`_scaled_row`), so that every value is an
+    int, and equal keys mean equal ranks over Q.  Only the exact-Q rank
+    keys this way: a mod-p rank keys the exact values, so that a
+    denominator p divides still raises BadPrime.
+    """
+    # The nonempty rows in increasing order, numbered 0..R-1, are the
+    # union-find nodes, so time and memory follow nnz, not the declared
+    # row count.  Join each row to the first row seen in each of its
+    # columns (path halving; a component's root is its smallest row).
+    # x tracks the root of row y's component while y is joined; y
+    # starts as a root, since a row's parent is set only from its own
+    # turn on.
+    order = sorted(rows)
+    parent = list(range(len(order)))
+    col_owner: dict[int, int] = {}
+    owner_of = col_owner.setdefault
+    for y, r in enumerate(order):
+        x = y
+        for c in rows[r]:
+            o = owner_of(c, y)
+            if o != y:
+                while parent[o] != o:
+                    parent[o] = o = parent[parent[o]]
+                if o < x:
+                    parent[x] = x = o
+                elif x < o:
+                    parent[o] = x
+    # Rows in increasing order meet each root first, so the blocks come
+    # out ordered by their smallest row.
+    groups: dict[int, list[int]] = {}
+    for y, r in enumerate(order):
+        root = y
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(r)
+    keys = []
+    for block in groups.values():
+        cols, vals, lens = [], [], []
+        for r in block:
+            row = rows[r]
+            cols += row
+            vals += _scaled_row(row.values()) if scaled else row.values()
+            lens.append(len(row))
+        labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
+        keys.append(((tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals)),
+                     len(labels)))
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +475,12 @@ def _rank_f2(block, full: int) -> int:
 # Blocks that repeat are small: the largest repeated block of the matmul
 # flattenings that bench/run.py ranks has 108 entries.  The largest block of
 # any job there has 17920 (a dense random integer 8 x 8 x 8 tensor at p = 3,
-# one block), and the largest at restricted n = 8 has 9810, so none of their
-# tables changes.  From restricted n = 9 on, the restricted map's weight
-# spaces pass the limit; each is a class of its own, so keeping their keys
-# would hold the whole written half to the end of the stream.  A larger
-# block is ranked and forgotten, and ranked again if it repeats: that costs
-# time, never a wrong rank.
+# one block, which has no single-entry column to peel).  The restricted
+# map's weight spaces, which pass the limit from n = 9 on, peel to nothing
+# and never reach the table; were they keyed, each would be a class of its
+# own, held to the end of the stream.  A larger block is ranked and
+# forgotten, and ranked again if it repeats: that costs time, never a wrong
+# rank.
 _KEPT_BLOCK_ENTRIES = 1 << 15
 
 
@@ -428,7 +491,12 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     block diagonal matrix; each block adds copies times its class's rank.
 
     Each matrix's field is checked against the strategy (FieldMismatch),
-    then the matrix is split into row blocks and dropped; blocks with equal
+    then the matrix is peeled (`_peel`), adding copies times its pivots to
+    the rank, and what is left is split into row blocks and dropped.  Under
+    exact Q every entry is a pivot; under primes only an int entry that no
+    prime divides, so the pivots hold mod each prime and count in no
+    class, and a matrix that is not integral is not peeled, so that a
+    denominator a prime divides still raises BadPrime.  Blocks with equal
     content keys form one class in a table shared by the whole stream, and
     a class is ranked when first seen, after which only its key and rank
     are kept, to the end of the stream.  A block with `_KEPT_BLOCK_ENTRIES`
@@ -442,17 +510,17 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
     class ranks, so the sum of per-class maxes is a sound lower bound on
     the Q-rank, and never below the whole matrix's max over the primes.
     When exact, a matrix that is not integral is keyed with each row scaled
-    by the lcm of its denominators (`SparseMatrix._block_keys`), which
-    keeps the Q-rank, so blocks equal after that scaling share a class and
-    every class holds ints.  Each class is first ranked over F_2; reduction
-    Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a class of full
-    rank mod 2 is settled with no prime.  Any other class runs the primes,
-    and one that stays unsettled is ranked by fraction-free elimination.
+    by the lcm of its denominators (`_block_keys`), which keeps the Q-rank,
+    so blocks equal after that scaling share a class and every class holds
+    ints.  Each class is first ranked over F_2; reduction Z -> F_2 is a
+    ring map, so rank_2 <= rank_Q <= full and a class of full rank mod 2 is
+    settled with no prime.  Any other class runs the primes, and one that
+    stays unsettled is ranked by fraction-free elimination.
     With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
     ranks: dict[tuple, int] = {}  # content key -> rank of its class
-    rank = nnz = classes = unsettled = settled_mod_2 = 0
+    rank = nnz = peeled = classes = unsettled = settled_mod_2 = 0
     split_s = rank_s = 0.0
     for space, copies in ((m, 1),) if isinstance(m, SparseMatrix) else m:
         if exact and not space.field.is_q:
@@ -464,9 +532,19 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
         if integer_only and not space.is_integral():
             raise BadPrime("MultiPrime certification requires integer entries")
         nnz += space.nnz
-        t0, rank_before = time.perf_counter(), rank_s
-        keys = space._block_keys(exact and not space.is_integral())
-        del space  # only the keys are ranked
+        t0 = time.perf_counter()
+        integral = space.is_integral()
+        rows = space._rows
+        del space  # only its rows, and then their keys, are ranked
+        if exact or integral:
+            n, rows = _peel(rows, () if exact else primes)
+            peeled += n
+            rank += copies * n
+        t1 = time.perf_counter()
+        rank_s += t1 - t0
+        rank_before = rank_s
+        keys = _block_keys(rows, exact and not integral)
+        del rows
         for key, ncols in keys:
             kept = len(key[1]) < _KEPT_BLOCK_ENTRIES
             r = ranks.get(key) if kept else None
@@ -474,7 +552,7 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                 rank += copies * r
                 continue
             classes += 1
-            t1 = time.perf_counter()
+            t2 = time.perf_counter()
             full = min(len(key[0]), ncols)
             if exact and _rank_f2(_rows(key), full) == full:
                 settled_mod_2 += 1
@@ -489,17 +567,18 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
                     unsettled += 1
                     if exact:
                         r = _eliminate([dict(row) for row in _rows(key)], None)
-            rank_s += time.perf_counter() - t1
+            rank_s += time.perf_counter() - t2
             if kept:
                 ranks[key] = r
             rank += copies * r
-        split_s += time.perf_counter() - t0 - (rank_s - rank_before)
-    return RankResult(rank, nnz, classes, unsettled, settled_mod_2,
+        split_s += time.perf_counter() - t1 - (rank_s - rank_before)
+    return RankResult(rank, nnz, peeled, classes, unsettled, settled_mod_2,
                       split_s * 1000.0, rank_s * 1000.0)
 
 
 def rank_mod_p(m, p: int) -> RankResult:
-    """Exact rank over F_p, one elimination per class of identical blocks.
+    """Exact rank over F_p: peeling, then one elimination per class of
+    identical blocks.
 
     For an integer matrix over Q it is a lower bound on the rank over Q; a
     matrix given over F_p has no Q lift to bound.  What a rank certifies is
@@ -509,11 +588,11 @@ def rank_mod_p(m, p: int) -> RankResult:
 
 
 def rank_exact_q(m) -> RankResult:
-    """Exact rank over Q by the rank loop in three steps per class: the
-    bit-packed rank over F_2, then a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
-    (2^30 - 35) for a class that F_2 leaves short of full rank, then
-    fraction-free elimination, whose entries grow on dense blocks, for a
-    class that prime leaves short too.  Both moduli are fixed, not read from
+    """Exact rank over Q by the rank loop: peeling, then three steps per
+    class: the bit-packed rank over F_2, then a pass mod
+    DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35) for a class that F_2 leaves
+    short of full rank, then fraction-free elimination, whose entries grow
+    on dense blocks, for a class that prime leaves short too.  Both moduli are fixed, not read from
     BRLAB_PRIMES: they never decide a rank, they only skip work.
     """
     return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
@@ -524,8 +603,9 @@ def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
     stream of (SparseMatrix, copies) pairs that make up one block diagonal
     matrix (see `_rank_classes`).
 
-    MultiPrime: the rank loop over the strategy's primes, each class keeping
-    its max over the primes it tried; sound for lower-bound certificates on
+    MultiPrime: the rank loop over the strategy's primes, peeling only on
+    entries that no prime divides, and each class keeping its max over the
+    primes it tried; sound for lower-bound certificates on
     integer matrices because each mod-p rank is at most the Q-rank.  ExactQ
     delegates to rank_exact_q.
     """

@@ -427,9 +427,11 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
-    # One class table serves the pairs and the fixed spaces, so a class that
-    # both hold is ranked once; the 3 equal summands are written once.
-    assert err.splitlines()[1:] == ["exact-Q: 6 classes, 5 settled mod 2, 0 mod p, 1 fell back",
+    # Five of the 9 written spaces peel to nothing; the other 4 leave 3
+    # blocks with no single-entry column, of which the 12x12 one falls back.
+    # The 3 equal summands are written once.
+    assert err.splitlines()[1:] == ["exact-Q: 11 peeled, 3 classes, 2 settled mod 2, 0 mod p, "
+                                    "1 fell back",
                                     "orbits: 9 of 126 weights written, nnz 60 of 1890",
                                     "summands: 3 in 1 class"]
     # Telemetry only: the certificate is that of a quiet run.
@@ -449,7 +451,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "1",
                        "--tensor", str(path), "--verbose")
     assert code == 0
-    assert "exact-Q: 1 class, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
+    assert "exact-Q: 0 peeled, 1 class, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
 
 
 @pytest.mark.parametrize("field,value,expected", [

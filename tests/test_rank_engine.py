@@ -15,6 +15,7 @@ from brlab.rank_engine import (
     ExactQ,
     MultiPrime,
     SparseMatrix,
+    _block_keys,
     rank_certified,
     rank_exact_q,
     rank_mod_p,
@@ -123,6 +124,41 @@ def test_bad_prime_denominator():
     assert rank_mod_p(m, 7).rank == 1
 
 
+def test_bad_prime_denominator_in_a_peelable_column():
+    # Column 1 holds 1/5 alone, and once its row goes column 0 holds 1
+    # alone: over Q both are pivots, but a mod-5 rank refuses the
+    # denominator rather than peel it away, also after an integral matrix
+    # of the same stream was peeled.
+    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, Fraction(1, 5)), (1, 0, 1)], Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.peeled, res.classes) == (2, 2, 0)
+    with pytest.raises(BadPrime):
+        rank_mod_p(m, 5)
+    with pytest.raises(BadPrime):
+        rank_mod_p([(_identity(2), 1), (m, 1)], 5)
+    res = rank_mod_p(m, 7)
+    assert (res.rank, res.peeled, res.classes) == (2, 0, 1)
+
+
+def test_peel_takes_single_entry_columns_in_a_chain(monkeypatch):
+    # An upper bidiagonal matrix has one single-entry column; each pivot
+    # leaves the next column with one entry, so it peels to nothing and no
+    # block is eliminated.  Mod 7 the diagonal entry 7 is passed over, the
+    # chain stops there, and the 3 rows left are one block, of rank 2 mod 7.
+    calls = _count_passes(monkeypatch)
+    n = 6
+    chain = [(r, c, 7 if (r, c) == (3, 3) else 1) for r in range(n) for c in (r, r + 1)
+             if c < n]
+    m = SparseMatrix(n, n, chain, Q)
+    res = rank_exact_q(m)
+    assert (res.rank, res.peeled, res.classes) == (n, n, 0)
+    assert calls == []
+    res = rank_mod_p(m, 7)
+    assert (res.rank, res.peeled, res.classes, res.unsettled) == (n - 1, 3, 1, 1)
+    assert calls == [7]
+    assert rank_gauss_mod_p(dense_rows(m), 7) == n - 1
+
+
 def test_bad_prime_modulus():
     m = _identity(2)
     with pytest.raises(BadPrime):
@@ -215,21 +251,38 @@ def test_q_storage_int_or_fraction():
         SparseMatrix(1, 1, [(0, 0, Fraction(0, 5))], Q)
 
 
+def _diagonal(*blocks):
+    """A block diagonal SparseMatrix over Q of dense square blocks (lists
+    of rows)."""
+    entries, at = [], 0
+    for block in blocks:
+        entries += [(at + r, at + c, v) for r, row in enumerate(block)
+                    for c, v in enumerate(row) if v]
+        at += len(block)
+    return SparseMatrix(at, at, entries, Q)
+
+
+# Dense 2x2 blocks: no column holds a single entry, so nothing is peeled
+# and every block reaches the class table.  H has det -2, rank 1 mod 2.
+H = [[1, 1], [1, -1]]
+
+
 def test_multiprime_stops_at_full_rank(monkeypatch):
     # One _eliminate call per class and prime tried; a class stops at the
     # first prime that brings it to min(block rows, block columns).
     calls = _count_passes(monkeypatch)
     primes = DEFAULT_CERTIFICATION_PRIMES
-    # The identity is one class of 1x1 blocks, ranked once.
-    assert rank_certified(_identity(4), MultiPrime(primes)).rank == 4
+    # Four copies of H are one class, ranked once.
+    res = rank_certified(_diagonal(H, H, H, H), MultiPrime(primes))
+    assert (res.rank, res.peeled, res.classes) == (8, 0, 1)
     assert calls == [primes[0]]
 
-    # diag(65521, 1, 1): the 65521 class tries the next prime, the 1 class
-    # is settled by the first.
+    # diag(65521 H, H): the 65521 H class tries the next prime, the H
+    # class is settled by the first.
     calls.clear()
-    unlucky = SparseMatrix(3, 3, [(0, 0, 65521), (1, 1, 1), (2, 2, 1)], Q)
+    unlucky = _diagonal([[65521 * v for v in row] for row in H], H)
     res = rank_certified(unlucky, MultiPrime((65521,) + primes[:2]))
-    assert (res.rank, res.classes, res.unsettled) == (3, 2, 0)
+    assert (res.rank, res.peeled, res.classes, res.unsettled) == (4, 0, 2, 0)
     assert calls == [65521, primes[0], 65521]
 
     # One 2x1 block: rank 1 is full, so the first prime settles it.
@@ -260,17 +313,19 @@ def _repeated(block, copies, field=Q):
 
 
 def test_class_table_ranks_each_copy_of_a_block_too_large_to_keep():
-    # A 16384 x 16385 bidiagonal block of ones has 2^15 entries, the least
-    # that the class table does not keep: each copy is ranked on its own.
+    # A 16384 x 16384 cyclic bidiagonal block has 2^15 entries, the least
+    # that the class table does not keep, and two in each column, so none is
+    # peeled: each copy is ranked on its own.  One entry 2 makes its
+    # determinant 1 - 2 = -1.
     n = 1 << 14
-    bidiagonal = [(r, c, 1) for r in range(n) for c in (r, r + 1)]
-    assert len(bidiagonal) == 1 << 15
-    for res in (rank_exact_q(_repeated(bidiagonal, 2)), rank_mod_p(_repeated(bidiagonal, 2), 7)):
-        assert (res.rank, res.classes, res.nnz) == (2 * n, 2, 4 * n)
+    cyclic = [(r, c, 2 if (r, c) == (0, 1) else 1) for r in range(n) for c in (r, (r + 1) % n)]
+    assert len(cyclic) == 1 << 15
+    for res in (rank_exact_q(_repeated(cyclic, 2)), rank_mod_p(_repeated(cyclic, 2), 7)):
+        assert (res.rank, res.peeled, res.classes, res.nnz) == (2 * n, 0, 2, 4 * n)
     # A small block that repeats is still ranked once.
-    small = [(0, 0, 1), (0, 1, 2), (1, 1, 3)]
+    small = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
     res = rank_exact_q(_repeated(small, 3))
-    assert (res.rank, res.classes) == (6, 1)
+    assert (res.rank, res.peeled, res.classes) == (6, 0, 1)
 
 
 def test_stream_copies_multiply_ranks_from_one_class_table():
@@ -306,15 +361,14 @@ def test_multiprime_resolves_primes_at_construction(monkeypatch):
 
 def test_multiprime_counts_unsettled_classes():
     # The singular 2x2 block stays at rank 1 of 2 mod every prime; the two
-    # 1x1 blocks form one settled class.
-    m = SparseMatrix(5, 5, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4),
-                            (2, 2, 3), (3, 3, 3)], Q)
+    # copies of H form one settled class.
+    m = _diagonal([[1, 2], [2, 4]], H, H)
     # (rows, copies, distinct columns) of each class.
-    assert _block_classes(m) == [(2, 1, 2), (1, 2, 1)]
+    assert _block_classes(m) == [(2, 1, 2), (2, 2, 2)]
     res = rank_certified(m, MultiPrime(DEFAULT_CERTIFICATION_PRIMES))
-    assert (res.rank, res.classes, res.unsettled) == (3, 2, 1)
+    assert (res.rank, res.peeled, res.classes, res.unsettled) == (5, 0, 2, 1)
     res = rank_mod_p(m, 7)
-    assert (res.rank, res.classes, res.unsettled) == (3, 2, 1)
+    assert (res.rank, res.peeled, res.classes, res.unsettled) == (5, 0, 2, 1)
 
 
 def test_block_diagonal_rank_is_sum_over_three_primes():
@@ -331,7 +385,7 @@ def test_block_diagonal_rank_is_sum_over_three_primes():
         assert rank_mod_p(big, p).rank == expected
     assert rank_certified(big, MultiPrime()).rank == expected
     assert rank_exact_q(big).rank == expected
-    assert big._block_keys() == big._block_keys()
+    assert _block_keys(big._rows) == _block_keys(big._rows)
 
 
 def test_huge_declared_shape_costs_only_its_entries():
@@ -380,13 +434,13 @@ def _block_classes(m):
     """(rows, copies, distinct columns) of each class of identical row
     blocks, in order of the class's first block."""
     classes = {}
-    for key, ncols in m._block_keys():
+    for key, ncols in _block_keys(m._rows):
         classes.setdefault(key, [len(key[0]), 0, ncols])[1] += 1
     return [tuple(cls) for cls in classes.values()]
 
 
 def _block_count(m):
-    return len(m._block_keys())
+    return len(_block_keys(m._rows))
 
 
 def test_repeated_blocks_rank_matches_oracle():
@@ -478,9 +532,10 @@ def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
 
 
 def test_exact_q_unlucky_prime_falls_back():
-    # diag(2P, 1): two 1x1 blocks, the first of rank 0 mod 2 and mod P.
-    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (1, 1, 1)], Q))
-    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 2, 1, 1)
+    # diag(2P H, [[1, 2], [1, 1]]): two 2x2 blocks, the first of rank 0 mod
+    # 2 and mod P, the second of full rank mod 2.
+    res = rank_exact_q(_diagonal([[2 * P * v for v in row] for row in H], [[1, 2], [1, 1]]))
+    assert (res.rank, res.peeled, res.classes, res.unsettled, res.settled_mod_2) == (4, 0, 2, 1, 1)
     # One block, det 2P over Q, rank 1 mod 2 and mod P.
     res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (0, 1, 2 * P),
                                            (1, 0, 1), (1, 1, 2)], Q))
@@ -489,11 +544,11 @@ def test_exact_q_unlucky_prime_falls_back():
 
 def test_exact_q_rational_rows_reduced_after_scaling():
     # The row (P/2, P/3) scales to (3P, 2P): content P, zero mod P, and
-    # equal to the row (1, 0) mod 2.
+    # equal to the row (1, 2) mod 2.
     m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 2)), (0, 1, Fraction(P, 3)),
-                            (1, 0, 1)], Q)
+                            (1, 0, 1), (1, 1, 2)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 1, 0)
+    assert (res.rank, res.peeled, res.unsettled, res.settled_mod_2) == (2, 0, 1, 0)
     assert rank_gauss_fractions(dense_rows(m)) == 2
     # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to
     # (1, P), equal to the row (1, 1) mod 2, so the mod-P pass settles it.
@@ -710,8 +765,8 @@ def test_exact_q_keys_rows_scaled_by_their_denominators():
     res = rank_exact_q(m)
     assert res.rank == rank_gauss_fractions(dense_rows(m)) == 4
     assert res.classes == 1
-    assert all(type(v) is int for key, _ in m._block_keys(True) for v in key[2])
-    assert len({key for key, _ in m._block_keys(True)}) == 1
+    assert all(type(v) is int for key, _ in _block_keys(m._rows, True) for v in key[2])
+    assert len({key for key, _ in _block_keys(m._rows, True)}) == 1
     res = rank_mod_p(m, 7)
     assert (res.rank, res.classes) == (4, 2)
     # Non-exact ranks read the exact values, so a prime that divides a

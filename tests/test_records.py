@@ -60,12 +60,13 @@ def test_tags_differ_by_value_and_by_class():
 
 
 def test_rank_results_ignore_their_times():
-    res = RankResult(4, 16, 2, 0, 2, 1.5, 2.5)
+    res = RankResult(4, 16, 1, 2, 0, 2, 1.5, 2.5)
     for split_ms, rank_ms in [(1.5, 9.0), (9.0, 2.5), (0.0, 0.0)]:
-        other = RankResult(4, 16, 2, 0, 2, split_ms, rank_ms)
+        other = RankResult(4, 16, 1, 2, 0, 2, split_ms, rank_ms)
         assert other == res and hash(other) == hash(res)
-    assert RankResult(4, 16, 2, 0, 1, 1.5, 2.5) != res
-    assert RankResult(rank=4, nnz=16, classes=2, unsettled=0, settled_mod_2=2,
+    assert RankResult(4, 16, 1, 2, 0, 1, 1.5, 2.5) != res
+    assert RankResult(4, 16, 0, 2, 0, 2, 1.5, 2.5) != res
+    assert RankResult(rank=4, nnz=16, peeled=1, classes=2, unsettled=0, settled_mod_2=2,
                       split_ms=0.0, rank_ms=0.0) == res
 
 
