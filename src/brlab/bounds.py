@@ -104,12 +104,12 @@ def _field_label(strategy: MultiPrime | ExactQ) -> str:
 
 def _soundness(strategy: MultiPrime | ExactQ, over_q: bool, unsettled: int) -> str:
     """The label of a flattening rank over a tensor's field (over_q when it
-    is Q), of which unsettled classes no prime brought to full rank.
+    is Q), of which unsettled blocks no prime brought to full rank.
 
     A tensor given over F_p has no Q-rank to bound, and only its own prime
-    can rank it: its rank is exact over F_p.  Over Q, a class that reached
+    can rank it: its rank is exact over F_p.  Over Q, a block that reached
     full rank mod some prime has rank_p = rank_Q = min(rows, cols), so a
-    mod-p rank with no unsettled class is the Q-rank itself.
+    mod-p rank with no unsettled block is the Q-rank itself.
     """
     if not over_q:
         return SOUND_EXACT_FP
@@ -128,16 +128,15 @@ class FlatteningRank(Record):
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened.  soundness is the certificate
     label the rank earns (`_soundness`).  rank_ms is the time of the rank
-    passes alone, peeling included, split_ms that of splitting what the
-    written weight spaces leave after peeling into row blocks, keying them
-    and looking the keys up in the class table, and flatten_ms the rest of
-    the work on the representatives: the grading, the symmetry search, the
-    insertion tables, and writing and validating the weight spaces.  peeled
-    counts the pivots that peeling took from the written spaces, each space
-    once (`RankResult.peeled`), and block_classes the blocks left and
-    ranked, one per class of identical blocks over all representatives
-    (`RankResult.classes`), unsettled those that no prime brought to full
-    rank: under ExactQ, the ones fraction-free elimination ranked, and
+    passes alone, peeling and the scaling of rational rows included,
+    split_ms that of splitting what the written weight spaces leave after
+    peeling into row blocks, and flatten_ms the rest of the work on the
+    representatives: the grading, the symmetry search, the insertion
+    tables, and writing and validating the weight spaces.  peeled counts
+    the pivots that peeling took from the written spaces, and blocks the
+    row blocks left and ranked, each space's once (`RankResult.peeled`,
+    `RankResult.blocks`), unsettled the blocks that no prime brought to
+    full rank: under ExactQ, the ones fraction-free elimination ranked, and
     settled_mod_2 those that the ExactQ pass over F_2 brought to full
     rank.  orbits and orbit_weights count the weight spaces of the graded
     representatives (see `koszul_weight_spaces`): the orbits, one weight
@@ -148,7 +147,7 @@ class FlatteningRank(Record):
     """
 
     __slots__ = ("rows", "cols", "rank", "nnz", "strategy", "soundness", "summands", "classes",
-                 "rank_ms", "split_ms", "flatten_ms", "peeled", "block_classes", "unsettled",
+                 "rank_ms", "split_ms", "flatten_ms", "peeled", "blocks", "unsettled",
                  "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
 
 
@@ -170,16 +169,15 @@ def flattening_rank(t: Tensor3, p: int,
     (`koszul_flattening`), and never reaches the symmetry search.  Each
     written space stands for group size * orbit size copies, and the
     spaces reach `rank_certified` as one stream of (space, copies) pairs,
-    so that one space is held at a time besides the one class table that
-    serves every group and orbit (`rank_engine._rank_classes`).  The
+    so that one space is held at a time (`rank_engine._rank_blocks`).  The
     strategy defaults to exact rank over t's field: ExactQ over Q, its
     prime over F_p.  p is checked here (`check_wedge_power`), before any
     summand is flattened; the `koszul_flattening` of an ungraded summand
     checks it again, from a second place.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
-    per-class maxes over the primes, a sound lower bound by the argument of
-    `rank_engine._rank_classes`: the written blocks are blocks of the whole
+    per-block maxes over the primes, a sound lower bound by the argument of
+    `rank_engine._rank_blocks`: the written blocks are blocks of the whole
     flattening, and the blocks they stand for have equal ranks mod every
     prime.  Each tensor entry fills one cell per p-subset avoiding its
     first index, and no two cells collide, so the flattening has
@@ -215,7 +213,7 @@ def flattening_rank(t: Tensor3, p: int,
                           _soundness(strat, t.field.is_q, res.unsettled),
                           sum(count for _, count in summands), len(summands),
                           res.rank_ms, res.split_ms, total_ms - res.rank_ms - res.split_ms,
-                          res.peeled, res.classes, res.unsettled, res.settled_mod_2, orbits,
+                          res.peeled, res.blocks, res.unsettled, res.settled_mod_2, orbits,
                           covered, res.nnz)
 
 
@@ -245,12 +243,12 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
     divisor 1, and the best one's label.  The recorded times, nnz,
-    block-class and orbit counts are those of all three ranks."""
+    block and orbit counts are those of all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
-    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "peeled", "block_classes",
-              "unsettled", "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
+    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "peeled", "blocks", "unsettled",
+              "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
     return _certificate("classical", descriptor, best.replace(
         **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 

@@ -150,8 +150,8 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
                 f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms, "
                 f"flatten {fr.flatten_ms:.1f} ms)")
     if isinstance(fr.strategy, ExactQ):
-        n, f2, u = fr.block_classes, fr.settled_mod_2, fr.unsettled
-        _note(args, f"exact-Q: {fr.peeled} peeled, {n} class{'' if n == 1 else 'es'}, "
+        n, f2, u = fr.blocks, fr.settled_mod_2, fr.unsettled
+        _note(args, f"exact-Q: {fr.peeled} peeled, {n} block{'' if n == 1 else 's'}, "
                     f"{f2} settled mod 2, {n - f2 - u} mod p, {u} fell back")
     if fr.orbits:
         _note(args, f"orbits: {fr.orbits} of {fr.orbit_weights} weights written, "

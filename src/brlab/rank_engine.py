@@ -11,39 +11,29 @@ read its entries from a generator.  A rank pass takes one matrix, or a
 stream of (matrix, copies) pairs whose matrices, each taken copies times,
 make up one block diagonal matrix (the weight spaces of a flattening, each
 standing for its summand group and orbit); each is peeled, split into
-blocks and dropped, so that one matrix is held at a time.  Peeling
-(`_peel`, the structural pivots that open structured Gaussian elimination)
-takes out, one after another, the columns with a single entry left, each
-with its row and rank 1, in one pass over the entries with no fill; the
-restricted map's weight spaces peel to nothing.  Sparse ranks of what is
-left run per row block: a matrix that is block diagonal after a row and
-column permutation has the sum of its blocks' ranks.  The split is made on
-the exact entries and stays valid mod every prime, since reduction mod p
-can only make entries vanish, never create new ones.  Blocks that are
-identical up to a column relabelling (checked entry by entry, never by
-hash alone) form one class in a table shared by the whole stream: a class
-is ranked when first seen, from its content key, and each copy adds that
-rank.  That is exact over every field: equal exact entries reduce to equal
-values mod p, so the copies have equal ranks mod every prime too.  The
-exact-Q rank keys a rational matrix with each row scaled by the lcm of its
-denominators, so its keys hold ints and "identical" means equal after that
-row scaling, which keeps the rank over Q.  The table keeps only the keys
-of blocks with fewer than `_KEPT_BLOCK_ENTRIES` entries; a larger block is
-ranked and forgotten, and ranked again should it repeat.  The flattenings
-of matrix multiplication repeat small blocks heavily, so their table is
-small and whole, and most of their blocks are never eliminated; the
-restricted map's weight spaces never reach the table.  (The l identical
-copies that the third index gives are split off earlier, on the tensor,
-by `tensor.direct_summands`, and of each orbit of weight spaces under the
-tensor's index symmetries only one is written, by
-`exterior.koszul_weight_spaces`; `bounds.flattening_rank` gives each
-written space the summand group size times the orbit size as its
+blocks whose ranks are added copies times, and dropped, so that one matrix
+is held at a time.  Peeling (`_peel`, the structural pivots that open
+structured Gaussian elimination) takes out, one after another, the columns
+with a single entry left, each with its row and rank 1, in one pass over
+the entries with no fill; the restricted map's weight spaces peel to
+nothing.  Sparse ranks of what is left run per row block (`_blocks`): a
+matrix that is block diagonal after a row and column permutation has the
+sum of its blocks' ranks.  The split is made on the exact entries and stays
+valid mod every prime, since reduction mod p can only make entries vanish,
+never create new ones.  Under exact Q a block of a rational matrix has each
+row scaled by the lcm of its denominators (`_scaled_row`), which keeps its
+rank over Q, so that every block is ranked on ints.  (Most repeats are
+taken out before a block forms: the l identical copies that the third index
+gives are split off on the tensor, by `tensor.direct_summands`, and of each
+orbit of weight spaces under the tensor's index symmetries only one is
+written, by `exterior.koszul_weight_spaces`; `bounds.flattening_rank` gives
+each written space the summand group size times the orbit size as its
 copies.)
 
-Every strategy peels and ranks in one loop, `_rank_classes`, which also
+Every strategy peels and ranks in one loop, `_rank_blocks`, which also
 makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with three steps per class, all on ints: a bit-packed rank over F_2
+with three steps per block, all on ints: a bit-packed rank over F_2
 (`_rank_f2`), then the first default certification prime (2^30 - 35), then
 fraction-free elimination where both fall short of full rank.
 
@@ -66,17 +56,19 @@ from .record import Record
 from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
 
 
-def _scaled_row(values):
-    """A row's values over Q times the lcm of their denominators: ints, and
-    the same row up to a nonzero factor, so a matrix keeps its rank over Q.
+def _scaled_row(row: dict) -> dict:
+    """A row over Q times the lcm of its denominators: ints, and the same
+    row up to a nonzero factor, so a matrix keeps its rank over Q.  A row
+    of ints is returned as it is.
     """
     d = 1
-    for v in values:
+    for v in row.values():
         if type(v) is not int:
             d = lcm(d, v.denominator)
     if d == 1:
-        return values
-    return [v * d if type(v) is int else v.numerator * (d // v.denominator) for v in values]
+        return row
+    return {c: v * d if type(v) is int else v.numerator * (d // v.denominator)
+            for c, v in row.items()}
 
 
 class SparseMatrix:
@@ -151,27 +143,23 @@ class RankResult(Record):
     """Outcome of one exact rank computation.
 
     peeled counts the pivots that peeling took (`_peel`), each of rank 1,
-    in each matrix once whatever its copies.  classes counts the blocks
-    left and ranked: one per class of identical blocks (under exact Q,
-    identical after each row is scaled by the lcm of its denominators),
-    plus one per repeat of a block too large for the class table (see
-    `_rank_classes`).  unsettled counts those whose rank stayed
-    below min(block rows, block columns) mod every prime tried; under exact
-    Q these are the ones that fraction-free elimination ranked.
-    settled_mod_2 counts those that the exact-Q pass over F_2 brought to
-    full rank (always 0 for the other strategies); the remaining ones were
-    settled mod a prime.  nnz counts the entries read: the matrix's, or
-    the sum over a stream's matrices, each once whatever its copies.
-    split_ms is the time spent splitting the peeled matrices into row
-    blocks, keying them and looking the keys up in the class table, rank_ms
-    that of peeling and of the rank passes over the class representatives;
-    neither counts the writing of a streamed matrix, and results that
-    differ only in them compare equal.
+    and blocks the row blocks left and ranked (`_rank_blocks`), both in
+    each matrix once whatever its copies.  unsettled counts the blocks
+    whose rank stayed below min(block rows, block columns) mod every prime
+    tried; under exact Q these are the ones that fraction-free elimination
+    ranked.  settled_mod_2 counts those that the exact-Q pass over F_2
+    brought to full rank (always 0 for the other strategies); the remaining
+    ones were settled mod a prime.  nnz counts the entries read: the
+    matrix's, or the sum over a stream's matrices, each once whatever its
+    copies.  split_ms is the time spent splitting the peeled matrices into
+    row blocks, rank_ms that of peeling, of scaling rational rows and of
+    the rank passes over the blocks; neither counts the writing of a
+    streamed matrix, and results that differ only in them compare equal.
     """
 
-    __slots__ = ("rank", "nnz", "peeled", "classes", "unsettled", "settled_mod_2", "split_ms",
+    __slots__ = ("rank", "nnz", "peeled", "blocks", "unsettled", "settled_mod_2", "split_ms",
                  "rank_ms")
-    _compared = ("rank", "nnz", "peeled", "classes", "unsettled", "settled_mod_2")
+    _compared = ("rank", "nnz", "peeled", "blocks", "unsettled", "settled_mod_2")
 
 
 class MultiPrime(Record):
@@ -245,30 +233,15 @@ def _peel(rows: dict[int, dict], primes: tuple[int, ...]) -> tuple[int, dict[int
     return len(dead), {r: row for r, row in rows.items() if r not in dead}
 
 
-def _block_keys(rows: dict[int, dict], scaled: bool = False) -> list[tuple[tuple, int]]:
-    """(content key, distinct columns) of each row block, in order of
-    the block's smallest row.
+def _blocks(rows: dict[int, dict]) -> list[list[dict]]:
+    """The row blocks of a matrix's rows, each the list of its row maps in
+    increasing row order, in order of the block's smallest row.
 
     A row block is a connected component of the row/column graph of the
     nonzero entries: the matrix is block diagonal over these after a row
     and column permutation, so elimination runs per block and ranks add.
     Entries only vanish under reduction mod p, so the split stays valid
     for every prime.
-
-    A key lists the block's rows in increasing order: the entry count of
-    each row, then every entry's column relabelled in order of first
-    appearance in the block, then every value.  Equal keys mean equal
-    blocks up to a column permutation, hence equal ranks over every
-    field (equal exact values also reduce to equal values mod p).  The
-    rank loop compares keys by full tuple equality, entry by entry, so a
-    hash collision cannot merge different blocks, and ranks each class
-    from its key, which holds the block (`_rows`).
-
-    scaled, for a matrix over Q, keys each row times the lcm of its
-    entries' denominators (`_scaled_row`), so that every value is an
-    int, and equal keys mean equal ranks over Q.  Only the exact-Q rank
-    keys this way: a mod-p rank keys the exact values, so that a
-    denominator p divides still raises BadPrime.
     """
     # The nonempty rows in increasing order, numbered 0..R-1, are the
     # union-find nodes, so time and memory follow nnz, not the declared
@@ -294,24 +267,13 @@ def _block_keys(rows: dict[int, dict], scaled: bool = False) -> list[tuple[tuple
                     parent[o] = x
     # Rows in increasing order meet each root first, so the blocks come
     # out ordered by their smallest row.
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[dict]] = {}
     for y, r in enumerate(order):
         root = y
         while parent[root] != root:
             root = parent[root]
-        groups.setdefault(root, []).append(r)
-    keys = []
-    for block in groups.values():
-        cols, vals, lens = [], [], []
-        for r in block:
-            row = rows[r]
-            cols += row
-            vals += _scaled_row(row.values()) if scaled else row.values()
-            lens.append(len(row))
-        labels = dict(zip(dict.fromkeys(cols), range(len(cols))))
-        keys.append(((tuple(lens), tuple(map(labels.__getitem__, cols)), tuple(vals)),
-                     len(labels)))
-    return keys
+        groups.setdefault(root, []).append(rows[r])
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +380,13 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 # public rank operations
 # ---------------------------------------------------------------------------
 
-def _rows(key: tuple):
-    """The rows of a block given by its content key
-    (`SparseMatrix._block_keys`), each as an iterator of (local column,
-    value) pairs."""
-    lens, cols, vals = key
-    i = 0
-    for k in lens:
-        yield zip(cols[i:i + k], vals[i:i + k])
-        i += k
-
-
-def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
-    """Fresh row dicts of a block (rows of (col, value) pairs), reduced mod
-    p."""
+def _block_mod_p(block: list[dict], tag: FieldTag) -> list[dict[int, int]]:
+    """Fresh row dicts of a block, reduced mod p."""
     p = tag.p
     rows = []
     for row in block:
         d = {}
-        for c, v in row:
+        for c, v in row.items():
             x = v % p if type(v) is int else tag.coerce(v)
             if x:
                 d[c] = x
@@ -444,21 +394,24 @@ def _block_mod_p(block, tag: FieldTag) -> list[dict[int, int]]:
     return rows
 
 
-def _rank_f2(block, full: int) -> int:
-    """Rank over F_2 of an integer class representative, at most full.
+def _rank_f2(block: list[dict], full: int) -> int:
+    """Rank over F_2 of an integer block, at most full.
 
-    Each row is packed into one int, bit c set when the entry at local
-    column c is odd, and reduced against a basis keyed by leading bit: XOR
-    with the basis row of the same leading bit until the row vanishes or
-    gets a leading bit of its own.  The rank is the basis size; the pass
-    stops once it reaches full.
+    The block's columns are numbered in order of first sight, and each row
+    is packed into one int, bit i set when the entry at the i-th column is
+    odd, and reduced against a basis keyed by leading bit: XOR with the
+    basis row of the same leading bit until the row vanishes or gets a
+    leading bit of its own.  The rank is the basis size; the pass stops
+    once it reaches full.
     """
+    labels: dict[int, int] = {}
+    label = labels.setdefault
     basis: dict[int, int] = {}
     for row in block:
         x = 0
-        for c, v in row:
+        for c, v in row.items():
             if v & 1:
-                x |= 1 << c
+                x |= 1 << label(c, len(labels))
         while x:
             top = x.bit_length()
             b = basis.get(top)
@@ -471,56 +424,36 @@ def _rank_f2(block, full: int) -> int:
     return len(basis)
 
 
-# The class table keeps a block only when it has fewer entries than this.
-# Blocks that repeat are small: the largest repeated block of the matmul
-# flattenings that bench/run.py ranks has 108 entries.  The largest block of
-# any job there has 17920 (a dense random integer 8 x 8 x 8 tensor at p = 3,
-# one block, which has no single-entry column to peel).  The restricted
-# map's weight spaces, which pass the limit from n = 9 on, peel to nothing
-# and never reach the table; were they keyed, each would be a class of its
-# own, held to the end of the stream.  A larger block is ranked and
-# forgotten, and ranked again if it repeats: that costs time, never a wrong
-# rank.
-_KEPT_BLOCK_ENTRIES = 1 << 15
-
-
-def _rank_classes(m, primes: tuple[int, ...], exact: bool,
-                  integer_only: bool = False) -> RankResult:
+def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
+                 integer_only: bool = False) -> RankResult:
     """The one rank loop, over a SparseMatrix or a stream of (SparseMatrix,
     copies) pairs whose matrices, each taken copies times, make up one
-    block diagonal matrix; each block adds copies times its class's rank.
+    block diagonal matrix; each block adds copies times its rank.
 
     Each matrix's field is checked against the strategy (FieldMismatch),
     then the matrix is peeled (`_peel`), adding copies times its pivots to
-    the rank, and what is left is split into row blocks and dropped.  Under
-    exact Q every entry is a pivot; under primes only an int entry that no
-    prime divides, so the pivots hold mod each prime and count in no
-    class, and a matrix that is not integral is not peeled, so that a
-    denominator a prime divides still raises BadPrime.  Blocks with equal
-    content keys form one class in a table shared by the whole stream, and
-    a class is ranked when first seen, after which only its key and rank
-    are kept, to the end of the stream.  A block with `_KEPT_BLOCK_ENTRIES`
-    entries or more is not entered in the table: it is ranked, counted as
-    a class and forgotten, so a repeat is ranked again, as a class of its
-    own, and gets the same rank.  Each class is ranked mod the primes in
-    turn, keeps its max, and stops at the first prime that
-    reaches min(block rows, block columns).  For an integer block
-    rank_p <= rank_Q <= min(rows, cols), so such a class is settled: no
-    prime can raise it.  For each prime the matrix's rank is the sum of its
-    class ranks, so the sum of per-class maxes is a sound lower bound on
-    the Q-rank, and never below the whole matrix's max over the primes.
-    When exact, a matrix that is not integral is keyed with each row scaled
-    by the lcm of its denominators (`_block_keys`), which keeps the Q-rank,
-    so blocks equal after that scaling share a class and every class holds
-    ints.  Each class is first ranked over F_2; reduction Z -> F_2 is a
-    ring map, so rank_2 <= rank_Q <= full and a class of full rank mod 2 is
-    settled with no prime.  Any other class runs the primes, and one that
-    stays unsettled is ranked by fraction-free elimination.
+    the rank, and what is left is split into row blocks (`_blocks`) and
+    dropped.  Under exact Q every entry is a pivot; under primes only an
+    int entry that no prime divides, so the pivots hold mod each prime and
+    count in no block, and a matrix that is not integral is not peeled, so
+    that a denominator a prime divides still raises BadPrime.  Each block
+    is ranked on its own, mod the primes in turn, keeps its max, and stops
+    at the first prime that reaches min(block rows, block columns).  For an
+    integer block rank_p <= rank_Q <= min(rows, cols), so such a block is
+    settled: no prime can raise it.  For each prime the matrix's rank is
+    the sum of its block ranks, so the sum of per-block maxes is a sound
+    lower bound on the Q-rank, and never below the whole matrix's max over
+    the primes.  When exact, each row of a block of a
+    matrix that is not integral is first scaled by the lcm of its
+    denominators (`_scaled_row`), which keeps the Q-rank, so that every
+    block holds ints.  Each block is then first ranked over F_2; reduction
+    Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a block of full
+    rank mod 2 is settled with no prime.  Any other block runs the primes,
+    and one that stays unsettled is ranked by fraction-free elimination.
     With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
-    ranks: dict[tuple, int] = {}  # content key -> rank of its class
-    rank = nnz = peeled = classes = unsettled = settled_mod_2 = 0
+    rank = nnz = peeled = blocks = unsettled = settled_mod_2 = 0
     split_s = rank_s = 0.0
     for space, copies in ((m, 1),) if isinstance(m, SparseMatrix) else m:
         if exact and not space.field.is_q:
@@ -535,76 +468,69 @@ def _rank_classes(m, primes: tuple[int, ...], exact: bool,
         t0 = time.perf_counter()
         integral = space.is_integral()
         rows = space._rows
-        del space  # only its rows, and then their keys, are ranked
+        del space  # only its rows, and then their blocks, are ranked
         if exact or integral:
             n, rows = _peel(rows, () if exact else primes)
             peeled += n
             rank += copies * n
         t1 = time.perf_counter()
-        rank_s += t1 - t0
-        rank_before = rank_s
-        keys = _block_keys(rows, exact and not integral)
+        split = _blocks(rows)
         del rows
-        for key, ncols in keys:
-            kept = len(key[1]) < _KEPT_BLOCK_ENTRIES
-            r = ranks.get(key) if kept else None
-            if r is not None:
-                rank += copies * r
-                continue
-            classes += 1
-            t2 = time.perf_counter()
-            full = min(len(key[0]), ncols)
-            if exact and _rank_f2(_rows(key), full) == full:
+        t2 = time.perf_counter()
+        blocks += len(split)
+        for block in split:
+            if exact and not integral:
+                block = [_scaled_row(row) for row in block]
+            full = min(len(block), len(set().union(*block)))
+            if exact and _rank_f2(block, full) == full:
                 settled_mod_2 += 1
                 r = full
             else:
                 r = 0
                 for tag in tags:
-                    r = max(r, _eliminate(_block_mod_p(_rows(key), tag), tag.p))
+                    r = max(r, _eliminate(_block_mod_p(block, tag), tag.p))
                     if r == full:
                         break
                 else:  # no prime reached full rank
                     unsettled += 1
                     if exact:
-                        r = _eliminate([dict(row) for row in _rows(key)], None)
-            rank_s += time.perf_counter() - t2
-            if kept:
-                ranks[key] = r
+                        r = _eliminate([dict(row) for row in block], None)
             rank += copies * r
-        split_s += time.perf_counter() - t1 - (rank_s - rank_before)
-    return RankResult(rank, nnz, peeled, classes, unsettled, settled_mod_2,
+        split_s += t2 - t1
+        rank_s += (t1 - t0) + (time.perf_counter() - t2)
+    return RankResult(rank, nnz, peeled, blocks, unsettled, settled_mod_2,
                       split_s * 1000.0, rank_s * 1000.0)
 
 
 def rank_mod_p(m, p: int) -> RankResult:
-    """Exact rank over F_p: peeling, then one elimination per class of
-    identical blocks.
+    """Exact rank over F_p: peeling, then one elimination per row block.
 
     For an integer matrix over Q it is a lower bound on the rank over Q; a
     matrix given over F_p has no Q lift to bound.  What a rank certifies is
     decided by `bounds._soundness`.
     """
-    return _rank_classes(m, (p,), False)
+    return _rank_blocks(m, (p,), False)
 
 
 def rank_exact_q(m) -> RankResult:
     """Exact rank over Q by the rank loop: peeling, then three steps per
-    class: the bit-packed rank over F_2, then a pass mod
-    DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35) for a class that F_2 leaves
+    row block: the bit-packed rank over F_2, then a pass mod
+    DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35) for a block that F_2 leaves
     short of full rank, then fraction-free elimination, whose entries grow
-    on dense blocks, for a class that prime leaves short too.  Both moduli are fixed, not read from
-    BRLAB_PRIMES: they never decide a rank, they only skip work.
+    on dense blocks, for a block that prime leaves short too.  Both moduli
+    are fixed, not read from BRLAB_PRIMES: they never decide a rank, they
+    only skip work.
     """
-    return _rank_classes(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
+    return _rank_blocks(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 
 
 def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
     """Rank with certified-lower-bound semantics, of a SparseMatrix or of a
     stream of (SparseMatrix, copies) pairs that make up one block diagonal
-    matrix (see `_rank_classes`).
+    matrix (see `_rank_blocks`).
 
     MultiPrime: the rank loop over the strategy's primes, peeling only on
-    entries that no prime divides, and each class keeping its max over the
+    entries that no prime divides, and each block keeping its max over the
     primes it tried; sound for lower-bound certificates on
     integer matrices because each mod-p rank is at most the Q-rank.  ExactQ
     delegates to rank_exact_q.
@@ -615,4 +541,4 @@ def rank_certified(m, strategy: MultiPrime | ExactQ) -> RankResult:
         raise TypeError(f"unknown strategy {strategy!r}")
     if not strategy.primes:
         raise BadPrime("empty prime list")
-    return _rank_classes(m, strategy.primes, False, integer_only=True)
+    return _rank_blocks(m, strategy.primes, False, integer_only=True)

@@ -30,7 +30,7 @@ PRIME_MODULUS_CAP = 1 << 62
 # Fixed certification primes: the three largest primes below 2^30.  CPython
 # ints have 30-bit digits, so each residue is one digit and elimination mod
 # these primes runs on the small-int fast paths.  The first one is also the
-# prime rank_exact_q settles classes with.  Override the list (not the
+# prime rank_exact_q settles blocks with.  Override the list (not the
 # settle prime) with BRLAB_PRIMES="p1,p2,..." when needed.
 DEFAULT_CERTIFICATION_PRIMES = (1073741789, 1073741783, 1073741741)
 

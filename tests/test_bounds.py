@@ -37,16 +37,16 @@ def test_bound_classical_examples():
 def test_bound_classical_sums_class_counts_of_the_three_flattenings():
     # Every index of each factor is in two entries, so no column of a
     # flattening has a single entry and nothing is peeled.  Over the three
-    # flattenings: 5 classes, 3 settled mod 2, 1 mod p (mode B's 3x2 block
+    # flattenings: 5 blocks, 3 settled mod 2, 1 mod p (mode B's 3x2 block
     # of rows (1, 0), (0, 2), (3, 2), of rank 1 mod 2) and 1 that falls
     # back (mode C's 3x3 block of rank 2).
     t = Tensor3((3, 3, 3), [(0, 0, 0, -1), (0, 0, 1, 3), (2, 1, 1, 2), (2, 1, 2, 2),
                             (2, 2, 0, 1), (2, 2, 2, 3)], Q)
     frs = [flattening_rank(classical_tensor(t, mode), 0) for mode in "ABC"]
     fr = bound_classical(t).flattening
-    for key in ("peeled", "block_classes", "settled_mod_2", "unsettled"):
+    for key in ("peeled", "blocks", "settled_mod_2", "unsettled"):
         assert getattr(fr, key) == sum(getattr(f, key) for f in frs)
-    assert (fr.peeled, fr.block_classes, fr.settled_mod_2, fr.unsettled) == (0, 5, 3, 1)
+    assert (fr.peeled, fr.blocks, fr.settled_mod_2, fr.unsettled) == (0, 5, 3, 1)
     assert [f.rank for f in frs] == [2, 3, 2] and fr.rank == 3
 
 

@@ -430,7 +430,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     # Five of the 9 written spaces peel to nothing; the other 4 leave 3
     # blocks with no single-entry column, of which the 12x12 one falls back.
     # The 3 equal summands are written once.
-    assert err.splitlines()[1:] == ["exact-Q: 11 peeled, 3 classes, 2 settled mod 2, 0 mod p, "
+    assert err.splitlines()[1:] == ["exact-Q: 11 peeled, 3 blocks, 2 settled mod 2, 0 mod p, "
                                     "1 fell back",
                                     "orbits: 9 of 126 weights written, nnz 60 of 1890",
                                     "summands: 3 in 1 class"]
@@ -442,7 +442,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES")
     code, _, err = run(capsys, *argv, "--field", "fp", "--verbose")
     assert code == 0 and "exact-Q:" not in err
-    # A dense tensor whose one class has full rank over Q but not mod 2 is
+    # A dense tensor whose one block has full rank over Q but not mod 2 is
     # settled by the mod-p pass.
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"field": "Q", "dims": [3, 3, 3], "entries": [
@@ -451,7 +451,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "1",
                        "--tensor", str(path), "--verbose")
     assert code == 0
-    assert "exact-Q: 0 peeled, 1 class, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
+    assert "exact-Q: 0 peeled, 1 block, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
 
 
 @pytest.mark.parametrize("field,value,expected", [

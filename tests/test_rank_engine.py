@@ -15,7 +15,7 @@ from brlab.rank_engine import (
     ExactQ,
     MultiPrime,
     SparseMatrix,
-    _block_keys,
+    _blocks,
     rank_certified,
     rank_exact_q,
     rank_mod_p,
@@ -131,13 +131,13 @@ def test_bad_prime_denominator_in_a_peelable_column():
     # of the same stream was peeled.
     m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, Fraction(1, 5)), (1, 0, 1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.peeled, res.classes) == (2, 2, 0)
+    assert (res.rank, res.peeled, res.blocks) == (2, 2, 0)
     with pytest.raises(BadPrime):
         rank_mod_p(m, 5)
     with pytest.raises(BadPrime):
         rank_mod_p([(_identity(2), 1), (m, 1)], 5)
     res = rank_mod_p(m, 7)
-    assert (res.rank, res.peeled, res.classes) == (2, 0, 1)
+    assert (res.rank, res.peeled, res.blocks) == (2, 0, 1)
 
 
 def test_peel_takes_single_entry_columns_in_a_chain(monkeypatch):
@@ -151,10 +151,10 @@ def test_peel_takes_single_entry_columns_in_a_chain(monkeypatch):
              if c < n]
     m = SparseMatrix(n, n, chain, Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.peeled, res.classes) == (n, n, 0)
+    assert (res.rank, res.peeled, res.blocks) == (n, n, 0)
     assert calls == []
     res = rank_mod_p(m, 7)
-    assert (res.rank, res.peeled, res.classes, res.unsettled) == (n - 1, 3, 1, 1)
+    assert (res.rank, res.peeled, res.blocks, res.unsettled) == (n - 1, 3, 1, 1)
     assert calls == [7]
     assert rank_gauss_mod_p(dense_rows(m), 7) == n - 1
 
@@ -263,44 +263,44 @@ def _diagonal(*blocks):
 
 
 # Dense 2x2 blocks: no column holds a single entry, so nothing is peeled
-# and every block reaches the class table.  H has det -2, rank 1 mod 2.
+# and every block is ranked.  H has det -2, rank 1 mod 2.
 H = [[1, 1], [1, -1]]
 
 
 def test_multiprime_stops_at_full_rank(monkeypatch):
-    # One _eliminate call per class and prime tried; a class stops at the
+    # One _eliminate call per block and prime tried; a block stops at the
     # first prime that brings it to min(block rows, block columns).
     calls = _count_passes(monkeypatch)
     primes = DEFAULT_CERTIFICATION_PRIMES
-    # Four copies of H are one class, ranked once.
+    # Four copies of H are four blocks, each settled by the first prime.
     res = rank_certified(_diagonal(H, H, H, H), MultiPrime(primes))
-    assert (res.rank, res.peeled, res.classes) == (8, 0, 1)
-    assert calls == [primes[0]]
+    assert (res.rank, res.peeled, res.blocks) == (8, 0, 4)
+    assert calls == [primes[0]] * 4
 
-    # diag(65521 H, H): the 65521 H class tries the next prime, the H
-    # class is settled by the first.
+    # diag(65521 H, H): the 65521 H block tries the next prime, the H
+    # block is settled by the first.
     calls.clear()
     unlucky = _diagonal([[65521 * v for v in row] for row in H], H)
     res = rank_certified(unlucky, MultiPrime((65521,) + primes[:2]))
-    assert (res.rank, res.peeled, res.classes, res.unsettled) == (4, 0, 2, 0)
+    assert (res.rank, res.peeled, res.blocks, res.unsettled) == (4, 0, 2, 0)
     assert calls == [65521, primes[0], 65521]
 
     # One 2x1 block: rank 1 is full, so the first prime settles it.
     calls.clear()
     singular = SparseMatrix(2, 3, [(0, 0, 1), (1, 0, 2)], Q)
     res = rank_certified(singular, MultiPrime(primes))
-    assert (res.rank, res.classes, res.unsettled) == (1, 1, 0)
+    assert (res.rank, res.blocks, res.unsettled) == (1, 1, 0)
     assert calls == [primes[0]]
 
 
 def test_multiprime_takes_max_per_class():
     # Each diagonal entry vanishes mod one of the two primes, so both whole
-    # matrix ranks are 1; each class keeps its own max, 1, and the sum is 2.
+    # matrix ranks are 1; each block keeps its own max, 1, and the sum is 2.
     m = SparseMatrix(2, 2, [(0, 0, 65521), (1, 1, 65537)], Q)
     assert rank_mod_p(m, 65521).rank == rank_mod_p(m, 65537).rank == 1
     res = rank_certified(m, MultiPrime((65521, 65537)))
     assert res.rank == 2
-    assert (res.classes, res.unsettled) == (2, 0)
+    assert (res.blocks, res.unsettled) == (2, 0)
 
 
 def _repeated(block, copies, field=Q):
@@ -312,31 +312,16 @@ def _repeated(block, copies, field=Q):
             for w in range(copies)]
 
 
-def test_class_table_ranks_each_copy_of_a_block_too_large_to_keep():
-    # A 16384 x 16384 cyclic bidiagonal block has 2^15 entries, the least
-    # that the class table does not keep, and two in each column, so none is
-    # peeled: each copy is ranked on its own.  One entry 2 makes its
-    # determinant 1 - 2 = -1.
-    n = 1 << 14
-    cyclic = [(r, c, 2 if (r, c) == (0, 1) else 1) for r in range(n) for c in (r, (r + 1) % n)]
-    assert len(cyclic) == 1 << 15
-    for res in (rank_exact_q(_repeated(cyclic, 2)), rank_mod_p(_repeated(cyclic, 2), 7)):
-        assert (res.rank, res.peeled, res.classes, res.nnz) == (2 * n, 0, 2, 4 * n)
-    # A small block that repeats is still ranked once.
-    small = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
-    res = rank_exact_q(_repeated(small, 3))
-    assert (res.rank, res.peeled, res.classes) == (6, 0, 1)
-
-
-def test_stream_copies_multiply_ranks_from_one_class_table():
-    # One block taken twice, then the same block once: one class, ranked
-    # once, and the stream's rank counts it three times.
+def test_stream_copies_multiply_the_rank_of_each_block():
+    # One block taken twice, then the same block once: each matrix is one
+    # block, ranked on its own, and the stream's rank counts the
+    # block three times.
     block = [(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 4)]
     r = rank_gauss_fractions(dense_rows(SparseMatrix(3, 2, block, Q)))
     (first, _), (second, _) = _repeated(block, 2)
     stream = [(first, 2), (second, 1)]
     for res in (rank_exact_q(stream), rank_mod_p(stream, 7)):
-        assert (res.rank, res.classes, res.nnz) == (3 * r, 1, 8)
+        assert (res.rank, res.blocks, res.nnz) == (3 * r, 2, 8)
 
 
 def test_field_mismatch_inside_a_stream():
@@ -361,14 +346,13 @@ def test_multiprime_resolves_primes_at_construction(monkeypatch):
 
 def test_multiprime_counts_unsettled_classes():
     # The singular 2x2 block stays at rank 1 of 2 mod every prime; the two
-    # copies of H form one settled class.
+    # copies of H are settled.
     m = _diagonal([[1, 2], [2, 4]], H, H)
-    # (rows, copies, distinct columns) of each class.
-    assert _block_classes(m) == [(2, 1, 2), (2, 2, 2)]
+    assert _block_shapes(m) == [(2, 2)] * 3
     res = rank_certified(m, MultiPrime(DEFAULT_CERTIFICATION_PRIMES))
-    assert (res.rank, res.peeled, res.classes, res.unsettled) == (5, 0, 2, 1)
+    assert (res.rank, res.peeled, res.blocks, res.unsettled) == (5, 0, 3, 1)
     res = rank_mod_p(m, 7)
-    assert (res.rank, res.peeled, res.classes, res.unsettled) == (5, 0, 2, 1)
+    assert (res.rank, res.peeled, res.blocks, res.unsettled) == (5, 0, 3, 1)
 
 
 def test_block_diagonal_rank_is_sum_over_three_primes():
@@ -385,7 +369,7 @@ def test_block_diagonal_rank_is_sum_over_three_primes():
         assert rank_mod_p(big, p).rank == expected
     assert rank_certified(big, MultiPrime()).rank == expected
     assert rank_exact_q(big).rank == expected
-    assert _block_keys(big._rows) == _block_keys(big._rows)
+    assert _blocks(big._rows) == _blocks(big._rows)
 
 
 def test_huge_declared_shape_costs_only_its_entries():
@@ -430,17 +414,14 @@ def _place_copies(blocks, counts, rng, pad, shuffle_rows):
     return SparseMatrix(nrows + pad, ncols + pad, entries, Q)
 
 
-def _block_classes(m):
-    """(rows, copies, distinct columns) of each class of identical row
-    blocks, in order of the class's first block."""
-    classes = {}
-    for key, ncols in _block_keys(m._rows):
-        classes.setdefault(key, [len(key[0]), 0, ncols])[1] += 1
-    return [tuple(cls) for cls in classes.values()]
+def _block_shapes(m):
+    """(rows, distinct columns) of each row block, in order of the block's
+    smallest row."""
+    return [(len(block), len(set().union(*block))) for block in _blocks(m._rows)]
 
 
 def _block_count(m):
-    return len(_block_keys(m._rows))
+    return len(_blocks(m._rows))
 
 
 def test_repeated_blocks_rank_matches_oracle():
@@ -450,25 +431,24 @@ def test_repeated_blocks_rank_matches_oracle():
                                       (2, 0, 1), (2, 2, Fraction(5, 4))], Q))
     counts = (3, 1, 4, 2)
     expected = sum(k * rank_gauss_fractions(dense_rows(b)) for b, k in zip(blocks, counts))
-    single = _place_copies(blocks, (1, 1, 1, 1), rng, 0, False)
     for shuffle_rows in (False, True):
         # Zero padding keeps the matrix on the sparse path.
         m = _place_copies(blocks, counts, rng, 300, shuffle_rows)
-        assert rank_exact_q(m).rank == expected
+        res = rank_exact_q(m)
+        assert res.rank == expected
         for p in DEFAULT_CERTIFICATION_PRIMES:
             assert rank_mod_p(m, p).rank == expected
-        classes = _block_classes(m)
         assert _block_count(m) == sum(k * _block_count(b) for b, k in zip(blocks, counts))
-        if not shuffle_rows:
-            assert len(classes) == len(_block_classes(single))
-        assert _block_classes(m) == classes
+        assert res.blocks <= _block_count(m)
+        assert sorted(_block_shapes(m)) == sorted(
+            shape for b, k in zip(blocks, counts) for shape in _block_shapes(b) * k)
 
 
 def test_same_pattern_different_value_not_merged():
     ones = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
     other = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)]
     m = SparseMatrix(200, 200, ones + [(r + 2, c + 2, v) for r, c, v in other], Q)
-    assert len(_block_classes(m)) == 2
+    assert _block_count(m) == 2
     assert rank_exact_q(m).rank == 3
     for p in DEFAULT_CERTIFICATION_PRIMES:
         assert rank_mod_p(m, p).rank == 3
@@ -478,7 +458,7 @@ def test_bad_prime_inside_repeated_block():
     block = [(0, 0, Fraction(1, 5)), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
     entries = [(r + 2 * k, c + 2 * k, v) for k in range(3) for r, c, v in block]
     m = SparseMatrix(200, 200, entries, Q)
-    assert len(_block_classes(m)) == 1
+    assert _block_count(m) == 3
     with pytest.raises(BadPrime):
         rank_mod_p(m, 5)
     assert rank_mod_p(m, 7).rank == 6
@@ -487,14 +467,14 @@ def test_bad_prime_inside_repeated_block():
 
 def test_block_class_counts_of_flattenings():
     from brlab.binaryforms import restricted_koszul
-    for n, blocks, classes in ((4, 64, 16), (5, 125, 24)):
+    for n, blocks in ((4, 64), (5, 125)):
         m = restricted_koszul(n, n, n).matrix
-        assert (_block_count(m), len(_block_classes(m))) == (blocks, classes)
+        assert _block_count(m) == blocks
     m = koszul_flattening(matmul_tensor(3, 3, 3), 4).matrix
-    assert (_block_count(m), len(_block_classes(m))) == (351, 37)
+    assert _block_count(m) == 351
 
 
-# rank_exact_q ranks each class over F_2 first, then mod this prime, and
+# rank_exact_q ranks each block over F_2 first, then mod this prime, and
 # falls back to fraction-free elimination only when both ranks are below
 # min(rows, cols).
 P = DEFAULT_CERTIFICATION_PRIMES[0]
@@ -516,7 +496,7 @@ def _count_passes(monkeypatch) -> list:
 def test_settle_prime_is_first_certification_prime(monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     calls = _count_passes(monkeypatch)
-    # det -2: rank 1 mod 2, so the class reaches the mod-p pass.
+    # det -2: rank 1 mod 2, so the block reaches the mod-p pass.
     m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
     assert rank_exact_q(m).rank == 2
     assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
@@ -535,11 +515,11 @@ def test_exact_q_unlucky_prime_falls_back():
     # diag(2P H, [[1, 2], [1, 1]]): two 2x2 blocks, the first of rank 0 mod
     # 2 and mod P, the second of full rank mod 2.
     res = rank_exact_q(_diagonal([[2 * P * v for v in row] for row in H], [[1, 2], [1, 1]]))
-    assert (res.rank, res.peeled, res.classes, res.unsettled, res.settled_mod_2) == (4, 0, 2, 1, 1)
+    assert (res.rank, res.peeled, res.blocks, res.unsettled, res.settled_mod_2) == (4, 0, 2, 1, 1)
     # One block, det 2P over Q, rank 1 mod 2 and mod P.
     res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (0, 1, 2 * P),
                                            (1, 0, 1), (1, 1, 2)], Q))
-    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 1, 1, 0)
+    assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 1, 0)
 
 
 def test_exact_q_rational_rows_reduced_after_scaling():
@@ -566,7 +546,7 @@ def test_exact_q_full_rank_block_skips_fraction_free(monkeypatch):
     m = _random_matrix(rng, 7, 5, fill=1.0)
     assert rank_gauss_fractions(dense_rows(m)) == 5
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (5, 1, 0, 1)
+    assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (5, 1, 0, 1)
     # Full rank mod 2: no mod-p and no fraction-free pass.
     assert calls == []
 
@@ -575,7 +555,7 @@ def test_exact_q_full_over_q_not_mod_2_settles_mod_p(monkeypatch):
     calls = _count_passes(monkeypatch)
     m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.unsettled, res.settled_mod_2) == (2, 1, 0, 0)
+    assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 0)
     assert calls == [P]
 
 
@@ -590,14 +570,16 @@ def test_rank_f2_against_oracle():
             if rng.random() < 0.2:
                 row = [2 * v for v in row]
             dense.append(row)
-        block = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in dense)
+        block = [{c: v for c, v in enumerate(row) if v} for row in dense]
         full = min(rows, cols)
         assert rank_engine._rank_f2(block, full) == rank_gauss_mod_p(dense, 2), dense
         shapes.add((rows > cols) - (rows < cols))
     assert shapes == {-1, 0, 1}
-    # Odd negative entries are 1 mod 2, even ones 0.
-    assert rank_engine._rank_f2((((0, -3), (1, -4)), ((0, 5), (1, -1))), 2) == 2
-    assert rank_engine._rank_f2((((0, -2), (1, 4)), ((0, 6),)), 2) == 0
+    # Odd negative entries are 1 mod 2, even ones 0.  Columns are numbered
+    # in order of first sight, so their ids may be large or out of order.
+    assert rank_engine._rank_f2([{0: -3, 1: -4}, {0: 5, 1: -1}], 2) == 2
+    assert rank_engine._rank_f2([{0: -2, 1: 4}, {0: 6}], 2) == 0
+    assert rank_engine._rank_f2([{10**30: 1, 3: 1}, {3: 1}], 2) == 2
 
 
 def test_only_exact_q_runs_the_f2_pass(monkeypatch):
@@ -627,10 +609,10 @@ def test_exact_q_rank_deficient_block_runs_one_fraction_free_pass(monkeypatch):
     prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
     m = SparseMatrix(5, 5, [(r, c, v) for r, row in enumerate(prod)
                             for c, v in enumerate(row) if v], Q)
-    assert len(_block_classes(m)) == 1
+    assert _block_count(m) == 1
     assert rank_gauss_fractions(prod) == 3
     res = rank_exact_q(m)
-    assert (res.rank, res.classes, res.unsettled) == (3, 1, 1)
+    assert (res.rank, res.blocks, res.unsettled) == (3, 1, 1)
     assert calls == [P, None]
 
 
@@ -755,20 +737,28 @@ def test_eliminate_against_oracles():
     assert deficient > 20 and lower_mod_7 > 5
 
 
-def test_exact_q_keys_rows_scaled_by_their_denominators():
-    # Rows (1/2, 1/3) and (1/5, -1/5) scale to (3, 2) and (1, -1), so the
-    # two 2x2 blocks below are equal after scaling: one class under exact
-    # Q, two mod a prime, whose keys keep the exact values.
+def test_exact_q_scales_rows_by_their_denominators(monkeypatch):
+    # Rows (1/2, 1/3) and (1/5, -1/5) scale to (3, 2) and (1, -1), so every
+    # block reaches the F_2 pass with int entries under exact Q.  Mod a
+    # prime the exact values are read.
+    seen = []
+    real = rank_engine._rank_f2
+
+    def spy(block, full):
+        seen.extend(v for row in block for v in row.values())
+        return real(block, full)
+
+    monkeypatch.setattr(rank_engine, "_rank_f2", spy)
     first = [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (1, 0, 1), (1, 1, -1)]
     second = [(0, 0, 3), (0, 1, 2), (1, 0, Fraction(1, 5)), (1, 1, Fraction(-1, 5))]
     m = SparseMatrix(40, 40, first + [(r + 2, c + 7, v) for r, c, v in second], Q)
     res = rank_exact_q(m)
     assert res.rank == rank_gauss_fractions(dense_rows(m)) == 4
-    assert res.classes == 1
-    assert all(type(v) is int for key, _ in _block_keys(m._rows, True) for v in key[2])
-    assert len({key for key, _ in _block_keys(m._rows, True)}) == 1
+    assert res.blocks == 2
+    assert sorted(seen) == [-1, -1, 1, 1, 2, 2, 3, 3]
+    assert all(type(v) is int for v in seen)
     res = rank_mod_p(m, 7)
-    assert (res.rank, res.classes) == (4, 2)
+    assert (res.rank, res.blocks) == (4, 2)
     # Non-exact ranks read the exact values, so a prime that divides a
     # denominator still raises.
     for p in (2, 3, 5):

@@ -66,7 +66,7 @@ def test_rank_results_ignore_their_times():
         assert other == res and hash(other) == hash(res)
     assert RankResult(4, 16, 1, 2, 0, 1, 1.5, 2.5) != res
     assert RankResult(4, 16, 0, 2, 0, 2, 1.5, 2.5) != res
-    assert RankResult(rank=4, nnz=16, peeled=1, classes=2, unsettled=0, settled_mod_2=2,
+    assert RankResult(rank=4, nnz=16, peeled=1, blocks=2, unsettled=0, settled_mod_2=2,
                       split_ms=0.0, rank_ms=0.0) == res
 
 
@@ -109,9 +109,9 @@ def test_certificate_defaults_and_replace():
 def test_bound_classical_sums_the_three_flattenings_as_before():
     fr = bound_classical(matmul_tensor(3, 3, 3)).flattening
     counts = {name: getattr(fr, name) for name in (
-        "rows", "cols", "rank", "nnz", "soundness", "summands", "classes", "block_classes",
+        "rows", "cols", "rank", "nnz", "soundness", "summands", "classes", "blocks",
         "unsettled", "settled_mod_2", "orbits", "orbit_weights", "nnz_written")}
     assert counts == {"rows": 81, "cols": 9, "rank": 9, "nnz": 81, "soundness": "exact-Q",
-                      "summands": 3, "classes": 1, "block_classes": 3, "unsettled": 0,
+                      "summands": 3, "classes": 1, "blocks": 3, "unsettled": 0,
                       "settled_mod_2": 3, "orbits": 3, "orbit_weights": 9, "nnz_written": 9}
     assert fr.strategy == ExactQ()

@@ -1,6 +1,6 @@
 """Weight spaces: `flattening_rank` ranks the written weight spaces of every
 summand as one stream, and must give the rank of the whole flattening and
-the class counts and nnz of the spaces assembled from the stream."""
+the block counts and nnz of the spaces assembled from the stream."""
 
 import tracemalloc
 import warnings
@@ -11,7 +11,7 @@ import brlab.bounds as bounds
 from brlab.binaryforms import restrict_matmul
 from brlab.bounds import flattening_rank
 from brlab.exterior import WedgeRangeWarning, koszul_flattening, koszul_weight_spaces
-from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, _block_keys, rank_certified
+from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, _blocks, rank_certified
 from brlab.scalars import FieldTag, certification_primes
 from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
@@ -45,12 +45,12 @@ def assembled(t, p, strategy):
     stream = [(SparseMatrix(shape.rows, shape.cols, cells, t.field), copies)
               for (_, copies), (shape, cells) in parts.items()]
     res = rank_certified(stream, strategy)
-    return (res.rank, res.peeled, res.classes, res.settled_mod_2, res.unsettled, res.nnz,
+    return (res.rank, res.peeled, res.blocks, res.settled_mod_2, res.unsettled, res.nnz,
             sum(copies * matrix.nnz for matrix, copies in stream))
 
 
 def streamed(fr):
-    return (fr.rank, fr.peeled, fr.block_classes, fr.settled_mod_2, fr.unsettled,
+    return (fr.rank, fr.peeled, fr.blocks, fr.settled_mod_2, fr.unsettled,
             fr.nnz_written, fr.nnz)
 
 
@@ -75,16 +75,22 @@ def test_every_weight_space_is_a_union_of_blocks():
     # their row blocks are those of the matrix they make up.
     t = restrict_matmul(4, 4, 1)
     reps, space = koszul_weight_spaces(t, 3, mirror_grading(t))
-    keys, cells, rows = [], [], set()
+    blocks, cells, rows = [], [], set()
     for w, _ in reps:
         matrix = space(w)
         assert rows.isdisjoint(matrix._rows)
         rows |= matrix._rows.keys()
-        keys += [key for key, _ in _block_keys(matrix._rows)]
+        blocks += [_entries(block) for block in _blocks(matrix._rows)]
         cells += [(r, c, v) for r, row in matrix._rows.items() for c, v in row.items()]
     assert rank_certified([(space(w), size) for w, size in reps], ExactQ()).nnz == len(cells)
     matrix = SparseMatrix(matrix.rows, matrix.cols, cells, t.field)
-    assert sorted(keys) == sorted(key for key, _ in _block_keys(matrix._rows))
+    whole = [_entries(block) for block in _blocks(matrix._rows)]
+    assert sorted(blocks) == sorted(whole)
+
+
+def _entries(block):
+    """A block's rows as sorted (column, value) tuples, in row order."""
+    return [tuple(sorted(row.items())) for row in block]
 
 
 @pytest.mark.parametrize("t,p,fixed", [
@@ -157,8 +163,8 @@ def _peak(run):
 def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
     # Restricted n = 7, one summand: 25 of its 49 weight spaces are written,
     # the largest holding 2492 of the 45276 entries.  The stream holds one
-    # of them at a time, and each peels to nothing, so no class key is
-    # kept; the whole flattening holds all 49 at once.
+    # of them at a time, and each peels to nothing, so no block is split
+    # off; the whole flattening holds all 49 at once.
     t = restrict_matmul(7, 7, 1)
 
     def whole():
@@ -170,7 +176,7 @@ def test_streamed_peak_is_a_fraction_of_the_whole_flattening():
 def test_largest_weight_space_is_ranked_before_the_class_table_fills():
     # Restricted n = 8, one summand: 32 mirror pairs, written largest
     # first.  Each space peels to nothing, so the largest (9810 entries) is
-    # held with its peel counts alone, and no block is split or keyed.
+    # held with its peel counts alone, and no block is split.
     # Traced peak on Python 3.11: 2.0 MB; 3.4-3.6 MB while each space was
     # split and keyed, and 4.5 MB when, besides, the smallest came first.
     assert _peak(lambda: flattening_rank(restrict_matmul(8, 8, 1), 7)) < 3_800_000
