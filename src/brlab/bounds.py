@@ -8,7 +8,7 @@ the ceiling is always applied and recorded alongside the raw quotient).
 Soundness labels follow the rank engine: "exact-Q" certificates are tight
 for the flattening at hand, and so are "exact-Fp" ones for a tensor given
 over F_p, ranked over that field; "mod-p-lower-bound" certificates (a Q
-tensor ranked with --field fp[:P] or multiprime, some class of which no
+tensor ranked with --field fp[:P] or multiprime, with some block that no
 prime brought to full rank) are sound but possibly loose, and closed-form
 certificates carry no matrix at all.  Unless asked otherwise, a tensor
 over Q is ranked over exact Q and one over F_p mod p.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -31,7 +32,6 @@ from .exterior import (
     redundancy_cap,
 )
 from .rank_engine import ExactQ, MultiPrime, rank_certified
-from .record import Record
 from .tensor import Tensor3, direct_summands, index_symmetries, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
@@ -44,17 +44,17 @@ SOUND_CLOSED_FORM = "closed-form"
 _TABLE_RANK_COLS = 600
 
 
-class BoundCertificate(Record):
+class BoundCertificate(namedtuple(
+        "BoundCertificate", "method descriptor rows cols rank divisor quotient bound field_label "
+        "soundness p flags timings_ms flattening", defaults=(None, (), 0.0, None))):
     """Auditable record tying a computed rank to a border-rank lower bound.
 
     flattening is telemetry outside the canonical payload: the ranked
-    `FlatteningRank` with its summand split and block-class counts (None
-    for closed forms).
+    `FlatteningRank` with its summand split, peeling and block counts
+    (None for closed forms).
     """
 
-    __slots__ = ("method", "descriptor", "rows", "cols", "rank", "divisor", "quotient", "bound",
-                 "field_label", "soundness", "p", "flags", "timings_ms", "flattening")
-    _defaults = {"p": None, "flags": (), "timings_ms": 0.0, "flattening": None}
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {
@@ -120,7 +120,10 @@ def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-class FlatteningRank(Record):
+class FlatteningRank(namedtuple(
+        "FlatteningRank", "rows cols rank nnz strategy soundness summands classes rank_ms "
+        "split_ms flatten_ms peeled blocks unsettled settled_mod_2 orbits orbit_weights "
+        "nnz_written")):
     """Rank of a tensor's wedge flattening, from one rank pass over the
     weight spaces written for its direct summands.
 
@@ -146,9 +149,7 @@ class FlatteningRank(Record):
     strategy is the `MultiPrime` or `ExactQ` that ranked it.
     """
 
-    __slots__ = ("rows", "cols", "rank", "nnz", "strategy", "soundness", "summands", "classes",
-                 "rank_ms", "split_ms", "flatten_ms", "peeled", "blocks", "unsettled",
-                 "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
+    __slots__ = ()
 
 
 def flattening_rank(t: Tensor3, p: int,
@@ -171,9 +172,11 @@ def flattening_rank(t: Tensor3, p: int,
     spaces reach `rank_certified` as one stream of (space, copies) pairs,
     so that one space is held at a time (`rank_engine._rank_blocks`).  The
     strategy defaults to exact rank over t's field: ExactQ over Q, its
-    prime over F_p.  p is checked here (`check_wedge_power`), before any
-    summand is flattened; the `koszul_flattening` of an ungraded summand
-    checks it again, from a second place.
+    prime over F_p.  p is checked (`check_wedge_power`) once per summand
+    group, as the stream reaches it: by `koszul_flattening` for an ungraded
+    group, and just before `koszul_weight_spaces` for a graded one.  So a
+    bad p raises InvalidDimension from within `rank_certified`, and
+    `WedgeRangeWarning` comes from one place per route.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-block maxes over the primes, a sound lower bound by the argument of
@@ -184,7 +187,6 @@ def flattening_rank(t: Tensor3, p: int,
     t.nnz * C(a-1, p) entries.
     """
     a, b, c = t.dims
-    check_wedge_power(a, p)
     strat = strategy if strategy is not None else _auto_strategy(t)
     summands = direct_summands(t)
     orbits = covered = 0
@@ -198,6 +200,7 @@ def flattening_rank(t: Tensor3, p: int,
                 # times for the flattening time and nnz of random_dense.
                 yield koszul_flattening(summand, p).matrix, count
                 continue
+            check_wedge_power(a, p)
             reps, space = koszul_weight_spaces(summand, p, grading, index_symmetries(summand))
             orbits += len(reps)
             covered += sum(size for _, size in reps)
@@ -249,7 +252,7 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
     best = max(frs, key=lambda fr: fr.rank)
     summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "peeled", "blocks", "unsettled",
               "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
-    return _certificate("classical", descriptor, best.replace(
+    return _certificate("classical", descriptor, best._replace(
         **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
 
 

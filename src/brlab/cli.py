@@ -353,8 +353,8 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_note
-            # flattening_rank checks p, and so does the koszul_flattening of
-            # each summand that it does not grade: each note shows once.
+            # flattening_rank checks p once per summand group that it
+            # flattens: each note shows once.
             warnings.simplefilter("once", WedgeRangeWarning)
             return args.func(args)
     except (BadPrime, DivisionByZero) as exc:

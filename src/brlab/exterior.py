@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from collections import namedtuple
 from functools import partial
 from itertools import combinations, count
 from math import comb
 
 from .errors import InvalidDimension
 from .rank_engine import SparseMatrix
-from .record import Record
 from .tensor import Tensor3
 
 
@@ -37,7 +37,7 @@ class WedgeRangeWarning(UserWarning):
     """p exceeds ceil(a/2) - 1: the flattening duplicates a complementary one."""
 
 
-class KoszulMatrix(Record):
+class KoszulMatrix(namedtuple("KoszulMatrix", "matrix")):
     """Wedge-power flattening as an explicit sparse matrix.
 
     Row index of (k, S') is colex(S')*c + k; column index of (j, S) is
@@ -45,7 +45,7 @@ class KoszulMatrix(Record):
     flattening including its row order.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -266,10 +266,8 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     # SparseMatrix still rejects duplicates, so a broken table fails loudly.
     # Each weight's cells are written entry by entry in storage order, and
     # each entry's in colex order of S, so every row keeps its entries in
-    # the order of the tensor's.
-    p_mod = None if t.field.is_q else t.field.p
-    entries = [(i, j, k, v, -v if p_mod is None else p_mod - v, wb.get(j, 0))
-               for (i, j, k), v in t._cells.items()]
+    # the order of the tensor's.  Over F_p, SparseMatrix reduces -v mod p.
+    entries = [(i, j, k, v, -v, wb.get(j, 0)) for (i, j, k), v in t._cells.items()]
     # Only the slices that a written weight reads are built: those of the
     # other weights of an orbit never are.
     needed: dict[int, set[int]] = {}

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import namedtuple
 from math import gcd, lcm
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .record import Record
 from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
 
 
@@ -139,7 +139,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, field={self.field})"
 
 
-class RankResult(Record):
+class RankResult(namedtuple("RankResult", "rank nnz peeled blocks unsettled settled_mod_2 "
+                                          "split_ms rank_ms")):
     """Outcome of one exact rank computation.
 
     peeled counts the pivots that peeling took (`_peel`), each of rank 1,
@@ -154,26 +155,26 @@ class RankResult(Record):
     copies.  split_ms is the time spent splitting the peeled matrices into
     row blocks, rank_ms that of peeling, of scaling rational rows and of
     the rank passes over the blocks; neither counts the writing of a
-    streamed matrix, and results that differ only in them compare equal.
+    streamed matrix.  Results compare as tuples, times included.
     """
 
-    __slots__ = ("rank", "nnz", "peeled", "blocks", "unsettled", "settled_mod_2", "split_ms",
-                 "rank_ms")
-    _compared = ("rank", "nnz", "peeled", "blocks", "unsettled", "settled_mod_2")
+    __slots__ = ()
 
 
-class MultiPrime(Record):
+class MultiPrime(namedtuple("MultiPrime", "primes")):
     """Take the max of ranks over a list of primes (a tuple), by default the
-    active certification primes, resolved once at construction."""
+    active certification primes, resolved once at construction (`_replace`
+    resolves nothing)."""
 
-    __slots__ = ("primes",)
+    __slots__ = ()
 
-    def __init__(self, primes: tuple[int, ...] | None = None) -> None:
-        super().__init__(certification_primes() if primes is None else primes)
+    def __new__(cls, primes: tuple[int, ...] | None = None) -> "MultiPrime":
+        return super().__new__(cls, certification_primes() if primes is None else primes)
 
 
-class ExactQ(Record):
-    """Exact rank over the rationals."""
+class ExactQ(namedtuple("ExactQ", "")):
+    """Exact rank over the rationals.  The strategies are named tuples, and
+    this one is empty, hence falsy: test a strategy with `is None`."""
 
     __slots__ = ()
 

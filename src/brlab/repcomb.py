@@ -10,10 +10,10 @@ binomial sum from an Euler characteristic) so each validates the other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 
 from .errors import FormatError, InvalidDimension, OrderViolation
-from .record import Record
 
 Partition = tuple[int, ...]
 
@@ -85,10 +85,10 @@ def partitions_in_box(size: int, max_part: int, max_rows: int):
             yield (first,) + rest
 
 
-class IsotypicSummand(Record):
+class IsotypicSummand(namedtuple("IsotypicSummand", "pi_m pi_u multiplicity dimension")):
     """One (S_piM M) (x) (S_piU U) block with its multiplicity and dimension."""
 
-    __slots__ = ("pi_m", "pi_u", "multiplicity", "dimension")
+    __slots__ = ()
 
 
 def cauchy_wedge(p: int, m: int, n: int) -> list[IsotypicSummand]:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BadPrime, DivisionByZero, FormatError
-from .record import Record
 
 # Bound on a user-given modulus ("Fp:<p>", --field fp:P, BRLAB_PRIMES),
 # well inside the range where is_prime is exact.
@@ -82,14 +82,6 @@ def certification_primes() -> tuple[int, ...]:
     return primes
 
 
-def format_rational(q: Fraction | int) -> str:
-    """Serialize as "num/den", with the denominator omitted when it is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 _NATURAL_LITERAL = re.compile(r"[0-9]+")
@@ -123,17 +115,20 @@ def parse_natural(s: str) -> int:
         raise FormatError(f"bad natural number {s!r}") from exc
 
 
-class FieldTag(Record):
+class FieldTag(namedtuple("FieldTag", "kind p")):
     """Field of computation: the rationals ("Q") or F_p for a checked prime.
 
     Values stay unwrapped (int or non-integral Fraction for Q, int in [0, p)
     for F_p); the tag brings values into that form and reads and writes them
     as text.  Arithmetic on them is plain Python followed by `coerce`.
+
+    A tag is a named tuple, checked when it is built; `_replace` skips that
+    check.
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ()
 
-    def __init__(self, kind: str, p: int | None = None) -> None:
+    def __new__(cls, kind: str, p: int | None = None) -> "FieldTag":
         if kind == "Q":
             if p is not None:
                 raise BadPrime("the rationals carry no modulus")
@@ -144,7 +139,7 @@ class FieldTag(Record):
                 raise BadPrime(f"modulus {p} is not prime")
         else:
             raise BadPrime(f"unknown field kind {kind!r}")
-        super().__init__(kind, p)
+        return super().__new__(cls, kind, p)
 
     @staticmethod
     def rationals() -> "FieldTag":
@@ -195,9 +190,7 @@ class FieldTag(Record):
     # -- element serialization ("num/den" over Q, decimal over F_p) ----
 
     def serialize(self, x) -> str:
-        if self.is_q:
-            return format_rational(x)
-        return str(x % self.p)
+        return str(x) if self.is_q else str(x % self.p)
 
     def parse(self, s: str):
         """Read "[sign]digits" over F_p, a rational literal over Q."""

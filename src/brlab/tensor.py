@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -211,9 +211,7 @@ def mirror_grading(t: Tensor3) -> tuple[dict[int, int], dict[int, int]] | None:
     for f in free:
         vec = {f: Fraction(1)}
         vec.update((x, row[f]) for x, row in pivots.items() if f in row)
-        scale = 1
-        for d in vec.values():
-            scale = scale * d.denominator // gcd(scale, d.denominator)
+        scale = lcm(*(d.denominator for d in vec.values()))
         basis.append({x: int(d * scale) for x, d in vec.items()})
     top = max((abs(d) for vec in basis for d in vec.values()), default=0)
     radix = 2 * (a + 3) * top + 1

@@ -19,10 +19,11 @@ from brlab.bounds import (
     lickteig_square,
 )
 from brlab.errors import InvalidDimension, OrderViolation
-from brlab.exterior import classical_tensor
+from brlab.exterior import WedgeRangeWarning, classical_tensor
 from brlab.rank_engine import ExactQ, MultiPrime
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
-from brlab.tensor import Tensor3, add_tensors, matmul_tensor, rank_one_tensor
+from brlab.tensor import (Tensor3, add_tensors, direct_summands, matmul_tensor, mirror_grading,
+                          rank_one_tensor)
 
 Q = FieldTag.rationals()
 FIRST_PRIME = MultiPrime((DEFAULT_CERTIFICATION_PRIMES[0],))
@@ -225,3 +226,19 @@ def test_compare_table_contents():
 def test_compare_table_dominance_range():
     for row in compare_table(3, 8):
         assert row["theorem1"] > row["lickteig"]
+
+
+def test_flattening_rank_checks_p_once_per_route():
+    # Ungraded: the reversal sends the entry 1 at (0, 0, 0) to 6 at (3, 2, 2).
+    ungraded = Tensor3((4, 3, 3), [(i, j, k, i + j + 1) for i in range(4) for j in range(3)
+                                   for k in range(3)], Q)
+    assert mirror_grading(ungraded) is None and len(direct_summands(ungraded)) == 1
+    graded = matmul_tensor(2, 2, 1)
+    assert mirror_grading(graded) is not None and len(direct_summands(graded)) == 1
+    for t in (ungraded, graded):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flattening_rank(t, 2)
+        assert [w.category for w in caught] == [WedgeRangeWarning]
+        with pytest.raises(InvalidDimension):
+            flattening_rank(t, t.dims[0])

@@ -210,11 +210,15 @@ def test_rank_transpose_equal():
 def test_determinism_repeated_runs():
     rng = random.Random(31337)
     m = _random_matrix(rng, 15, 15, fill=0.2)
-    first = rank_certified(m, MultiPrime())
+
+    def untimed(res):
+        return res._replace(split_ms=0.0, rank_ms=0.0)
+
+    first = untimed(rank_certified(m, MultiPrime()))
     for _ in range(3):
-        assert rank_certified(m, MultiPrime()) == first
-    q1 = rank_exact_q(m)
-    assert rank_exact_q(m) == q1
+        assert untimed(rank_certified(m, MultiPrime())) == first
+    q1 = untimed(rank_exact_q(m))
+    assert untimed(rank_exact_q(m)) == q1
 
 
 def test_sparse_matrix_validation():

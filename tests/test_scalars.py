@@ -12,7 +12,6 @@ from brlab.scalars import (
     PRIME_MODULUS_CAP,
     FieldTag,
     certification_primes,
-    format_rational,
     is_prime,
     parse_natural,
     parse_rational,
@@ -20,10 +19,11 @@ from brlab.scalars import (
 
 
 def test_rational_serialization():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-    assert format_rational(Fraction(7)) == "7"
-    assert format_rational(Fraction(0)) == "0"
+    q = FieldTag.rationals()
+    assert q.serialize(Fraction(3, 4)) == "3/4"
+    assert q.serialize(Fraction(-1, 2)) == "-1/2"
+    assert q.serialize(Fraction(7)) == "7"
+    assert q.serialize(Fraction(0)) == "0"
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-5") == Fraction(-5)
     with pytest.raises(DivisionByZero):
