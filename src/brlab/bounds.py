@@ -40,8 +40,8 @@ SOUND_MOD_P = "mod-p-lower-bound"
 SOUND_CLOSED_FORM = "closed-form"
 
 # compare_table computes the restricted bound when the map has at most this
-# many columns.
-_TABLE_RANK_COLS = 600
+# many columns, n^2 C(2n - 1, n - 1): n <= 8 (n = 9 has 1969110).
+_TABLE_RANK_COLS = 411_840
 
 
 class BoundCertificate(namedtuple(
@@ -139,9 +139,10 @@ class FlatteningRank(namedtuple(
     the pivots that peeling took from the written spaces, and blocks the
     row blocks left and ranked, each space's once (`RankResult.peeled`,
     `RankResult.blocks`), unsettled the blocks that no prime brought to
-    full rank: under ExactQ, the ones fraction-free elimination ranked, and
-    settled_mod_2 those that the ExactQ pass over F_2 brought to full
-    rank.  orbits and orbit_weights count the weight spaces of the graded
+    full rank or that the ExactQ lift found short: under ExactQ, the ones
+    fraction-free elimination ranked, and settled_mod_2 those that the
+    ExactQ pass over F_2 or its 2-adic lift found to have full rank.
+    orbits and orbit_weights count the weight spaces of the graded
     representatives (see `koszul_weight_spaces`): the orbits, one weight
     space of each written, and the weight spaces they cover, each
     representative's once.  nnz_written counts the entries written, each

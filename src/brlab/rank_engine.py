@@ -33,9 +33,12 @@ copies.)
 Every strategy peels and ranks in one loop, `_rank_blocks`, which also
 makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with three steps per block, all on ints: a bit-packed rank over F_2
-(`_rank_f2`), then the first default certification prime (2^30 - 35), then
-fraction-free elimination where both fall short of full rank.
+with up to four steps per block, all on ints: a bit-packed rank over F_2
+(`_rank_f2`), then 2-adic lifts of that pass (`_lift_f2`), which settle a
+block as full rank or short, then, only when the lift runs out of budget,
+the first default certification prime (2^30 - 35), and fraction-free
+elimination where the lift finds the block short or the prime leaves it
+short.
 
 One sparse elimination loop, `_eliminate`, serves both fields, with one
 inner loop for each: mod p, with the pivot row left unscaled, or over the
@@ -147,14 +150,15 @@ class RankResult(namedtuple("RankResult", "rank nnz peeled blocks unsettled sett
     and blocks the row blocks left and ranked (`_rank_blocks`), both in
     each matrix once whatever its copies.  unsettled counts the blocks
     whose rank stayed below min(block rows, block columns) mod every prime
-    tried; under exact Q these are the ones that fraction-free elimination
-    ranked.  settled_mod_2 counts those that the exact-Q pass over F_2
-    brought to full rank (always 0 for the other strategies); the remaining
-    ones were settled mod a prime.  nnz counts the entries read: the
-    matrix's, or the sum over a stream's matrices, each once whatever its
-    copies.  split_ms is the time spent splitting the peeled matrices into
-    row blocks, rank_ms that of peeling, of scaling rational rows and of
-    the rank passes over the blocks; neither counts the writing of a
+    tried, or that the exact-Q lift (`_lift_f2`) found short; under exact Q
+    these are the ones that fraction-free elimination ranked.
+    settled_mod_2 counts those that the exact-Q pass over F_2 or its lift
+    found to have full rank (always 0 for the other strategies); the
+    remaining ones were settled mod a prime.  nnz counts the entries read:
+    the matrix's, or the sum over a stream's matrices, each once whatever
+    its copies.  split_ms is the time spent splitting the peeled matrices
+    into row blocks, rank_ms that of peeling, of scaling rational rows and
+    of the rank passes over the blocks; neither counts the writing of a
     streamed matrix.  Results compare as tuples, times included.
     """
 
@@ -425,6 +429,77 @@ def _rank_f2(block: list[dict], full: int) -> int:
     return len(basis)
 
 
+def _lift_f2(block: list[dict], full: int) -> bool | None:
+    """Whether an integer block has full rank over Q, by 2-adic lifts of an
+    F_2 pass (in the spirit of Dixon's p-adic lifting): True, False, or
+    None once the lift has read more than 16 times the block's entries.
+
+    It works on the short side: a tall block is transposed, which keeps
+    the rank, so every row must join the basis.  The rows are packed as in
+    `_rank_f2`, each with the history bit 1 << j of its index j below its
+    column bits, so a row that vanishes mod 2 names the basis rows whose
+    sum cancels it mod 2.  Such a row is replaced by (itself + those
+    rows) / 2, an integer row: an invertible rational row operation, so
+    the Q-rank does not change.  The row is tried again, one row at a time,
+    until it joins the basis.
+
+    True: an integer matrix has rank_2 <= rank_Q, so once every row has
+    joined the basis over F_2 the block has full rank.  False: the basis is
+    fixed while a row is lifted, so the row's next state depends only on
+    its current state.  If a state S recurs after k steps, then
+    S = S / 2^k + c with c in span_Q(basis), so S is in that span and the
+    block is short; so is it when a halved sum is exactly zero.  None: the
+    budget bounds time only; the block's rank is left undecided.
+    """
+    if len(block) > full:
+        cols: dict[int, dict] = {}
+        for r, row in enumerate(block):
+            for c, v in row.items():
+                cols.setdefault(c, {})[r] = v
+        block = list(cols.values())
+    budget = 16 * sum(map(len, block))
+    n = len(block)
+    labels: dict[int, int] = {}
+    label = labels.setdefault
+    basis: dict[int, int] = {}
+    joined: list[dict] = []
+    for j, row in enumerate(block):
+        seen = set()
+        while True:
+            x = 0
+            for c, v in row.items():
+                if v & 1:
+                    x |= 1 << label(c, len(labels))
+            x = x << n | 1 << j
+            while x >> n and (b := basis.get(x.bit_length())) is not None:
+                x ^= b
+            if x >> n:
+                basis[x.bit_length()] = x
+                break
+            # Vanished mod 2: the history bits of x but j name the rows
+            # whose sum with row is even.
+            s = dict(row)
+            get = s.get
+            budget -= len(row)
+            x ^= 1 << j
+            while x:
+                low = x & -x
+                add = joined[low.bit_length() - 1]
+                budget -= len(add)
+                for c, v in add.items():
+                    s[c] = get(c, 0) + v
+                x ^= low
+            row = {c: v >> 1 for c, v in s.items() if v}
+            key = frozenset(row.items())
+            if not row or key in seen:
+                return False
+            if budget < 0:
+                return None
+            seen.add(key)
+        joined.append(row)
+    return True
+
+
 def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
                  integer_only: bool = False) -> RankResult:
     """The one rank loop, over a SparseMatrix or a stream of (SparseMatrix,
@@ -449,8 +524,11 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
     denominators (`_scaled_row`), which keeps the Q-rank, so that every
     block holds ints.  Each block is then first ranked over F_2; reduction
     Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a block of full
-    rank mod 2 is settled with no prime.  Any other block runs the primes,
-    and one that stays unsettled is ranked by fraction-free elimination.
+    rank mod 2 is settled with no prime.  A block that F_2 leaves short is
+    lifted (`_lift_f2`): found full rank, it is settled mod 2 too; found
+    short, it is ranked by fraction-free elimination, since no prime can
+    bring it to full rank.  Any other block runs the primes, and one that
+    stays unsettled is ranked by fraction-free elimination.
     With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
@@ -483,12 +561,14 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
             if exact and not integral:
                 block = [_scaled_row(row) for row in block]
             full = min(len(block), len(set().union(*block)))
-            if exact and _rank_f2(block, full) == full:
+            settled = (_rank_f2(block, full) == full or _lift_f2(block, full)) if exact else None
+            if settled:
                 settled_mod_2 += 1
                 r = full
             else:
                 r = 0
-                for tag in tags:
+                # A block that the lift found short reaches full rank mod no prime.
+                for tag in tags if settled is None else ():
                     r = max(r, _eliminate(_block_mod_p(block, tag), tag.p))
                     if r == full:
                         break
@@ -514,13 +594,14 @@ def rank_mod_p(m, p: int) -> RankResult:
 
 
 def rank_exact_q(m) -> RankResult:
-    """Exact rank over Q by the rank loop: peeling, then three steps per
-    row block: the bit-packed rank over F_2, then a pass mod
-    DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35) for a block that F_2 leaves
-    short of full rank, then fraction-free elimination, whose entries grow
-    on dense blocks, for a block that prime leaves short too.  Both moduli
-    are fixed, not read from BRLAB_PRIMES: they never decide a rank, they
-    only skip work.
+    """Exact rank over Q by the rank loop: peeling, then per row block the
+    bit-packed rank over F_2, then, for a block that F_2 leaves short of
+    full rank, its 2-adic lift (`_lift_f2`), which settles the block as
+    full rank or sends it, found short, to fraction-free elimination, whose
+    entries grow on dense blocks.  Only a block whose lift runs out of
+    budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35)
+    first.  Both moduli are fixed, not read from BRLAB_PRIMES: they never
+    decide a rank, they only skip work.
     """
     return _rank_blocks(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 

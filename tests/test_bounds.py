@@ -39,9 +39,11 @@ def test_bound_classical_sums_class_counts_of_the_three_flattenings():
     # Every index of each factor is in two entries, so no column of a
     # flattening has a single entry and nothing is peeled.  Over the three
     # flattenings: 5 blocks, 3 settled mod 2, 1 mod p (mode B's 3x2 block
-    # of rows (1, 0), (0, 2), (3, 2), of rank 1 mod 2) and 1 that falls
+    # of rows (1, 0), (0, 2^40), (3, 2^40), of rank 1 mod 2, whose 2-adic
+    # lift runs out of budget before its 40 halvings) and 1 that falls
     # back (mode C's 3x3 block of rank 2).
-    t = Tensor3((3, 3, 3), [(0, 0, 0, -1), (0, 0, 1, 3), (2, 1, 1, 2), (2, 1, 2, 2),
+    big = 2 ** 40
+    t = Tensor3((3, 3, 3), [(0, 0, 0, -1), (0, 0, 1, 3), (2, 1, 1, big), (2, 1, 2, big),
                             (2, 2, 0, 1), (2, 2, 2, 3)], Q)
     frs = [flattening_rank(classical_tensor(t, mode), 0) for mode in "ABC"]
     fr = bound_classical(t).flattening
@@ -215,8 +217,9 @@ def test_compare_table_contents():
     assert rows[0]["computed"] == 6
     assert rows[1]["computed"] == 15
 
-    rows = compare_table(5, 5)
-    assert rows[0]["computed"] is None
+    # The restricted map is ranked up to n = 8; n = 9 is left out.
+    rows = compare_table(5, 9)
+    assert [row["computed"] for row in rows] == [45, 66, 91, 120, None]
     assert rows[0]["theorem1"] == 45
 
     with pytest.raises(InvalidDimension):

@@ -168,14 +168,14 @@ GOLDEN = [
      [{'n': 2, 'l': 2, 'classical': 4, 'strassen_era': 6, 'lickteig': 6, 'theorem1': 6, 'computed': 6},
       {'n': 3, 'l': 3, 'classical': 9, 'strassen_era': 14, 'lickteig': 14, 'theorem1': 15, 'computed': 15},
       {'n': 4, 'l': 4, 'classical': 16, 'strassen_era': 24, 'lickteig': 25, 'theorem1': 28, 'computed': 28},
-      {'n': 5, 'l': 5, 'classical': 25, 'strassen_era': 38, 'lickteig': 39, 'theorem1': 45, 'computed': None}]),
+      {'n': 5, 'l': 5, 'classical': 25, 'strassen_era': 38, 'lickteig': 39, 'theorem1': 45, 'computed': 45}]),
     ('table-2-5-text', 0,
      ['table', '--n-min', '2', '--n-max', '5'],
      ['n  l  classical  strassen-era  lickteig  theorem1  computed',
       '2  2          4             6         6         6         6',
       '3  3          9            14        14        15        15',
       '4  4         16            24        25        28        28',
-      '5  5         25            38        39        45         -']),
+      '5  5         25            38        39        45        45']),
 
 ]
 

@@ -443,7 +443,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, *argv, "--field", "fp", "--verbose")
     assert code == 0 and "exact-Q:" not in err
     # A dense tensor whose one block has full rank over Q but not mod 2 is
-    # settled by the mod-p pass.
+    # settled by the 2-adic lift of the F_2 pass.
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"field": "Q", "dims": [3, 3, 3], "entries": [
         [i, j, k, f"{1 + (i * 9 + j * 3 + k) % 7}/{2 + k}"]
@@ -451,7 +451,7 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "bound", "--method", "koszul", "--p", "1",
                        "--tensor", str(path), "--verbose")
     assert code == 0
-    assert "exact-Q: 0 peeled, 1 block, 0 settled mod 2, 1 mod p, 0 fell back" in err.splitlines()
+    assert "exact-Q: 0 peeled, 1 block, 1 settled mod 2, 0 mod p, 0 fell back" in err.splitlines()
 
 
 @pytest.mark.parametrize("field,value,expected", [

@@ -478,10 +478,15 @@ def test_block_class_counts_of_flattenings():
     assert _block_count(m) == 351
 
 
-# rank_exact_q ranks each block over F_2 first, then mod this prime, and
-# falls back to fraction-free elimination only when both ranks are below
-# min(rows, cols).
+# rank_exact_q ranks each block over F_2 first, then lifts that pass
+# 2-adically, then, when the lift runs out of budget, mod this prime, and
+# falls back to fraction-free elimination when the lift finds the block
+# short or the prime leaves it short.
 P = DEFAULT_CERTIFICATION_PRIMES[0]
+
+# det 2^40, rank 1 mod 2: the lift needs 40 halvings, each reading the
+# block's 4 entries, and its budget of 16 times 4 entries runs out first.
+DET_2_40 = [[1, 1], [1, 1 + 2 ** 40]]
 
 
 def _count_passes(monkeypatch) -> list:
@@ -497,46 +502,52 @@ def _count_passes(monkeypatch) -> list:
     return calls
 
 
+def _block(dense):
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
 def test_settle_prime_is_first_certification_prime(monkeypatch):
     monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     calls = _count_passes(monkeypatch)
-    # det -2: rank 1 mod 2, so the block reaches the mod-p pass.
-    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
-    assert rank_exact_q(m).rank == 2
+    # The lift runs out of budget, so the block reaches the mod-p pass.
+    assert rank_exact_q(_diagonal(DET_2_40)).rank == 2
     assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
 
 
 def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
     monkeypatch.setenv("BRLAB_PRIMES", "101,103")
     calls = _count_passes(monkeypatch)
-    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)], Q)
-    res = rank_exact_q(m)
-    assert (res.rank, res.unsettled) == (2, 0)
+    # det 2^40 again, with rows (1, 3) and (3, 9 + 2^40).
+    res = rank_exact_q(_diagonal([[1, 3], [3, 9 + 2 ** 40]]))
+    assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 0, 0)
     assert calls == [P]
 
 
 def test_exact_q_unlucky_prime_falls_back():
-    # diag(2P H, [[1, 2], [1, 1]]): two 2x2 blocks, the first of rank 0 mod
-    # 2 and mod P, the second of full rank mod 2.
-    res = rank_exact_q(_diagonal([[2 * P * v for v in row] for row in H], [[1, 2], [1, 1]]))
+    # diag(P * DET_2_40, [[1, 2], [1, 1]]): two 2x2 blocks, the first of
+    # rank 1 mod 2, past the lift's budget and of rank 0 mod P, the second
+    # of full rank mod 2.
+    res = rank_exact_q(_diagonal([[P * v for v in row] for row in DET_2_40], [[1, 2], [1, 1]]))
     assert (res.rank, res.peeled, res.blocks, res.unsettled, res.settled_mod_2) == (4, 0, 2, 1, 1)
-    # One block, det 2P over Q, rank 1 mod 2 and mod P.
-    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, 2 * P), (0, 1, 2 * P),
-                                           (1, 0, 1), (1, 1, 2)], Q))
+    # One block, det 2^40 P over Q, rank 1 mod 2 and mod P.
+    res = rank_exact_q(SparseMatrix(2, 2, [(0, 0, P), (0, 1, P),
+                                           (1, 0, 1), (1, 1, 1 + 2 ** 40)], Q))
     assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 1, 0)
 
 
 def test_exact_q_rational_rows_reduced_after_scaling():
-    # The row (P/2, P/3) scales to (3P, 2P): content P, zero mod P, and
-    # equal to the row (1, 2) mod 2.
-    m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 2)), (0, 1, Fraction(P, 3)),
-                            (1, 0, 1), (1, 1, 2)], Q)
+    # The row (P/3, P/3) scales to (P, P): content P, zero mod P, and equal
+    # to the row (1, 1 + 2^40) mod 2; det 2^40 P, past the lift's budget.
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(P, 3)), (0, 1, Fraction(P, 3)),
+                            (1, 0, 1), (1, 1, 1 + 2 ** 40)], Q)
     res = rank_exact_q(m)
     assert (res.rank, res.peeled, res.unsettled, res.settled_mod_2) == (2, 0, 1, 0)
     assert rank_gauss_fractions(dense_rows(m)) == 2
     # A denominator divisible by P raises no BadPrime: (1/P, 1) scales to
-    # (1, P), equal to the row (1, 1) mod 2, so the mod-P pass settles it.
-    m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Q)
+    # (1, P), equal to the row (1, P + 2^40) mod 2, with det 2^40, so the
+    # lift runs out of budget and the mod-P pass settles it.
+    m = SparseMatrix(2, 2, [(0, 0, Fraction(1, P)), (0, 1, 1),
+                            (1, 0, 1), (1, 1, P + 2 ** 40)], Q)
     res = rank_exact_q(m)
     assert res.rank == 2
     assert (res.unsettled, res.settled_mod_2) == (0, 0)
@@ -557,10 +568,92 @@ def test_exact_q_full_rank_block_skips_fraction_free(monkeypatch):
 
 def test_exact_q_full_over_q_not_mod_2_settles_mod_p(monkeypatch):
     calls = _count_passes(monkeypatch)
-    m = SparseMatrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)], Q)
-    res = rank_exact_q(m)
+    # Full rank over Q, rank 1 mod 2, past the lift's budget.
+    res = rank_exact_q(_diagonal(DET_2_40))
     assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 0)
     assert calls == [P]
+
+
+def test_exact_q_det_2_block_settles_by_the_lift(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    # H has det -2: (H[1] + H[0]) / 2 = (1, 0) joins the basis mod 2.
+    assert rank_engine._rank_f2(_block(H), 2) == 1
+    assert rank_engine._lift_f2(_block(H), 2) is True
+    res = rank_exact_q(_diagonal(H))
+    assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 1)
+    assert calls == []
+
+
+def test_exact_q_lift_budget_runs_out_then_prime(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    assert rank_engine._lift_f2(_block(DET_2_40), 2) is None
+    # Eight halvings fit in the budget.
+    assert rank_engine._lift_f2(_block([[1, 1], [1, 1 + 2 ** 8]]), 2) is True
+    res = rank_exact_q(_diagonal(DET_2_40))
+    assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 0, 0)
+    assert calls == [P]
+
+
+def test_exact_q_tall_block_is_lifted_on_its_transpose(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    # Rank 2 over Q, 1 mod 2.  Its columns (1, 1, 1) and (1, -1, 1) lift
+    # to full rank; its third row is surplus and would be found short.
+    tall = [[1, 1], [1, -1], [1, 1]]
+    assert rank_engine._lift_f2(_block(tall), 2) is True
+    res = rank_exact_q(SparseMatrix(3, 2, [(r, c, v) for r, row in enumerate(tall)
+                                           for c, v in enumerate(row)], Q))
+    assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 1)
+    assert calls == []
+
+
+def test_lift_finds_short_blocks():
+    # A halved sum that is exactly zero: (1, 1) + (-1, -1).
+    assert rank_engine._lift_f2(_block([[1, 1], [-1, -1]]), 2) is False
+    # A state that recurs: (1, 1) + (1, 1) halves to (1, 1).
+    assert rank_engine._lift_f2(_block([[1, 1], [1, 1]]), 2) is False
+    # (3, 3) lifts to (2, 2), then to (1, 1), then to (1, 1) again.
+    assert rank_engine._lift_f2(_block([[1, 1], [3, 3]]), 2) is False
+    # The third row, the sum of the first two, halves to (1, 0, 1), which
+    # is what the second lifted to, and then recurs.
+    assert rank_engine._lift_f2(_block([[1, 1, 1], [1, -1, 1], [2, 0, 2]]), 3) is False
+
+
+def test_lift_against_oracle():
+    # True means full rank over Q and False short, on dense and sparse,
+    # tall and wide blocks, rows times 2^e, and low-rank products.
+    rng = random.Random(18)
+    seen = {True: 0, False: 0, None: 0}
+    shapes = set()
+    past_f2 = 0
+    trial = 0
+    while sum(seen.values()) < 4000:
+        trial += 1
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 3 == 0:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+            dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                     for row in left]
+        else:
+            fill = rng.choice((1.0, 0.6, 0.3))
+            dense = [[rng.randint(-9, 9) if rng.random() < fill else 0 for _ in range(cols)]
+                     for _ in range(rows)]
+        shifts = [rng.choice((0, 0, 0, 1, 3)) for _ in dense]
+        dense = [[v << e for v in row] for row, e in zip(dense, shifts)]
+        block = [row for row in _block(dense) if row]
+        if not block:
+            continue
+        full = min(len(block), len(set().union(*block)))
+        got = rank_engine._lift_f2(block, full)
+        seen[got] += 1
+        if got is not None:
+            assert (rank_gauss_fractions(dense) == full) is got, dense
+        if got and rank_engine._rank_f2(block, full) < full:
+            past_f2 += 1
+        shapes.add((len(block) > full) - (len(set().union(*block)) > full))
+    assert seen[True] > 2000 and seen[False] > 500 and past_f2 > 1000, (seen, past_f2)
+    assert shapes == {-1, 0, 1}
 
 
 def test_rank_f2_against_oracle():
@@ -617,7 +710,8 @@ def test_exact_q_rank_deficient_block_runs_one_fraction_free_pass(monkeypatch):
     assert rank_gauss_fractions(prod) == 3
     res = rank_exact_q(m)
     assert (res.rank, res.blocks, res.unsettled) == (3, 1, 1)
-    assert calls == [P, None]
+    # The lift finds the block short: no prime can bring it to full rank.
+    assert calls == [None]
 
 
 def test_exact_q_random_small_matrices_against_oracle():
