@@ -141,7 +141,7 @@ class FlatteningRank(namedtuple(
     `RankResult.blocks`), unsettled the blocks that no prime brought to
     full rank or that the ExactQ lift found short: under ExactQ, the ones
     fraction-free elimination ranked, and settled_mod_2 those that the
-    ExactQ pass over F_2 or its 2-adic lift found to have full rank.
+    ExactQ F_2 pass, with its 2-adic lifts, found to have full rank.
     orbits and orbit_weights count the weight spaces of the graded
     representatives (see `koszul_weight_spaces`): the orbits, one weight
     space of each written, and the weight spaces they cover, each

@@ -33,12 +33,11 @@ copies.)
 Every strategy peels and ranks in one loop, `_rank_blocks`, which also
 makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
-with up to four steps per block, all on ints: a bit-packed rank over F_2
-(`_rank_f2`), then 2-adic lifts of that pass (`_lift_f2`), which settle a
-block as full rank or short, then, only when the lift runs out of budget,
-the first default certification prime (2^30 - 35), and fraction-free
-elimination where the lift finds the block short or the prime leaves it
-short.
+with three steps per block, all on ints: a bit-packed F_2 pass with 2-adic
+lifts (`_lift_f2`), which settles a block as full rank or short, then, only
+when the lift runs out of budget, the first default certification prime
+(2^30 - 35), and fraction-free elimination where the lift finds the block
+short or the prime leaves it short.
 
 One sparse elimination loop, `_eliminate`, serves both fields, with one
 inner loop for each: mod p, with the pivot row left unscaled, or over the
@@ -152,7 +151,7 @@ class RankResult(namedtuple("RankResult", "rank nnz peeled blocks unsettled sett
     whose rank stayed below min(block rows, block columns) mod every prime
     tried, or that the exact-Q lift (`_lift_f2`) found short; under exact Q
     these are the ones that fraction-free elimination ranked.
-    settled_mod_2 counts those that the exact-Q pass over F_2 or its lift
+    settled_mod_2 counts those that the exact-Q F_2 pass, with its lifts,
     found to have full rank (always 0 for the other strategies); the
     remaining ones were settled mod a prime.  nnz counts the entries read:
     the matrix's, or the sum over a stream's matrices, each once whatever
@@ -399,104 +398,97 @@ def _block_mod_p(block: list[dict], tag: FieldTag) -> list[dict[int, int]]:
     return rows
 
 
-def _rank_f2(block: list[dict], full: int) -> int:
-    """Rank over F_2 of an integer block, at most full.
+def _lift_f2(block: list[dict], full: int) -> bool | None:
+    """Whether an integer block has full rank over Q: True, False, or None
+    once it has read more than 16 times its entries.  An F_2 pass settles
+    most blocks, 2-adic lifts of it (after Dixon's p-adic lifting) the rest.
 
-    The block's columns are numbered in order of first sight, and each row
-    is packed into one int, bit i set when the entry at the i-th column is
-    odd, and reduced against a basis keyed by leading bit: XOR with the
-    basis row of the same leading bit until the row vanishes or gets a
-    leading bit of its own.  The rank is the basis size; the pass stops
-    once it reaches full.
+    The pass runs on the short side (a transpose keeps the rank), so that
+    every line must join the basis: the rows, or a tall block's columns,
+    packed straight from its rows with bit r for row r.  A line is one int,
+    a bit per odd entry, with the history bit 1 << j of its index j below,
+    reduced against a basis keyed by leading bit.  A line that vanishes mod
+    2 names by its history bits the lines whose sum cancels it mod 2, and
+    is replaced by (itself + those lines) / 2, on integer lines built at
+    the first lift: an invertible rational operation, so the Q-rank does
+    not change.  It is tried again until it joins.
+
+    True: every line joined, and rank_2 <= rank_Q for an integer matrix.
+    False: the basis is fixed while a line is lifted, so its next state
+    depends only on its current state; if a state S recurs after k steps,
+    S = S / 2^k + c with c in span_Q(basis), so S is in that span and the
+    block is short, as it is when a halved sum is exactly zero.  None: the
+    budget bounds time only.
     """
     labels: dict[int, int] = {}
     label = labels.setdefault
-    basis: dict[int, int] = {}
-    for row in block:
+
+    def pack(line: dict) -> int:
         x = 0
-        for c, v in row.items():
+        for c, v in line.items():
             if v & 1:
                 x |= 1 << label(c, len(labels))
-        while x:
-            top = x.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = x
-                if len(basis) == full:
-                    return full
-                break
-            x ^= b
-    return len(basis)
+        return x
 
-
-def _lift_f2(block: list[dict], full: int) -> bool | None:
-    """Whether an integer block has full rank over Q, by 2-adic lifts of an
-    F_2 pass (in the spirit of Dixon's p-adic lifting): True, False, or
-    None once the lift has read more than 16 times the block's entries.
-
-    It works on the short side: a tall block is transposed, which keeps
-    the rank, so every row must join the basis.  The rows are packed as in
-    `_rank_f2`, each with the history bit 1 << j of its index j below its
-    column bits, so a row that vanishes mod 2 names the basis rows whose
-    sum cancels it mod 2.  Such a row is replaced by (itself + those
-    rows) / 2, an integer row: an invertible rational row operation, so
-    the Q-rank does not change.  The row is tried again, one row at a time,
-    until it joins the basis.
-
-    True: an integer matrix has rank_2 <= rank_Q, so once every row has
-    joined the basis over F_2 the block has full rank.  False: the basis is
-    fixed while a row is lifted, so the row's next state depends only on
-    its current state.  If a state S recurs after k steps, then
-    S = S / 2^k + c with c in span_Q(basis), so S is in that span and the
-    block is short; so is it when a halved sum is exactly zero.  None: the
-    budget bounds time only; the block's rank is left undecided.
-    """
-    if len(block) > full:
-        cols: dict[int, dict] = {}
+    tall = len(block) > full
+    if tall:
+        bits: dict[int, int] = {}
+        get, put = bits.get, bits.setdefault
         for r, row in enumerate(block):
-            for c, v in row.items():
-                cols.setdefault(c, {})[r] = v
-        block = list(cols.values())
-    budget = 16 * sum(map(len, block))
-    n = len(block)
-    labels: dict[int, int] = {}
-    label = labels.setdefault
-    basis: dict[int, int] = {}
-    joined: list[dict] = []
-    for j, row in enumerate(block):
-        seen = set()
-        while True:
-            x = 0
+            bit = 1 << r
             for c, v in row.items():
                 if v & 1:
-                    x |= 1 << label(c, len(labels))
-            x = x << n | 1 << j
-            while x >> n and (b := basis.get(x.bit_length())) is not None:
+                    bits[c] = get(c, 0) | bit
+                else:
+                    put(c, 0)
+        packed = map(bits.pop, list(bits))  # each column freed as it is read
+    else:
+        packed = map(pack, block)
+    basis: dict[int, int] = {}
+    lines = None
+    for j, x in enumerate(packed):
+        line = None
+        while True:
+            x = x << full | 1 << j  # every basis key is above the history bits
+            while (b := basis.get(x.bit_length())) is not None:
                 x ^= b
-            if x >> n:
+            if x >> full:
                 basis[x.bit_length()] = x
                 break
-            # Vanished mod 2: the history bits of x but j name the rows
-            # whose sum with row is even.
-            s = dict(row)
+            if lines is None:  # the integer lines
+                budget = 16 * sum(map(len, block))
+                if tall:  # a column's entries are keyed by row r, its bit r
+                    cols: dict[int, dict] = {}
+                    for r, row in enumerate(block):
+                        for c, v in row.items():
+                            cols.setdefault(c, {})[r] = v
+                    lines = list(cols.values())
+                    labels.update(zip(range(len(block)), range(len(block))))
+                else:
+                    lines = list(block)
+            if line is None:
+                line = lines[j]
+                seen = set()
+            # Vanished mod 2: the history bits of x but j name the lines to add.
+            s = dict(line)
             get = s.get
-            budget -= len(row)
+            budget -= len(line)
             x ^= 1 << j
             while x:
                 low = x & -x
-                add = joined[low.bit_length() - 1]
+                add = lines[low.bit_length() - 1]
                 budget -= len(add)
                 for c, v in add.items():
                     s[c] = get(c, 0) + v
                 x ^= low
-            row = {c: v >> 1 for c, v in s.items() if v}
-            key = frozenset(row.items())
-            if not row or key in seen:
+            lines[j] = line = {c: v >> 1 for c, v in s.items() if v}
+            key = frozenset(line.items())
+            if not line or key in seen:
                 return False
             if budget < 0:
                 return None
             seen.add(key)
-        joined.append(row)
+            x = pack(line)
     return True
 
 
@@ -519,15 +511,13 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
     settled: no prime can raise it.  For each prime the matrix's rank is
     the sum of its block ranks, so the sum of per-block maxes is a sound
     lower bound on the Q-rank, and never below the whole matrix's max over
-    the primes.  When exact, each row of a block of a
-    matrix that is not integral is first scaled by the lcm of its
-    denominators (`_scaled_row`), which keeps the Q-rank, so that every
-    block holds ints.  Each block is then first ranked over F_2; reduction
-    Z -> F_2 is a ring map, so rank_2 <= rank_Q <= full and a block of full
-    rank mod 2 is settled with no prime.  A block that F_2 leaves short is
-    lifted (`_lift_f2`): found full rank, it is settled mod 2 too; found
-    short, it is ranked by fraction-free elimination, since no prime can
-    bring it to full rank.  Any other block runs the primes, and one that
+    the primes.  When exact, each row of a block of a matrix that is not
+    integral is first scaled by the lcm of its denominators (`_scaled_row`),
+    which keeps the Q-rank, so that every block holds ints, and each block
+    is first ranked over F_2 and lifted (`_lift_f2`).  Found full rank, it
+    is settled mod 2 with no prime; found short, it is ranked by
+    fraction-free elimination, since no prime can bring it to full rank.
+    Only a block whose lift runs out of budget runs the primes, and one that
     stays unsettled is ranked by fraction-free elimination.
     With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
@@ -561,7 +551,7 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
             if exact and not integral:
                 block = [_scaled_row(row) for row in block]
             full = min(len(block), len(set().union(*block)))
-            settled = (_rank_f2(block, full) == full or _lift_f2(block, full)) if exact else None
+            settled = _lift_f2(block, full) if exact else None
             if settled:
                 settled_mod_2 += 1
                 r = full
@@ -594,14 +584,13 @@ def rank_mod_p(m, p: int) -> RankResult:
 
 
 def rank_exact_q(m) -> RankResult:
-    """Exact rank over Q by the rank loop: peeling, then per row block the
-    bit-packed rank over F_2, then, for a block that F_2 leaves short of
-    full rank, its 2-adic lift (`_lift_f2`), which settles the block as
-    full rank or sends it, found short, to fraction-free elimination, whose
-    entries grow on dense blocks.  Only a block whose lift runs out of
-    budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0] (2^30 - 35)
-    first.  Both moduli are fixed, not read from BRLAB_PRIMES: they never
-    decide a rank, they only skip work.
+    """Exact rank over Q by the rank loop: peeling, then per row block a
+    bit-packed F_2 pass with 2-adic lifts (`_lift_f2`), which settles the
+    block as full rank or sends it, found short, to fraction-free
+    elimination, whose entries grow on dense blocks.  Only a block whose
+    lift runs out of budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
+    (2^30 - 35) first.  Both moduli are fixed, not read from BRLAB_PRIMES:
+    they never decide a rank, they only skip work.
     """
     return _rank_blocks(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 

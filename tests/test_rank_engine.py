@@ -577,7 +577,7 @@ def test_exact_q_full_over_q_not_mod_2_settles_mod_p(monkeypatch):
 def test_exact_q_det_2_block_settles_by_the_lift(monkeypatch):
     calls = _count_passes(monkeypatch)
     # H has det -2: (H[1] + H[0]) / 2 = (1, 0) joins the basis mod 2.
-    assert rank_engine._rank_f2(_block(H), 2) == 1
+    assert rank_gauss_mod_p(H, 2) == 1
     assert rank_engine._lift_f2(_block(H), 2) is True
     res = rank_exact_q(_diagonal(H))
     assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 1)
@@ -604,6 +604,38 @@ def test_exact_q_tall_block_is_lifted_on_its_transpose(monkeypatch):
                                            for c, v in enumerate(row)], Q))
     assert (res.rank, res.blocks, res.unsettled, res.settled_mod_2) == (2, 1, 0, 1)
     assert calls == []
+    # Both columns of [[2, 0], [0, 2], [1, 1]] are (0, 0, 1) mod 2, so the
+    # first lift needs the integer columns: (0, 2, 1) + (2, 0, 1) halves
+    # to (1, 1, 1), which joins the basis.
+    assert rank_engine._lift_f2([{0: 2}, {1: 2}, {0: 1, 1: 1}], 2) is True
+    # A tall block gets the verdict of its transpose, whose rows are its
+    # columns in order of first sight, True, False and None alike.
+    rng = random.Random(19)
+    seen = {True: 0, False: 0, None: 0}
+    for trial in range(600):
+        cols = rng.randint(1, 6)
+        rows = rng.randint(cols + 1, 9)
+        if trial % 3 == 0:
+            inner = rng.randint(1, cols)
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+            dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                     for row in left]
+        else:
+            dense = [[rng.randint(-9, 9) << rng.choice((0, 1, 5)) for _ in range(cols)]
+                     for _ in range(rows)]
+        tall = [row for row in _block(dense) if row]
+        if len(tall) <= len(set().union(*tall)):
+            continue
+        by_col: dict = {}
+        for r, row in enumerate(tall):
+            for c, v in row.items():
+                by_col.setdefault(c, {})[r] = v
+        wide = list(by_col.values())
+        got = rank_engine._lift_f2(tall, len(wide))
+        assert got is rank_engine._lift_f2(wide, len(wide)), dense
+        seen[got] += 1
+    assert seen[True] > 100 and seen[False] > 100 and seen[None] > 0, seen
 
 
 def test_lift_finds_short_blocks():
@@ -649,16 +681,19 @@ def test_lift_against_oracle():
         seen[got] += 1
         if got is not None:
             assert (rank_gauss_fractions(dense) == full) is got, dense
-        if got and rank_engine._rank_f2(block, full) < full:
+        if got and rank_gauss_mod_p(dense, 2) < full:
             past_f2 += 1
         shapes.add((len(block) > full) - (len(set().union(*block)) > full))
     assert seen[True] > 2000 and seen[False] > 500 and past_f2 > 1000, (seen, past_f2)
     assert shapes == {-1, 0, 1}
 
 
-def test_rank_f2_against_oracle():
+def test_f2_pass_verdicts_against_oracle():
+    # A block of full rank mod 2 is settled by the F_2 pass alone; any
+    # other verdict agrees with the rank over Q.
     rng = random.Random(16)
     shapes = set()
+    settled_mod_2 = 0
     for _ in range(300):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         dense = []
@@ -667,27 +702,36 @@ def test_rank_f2_against_oracle():
             if rng.random() < 0.2:
                 row = [2 * v for v in row]
             dense.append(row)
-        block = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        full = min(rows, cols)
-        assert rank_engine._rank_f2(block, full) == rank_gauss_mod_p(dense, 2), dense
+        block = [row for row in _block(dense) if row]
+        if not block:
+            continue
+        full = min(len(block), len(set().union(*block)))
+        got = rank_engine._lift_f2(block, full)
+        if rank_gauss_mod_p(dense, 2) == full:
+            assert got is True, dense
+            settled_mod_2 += 1
+        elif got is not None:
+            assert (rank_gauss_fractions(dense) == full) is got, dense
         shapes.add((rows > cols) - (rows < cols))
-    assert shapes == {-1, 0, 1}
+    assert shapes == {-1, 0, 1} and settled_mod_2 > 100
     # Odd negative entries are 1 mod 2, even ones 0.  Columns are numbered
     # in order of first sight, so their ids may be large or out of order.
-    assert rank_engine._rank_f2([{0: -3, 1: -4}, {0: 5, 1: -1}], 2) == 2
-    assert rank_engine._rank_f2([{0: -2, 1: 4}, {0: 6}], 2) == 0
-    assert rank_engine._rank_f2([{10**30: 1, 3: 1}, {3: 1}], 2) == 2
+    for dense in ([[-3, -4], [5, -1]], [[-2, 4], [6, 0]], [[1, 1], [0, 1]]):
+        assert rank_gauss_fractions(dense) == 2
+    assert rank_engine._lift_f2([{0: -3, 1: -4}, {0: 5, 1: -1}], 2) is True
+    assert rank_engine._lift_f2([{0: -2, 1: 4}, {0: 6}], 2) is True
+    assert rank_engine._lift_f2([{10**30: 1, 3: 1}, {3: 1}], 2) is True
 
 
 def test_only_exact_q_runs_the_f2_pass(monkeypatch):
     calls = []
-    real = rank_engine._rank_f2
+    real = rank_engine._lift_f2
 
     def spy(block, full):
         calls.append(full)
         return real(block, full)
 
-    monkeypatch.setattr(rank_engine, "_rank_f2", spy)
+    monkeypatch.setattr(rank_engine, "_lift_f2", spy)
     m = _random_matrix(random.Random(17), 6, 6)
     for res in (rank_certified(m, MultiPrime()), rank_certified(m, MultiPrime((P,))),
                 rank_mod_p(m, 7)):
@@ -840,13 +884,13 @@ def test_exact_q_scales_rows_by_their_denominators(monkeypatch):
     # block reaches the F_2 pass with int entries under exact Q.  Mod a
     # prime the exact values are read.
     seen = []
-    real = rank_engine._rank_f2
+    real = rank_engine._lift_f2
 
     def spy(block, full):
         seen.extend(v for row in block for v in row.values())
         return real(block, full)
 
-    monkeypatch.setattr(rank_engine, "_rank_f2", spy)
+    monkeypatch.setattr(rank_engine, "_lift_f2", spy)
     first = [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (1, 0, 1), (1, 1, -1)]
     second = [(0, 0, 3), (0, 1, 2), (1, 0, Fraction(1, 5)), (1, 1, Fraction(-1, 5))]
     m = SparseMatrix(40, 40, first + [(r + 2, c + 7, v) for r, c, v in second], Q)
