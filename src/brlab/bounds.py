@@ -24,14 +24,8 @@ from math import comb
 
 from .binaryforms import restrict_matmul
 from .errors import InvalidDimension, OrderViolation
-from .exterior import (
-    check_wedge_power,
-    classical_tensor,
-    koszul_flattening,
-    koszul_weight_spaces,
-    redundancy_cap,
-)
-from .rank_engine import ExactQ, MultiPrime, rank_certified
+from .exterior import classical_tensor, koszul_flattening, koszul_weight_spaces, redundancy_cap
+from .rank_engine import ExactQ, MultiPrime, RankResult, rank_certified
 from .tensor import Tensor3, direct_summands, index_symmetries, mirror_grading, tensor_to_json
 
 SOUND_EXACT_Q = "exact-Q"
@@ -121,32 +115,22 @@ def _ceil_div(num: int, den: int) -> int:
 
 
 class FlatteningRank(namedtuple(
-        "FlatteningRank", "rows cols rank nnz strategy soundness summands classes rank_ms "
-        "split_ms flatten_ms peeled blocks unsettled settled_mod_2 orbits orbit_weights "
-        "nnz_written")):
+        "FlatteningRank", "rows cols rank nnz strategy soundness summands classes flatten_ms "
+        "orbits orbit_weights ranked")):
     """Rank of a tensor's wedge flattening, from one rank pass over the
     weight spaces written for its direct summands.
 
     rows, cols and nnz are those of the whole flattening; summands counts
     the direct summands and classes the groups of equal ones, of which only
     one representative each was flattened.  soundness is the certificate
-    label the rank earns (`_soundness`).  rank_ms is the time of the rank
-    passes alone, peeling and the scaling of rational rows included,
-    split_ms that of splitting what the written weight spaces leave after
-    peeling into row blocks, and flatten_ms the rest of the work on the
+    label the rank earns (`_soundness`).  ranked is the `RankResult` of the
+    one `rank_certified` call over the written weight spaces, which holds
+    its times and counts, and flatten_ms the rest of the work on the
     representatives: the grading, the symmetry search, the insertion
-    tables, and writing and validating the weight spaces.  peeled counts
-    the pivots that peeling took from the written spaces, and blocks the
-    row blocks left and ranked, each space's once (`RankResult.peeled`,
-    `RankResult.blocks`), unsettled the blocks that no prime brought to
-    full rank or that the ExactQ lift found short: under ExactQ, the ones
-    fraction-free elimination ranked, and settled_mod_2 those that the
-    ExactQ F_2 pass, with its 2-adic lifts, found to have full rank.
-    orbits and orbit_weights count the weight spaces of the graded
-    representatives (see `koszul_weight_spaces`): the orbits, one weight
-    space of each written, and the weight spaces they cover, each
-    representative's once.  nnz_written counts the entries written, each
-    once (`bound_classical` sums both over its three flattenings).
+    tables, and writing and validating the weight spaces.  orbits and
+    orbit_weights count the weight spaces of the graded representatives
+    (see `koszul_weight_spaces`): the orbits, one weight space of each
+    written, and the weight spaces they cover, each representative's once.
     strategy is the `MultiPrime` or `ExactQ` that ranked it.
     """
 
@@ -173,11 +157,7 @@ def flattening_rank(t: Tensor3, p: int,
     spaces reach `rank_certified` as one stream of (space, copies) pairs,
     so that one space is held at a time (`rank_engine._rank_blocks`).  The
     strategy defaults to exact rank over t's field: ExactQ over Q, its
-    prime over F_p.  p is checked (`check_wedge_power`) once per summand
-    group, as the stream reaches it: by `koszul_flattening` for an ungraded
-    group, and just before `koszul_weight_spaces` for a graded one.  So a
-    bad p raises InvalidDimension from within `rank_certified`, and
-    `WedgeRangeWarning` comes from one place per route.
+    prime over F_p.
 
     Under ExactQ the sum is the Q-rank.  Under MultiPrime it is a sum of
     per-block maxes over the primes, a sound lower bound by the argument of
@@ -201,7 +181,6 @@ def flattening_rank(t: Tensor3, p: int,
                 # times for the flattening time and nnz of random_dense.
                 yield koszul_flattening(summand, p).matrix, count
                 continue
-            check_wedge_power(a, p)
             reps, space = koszul_weight_spaces(summand, p, grading, index_symmetries(summand))
             orbits += len(reps)
             covered += sum(size for _, size in reps)
@@ -216,9 +195,7 @@ def flattening_rank(t: Tensor3, p: int,
                           t.nnz * comb(a - 1, p), strat,
                           _soundness(strat, t.field.is_q, res.unsettled),
                           sum(count for _, count in summands), len(summands),
-                          res.rank_ms, res.split_ms, total_ms - res.rank_ms - res.split_ms,
-                          res.peeled, res.blocks, res.unsettled, res.settled_mod_2, orbits,
-                          covered, res.nnz)
+                          total_ms - res.rank_ms - res.split_ms, orbits, covered, res)
 
 
 def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int = 1,
@@ -238,7 +215,7 @@ def _certificate(method: str, descriptor: dict, fr: FlatteningRank, divisor: int
         soundness=fr.soundness,
         p=p,
         flags=flags,
-        timings_ms=fr.rank_ms,
+        timings_ms=fr.ranked.rank_ms,
         flattening=fr,
     )
 
@@ -247,14 +224,17 @@ def bound_classical(t: Tensor3, strategy: MultiPrime | ExactQ | None = None,
                     descriptor: dict | None = None) -> BoundCertificate:
     """Best of the three classical flattening ranks (the first on a tie);
     divisor 1, and the best one's label.  The recorded times, nnz,
-    block and orbit counts are those of all three ranks."""
+    orbit counts and every count of `RankResult` but its rank are those of
+    all three ranks."""
     descriptor = descriptor if descriptor is not None else tensor_descriptor(t)
     frs = [flattening_rank(classical_tensor(t, mode), 0, strategy) for mode in "ABC"]
     best = max(frs, key=lambda fr: fr.rank)
-    summed = ("nnz", "rank_ms", "split_ms", "flatten_ms", "peeled", "blocks", "unsettled",
-              "settled_mod_2", "orbits", "orbit_weights", "nnz_written")
+    ranked = RankResult._make(
+        best.rank if name == "rank" else sum(getattr(fr.ranked, name) for fr in frs)
+        for name in RankResult._fields)
     return _certificate("classical", descriptor, best._replace(
-        **{name: sum(getattr(fr, name) for fr in frs) for name in summed}))
+        ranked=ranked, **{name: sum(getattr(fr, name) for fr in frs)
+                          for name in ("nnz", "flatten_ms", "orbits", "orbit_weights")}))
 
 
 def bound_koszul(t: Tensor3, p: int, strategy: MultiPrime | ExactQ | None = None,

@@ -146,16 +146,17 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _rank_notes(args: argparse.Namespace, cert) -> None:
     fr = cert.flattening
+    res = fr.ranked
     _note(args, f"{cert.rows}x{cert.cols} rank {cert.rank} "
-                f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {fr.split_ms:.1f} ms, "
+                f"({cert.soundness}, {cert.timings_ms:.1f} ms, split {res.split_ms:.1f} ms, "
                 f"flatten {fr.flatten_ms:.1f} ms)")
     if isinstance(fr.strategy, ExactQ):
-        n, f2, u = fr.blocks, fr.settled_mod_2, fr.unsettled
-        _note(args, f"exact-Q: {fr.peeled} peeled, {n} block{'' if n == 1 else 's'}, "
+        n, f2, u = res.blocks, res.settled_mod_2, res.unsettled
+        _note(args, f"exact-Q: {res.peeled} peeled, {n} block{'' if n == 1 else 's'}, "
                     f"{f2} settled mod 2, {n - f2 - u} mod p, {u} fell back")
     if fr.orbits:
         _note(args, f"orbits: {fr.orbits} of {fr.orbit_weights} weights written, "
-                    f"nnz {fr.nnz_written} of {fr.nnz}")
+                    f"nnz {res.nnz} of {fr.nnz}")
     else:
         _note(args, "orbits: none")
     _summand_note(args, fr.summands, fr.classes)
@@ -353,8 +354,8 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_note
-            # flattening_rank checks p once per summand group that it
-            # flattens: each note shows once.
+            # koszul_weight_spaces checks p once per summand group that
+            # flattening_rank flattens: each note shows once.
             warnings.simplefilter("once", WedgeRangeWarning)
             return args.func(args)
     except (BadPrime, DivisionByZero) as exc:

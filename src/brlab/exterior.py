@@ -226,8 +226,8 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     that is not in reps: the tables lack the slices it reads.  grading is
     `mirror_grading(t)`, or None for the whole flattening as one weight
     space, and symmetries are generators from `index_symmetries(t)`, none
-    by default.  p is not checked here (`koszul_flattening` and
-    `bounds.flattening_rank` check it).
+    by default.  It checks p (`check_wedge_power`), for `koszul_flattening`
+    and both routes of `bounds.flattening_rank`.
 
     The cells are those of `koszul_flattening`.  Column (j, S) gets the
     weight w = wB(j) + sum wA(S), and the grading makes the flattening
@@ -254,6 +254,7 @@ def koszul_weight_spaces(t: Tensor3, p: int, grading, symmetries=()):
     and the self-mirror ones, of size 1.
     """
     a, b, c = t.dims
+    check_wedge_power(a, p)
     wb = grading[1] if grading is not None else {}
     # At p = 0 the one subset is empty: no A weight is read, and a may be
     # far larger than any table.
@@ -305,10 +306,8 @@ def koszul_flattening(t: Tensor3, p: int) -> KoszulMatrix:
     For each tensor entry (i, j, k, v) and each p-subset S avoiding i, the
     value sign(i, S) * v lands at row (k, S u {i}), column (j, S).  Shape is
     c*C(a, p+1) rows by b*C(a, p) columns.  The matrix is the one weight
-    space of `koszul_weight_spaces` with no grading.  p is checked by
-    `check_wedge_power`.
+    space of `koszul_weight_spaces` with no grading, which checks p.
     """
-    check_wedge_power(t.dims[0], p)
     _, space = koszul_weight_spaces(t, p, None)
     return KoszulMatrix(space(0))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import brlab.bounds as bounds
 from brlab.bounds import (
     SOUND_EXACT_FP,
     SOUND_EXACT_Q,
@@ -19,8 +20,8 @@ from brlab.bounds import (
     lickteig_square,
 )
 from brlab.errors import InvalidDimension, OrderViolation
-from brlab.exterior import WedgeRangeWarning, classical_tensor
-from brlab.rank_engine import ExactQ, MultiPrime
+from brlab.exterior import WedgeRangeWarning
+from brlab.rank_engine import ExactQ, MultiPrime, RankResult
 from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import (Tensor3, add_tensors, direct_summands, matmul_tensor, mirror_grading,
                           rank_one_tensor)
@@ -35,7 +36,7 @@ def test_bound_classical_examples():
     assert bound_classical(matmul_tensor(3, 3, 3)).bound == 9
 
 
-def test_bound_classical_sums_class_counts_of_the_three_flattenings():
+def test_bound_classical_sums_class_counts_of_the_three_flattenings(monkeypatch):
     # Every index of each factor is in two entries, so no column of a
     # flattening has a single entry and nothing is peeled.  Over the three
     # flattenings: 5 blocks, 3 settled mod 2, 1 mod p (mode B's 3x2 block
@@ -45,12 +46,24 @@ def test_bound_classical_sums_class_counts_of_the_three_flattenings():
     big = 2 ** 40
     t = Tensor3((3, 3, 3), [(0, 0, 0, -1), (0, 0, 1, 3), (2, 1, 1, big), (2, 1, 2, big),
                             (2, 2, 0, 1), (2, 2, 2, 3)], Q)
-    frs = [flattening_rank(classical_tensor(t, mode), 0) for mode in "ABC"]
+    frs = []
+
+    def ranked_mode(*args):
+        frs.append(flattening_rank(*args))
+        return frs[-1]
+
+    # The three modes' records are the ones bound_classical sums, so that
+    # their times are summed too.
+    monkeypatch.setattr(bounds, "flattening_rank", ranked_mode)
     fr = bound_classical(t).flattening
-    for key in ("peeled", "blocks", "settled_mod_2", "unsettled"):
-        assert getattr(fr, key) == sum(getattr(f, key) for f in frs)
-    assert (fr.peeled, fr.blocks, fr.settled_mod_2, fr.unsettled) == (0, 5, 3, 1)
-    assert [f.rank for f in frs] == [2, 3, 2] and fr.rank == 3
+    # Every count and time of the rank is summed over the three modes, and
+    # its rank is the best mode's.
+    for key in set(RankResult._fields) - {"rank"}:
+        assert getattr(fr.ranked, key) == sum(getattr(f.ranked, key) for f in frs)
+    res = fr.ranked
+    assert (res.peeled, res.blocks, res.settled_mod_2, res.unsettled) == (0, 5, 3, 1)
+    assert [f.rank for f in frs] == [2, 3, 2] and fr.rank == 3 == res.rank
+    assert all(f.ranked.rank == f.rank for f in frs)
 
 
 def test_bound_koszul_examples():
@@ -178,7 +191,7 @@ def test_certificate_json_shape():
     # prime, so its multi-prime rank is the Q-rank.
     cert = bound_matmul_restricted(2, 2, 1, MultiPrime())
     doc = cert.to_json()
-    assert (doc["soundness"], cert.flattening.unsettled) == (SOUND_EXACT_Q, 0)
+    assert (doc["soundness"], cert.flattening.ranked.unsettled) == (SOUND_EXACT_Q, 0)
     assert doc["field"].startswith("multiprime:")
 
     # A tensor over F_p has no Q-rank to bound: its rank is exact over F_p.
@@ -238,10 +251,14 @@ def test_flattening_rank_checks_p_once_per_route():
     assert mirror_grading(ungraded) is None and len(direct_summands(ungraded)) == 1
     graded = matmul_tensor(2, 2, 1)
     assert mirror_grading(graded) is not None and len(direct_summands(graded)) == 1
-    for t in (ungraded, graded):
+    # One summand group of each route: the entry at (0, 0, 0) ungraded and
+    # the other two graded, so p is checked, and warned about, twice.
+    mixed = Tensor3((4, 3, 3), [(0, 0, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1)], Q)
+    assert sorted(mirror_grading(s) is None for s, _ in direct_summands(mixed)) == [False, True]
+    for t, checks in ((ungraded, 1), (graded, 1), (mixed, 2)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             flattening_rank(t, 2)
-        assert [w.category for w in caught] == [WedgeRangeWarning]
+        assert [w.category for w in caught] == [WedgeRangeWarning] * checks
         with pytest.raises(InvalidDimension):
             flattening_rank(t, t.dims[0])

@@ -150,7 +150,7 @@ def test_multiprime_label_needs_every_class_settled(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["rank"], doc["soundness"]) == (918, "mod-p-lower-bound")
-    assert bound_koszul(matmul_tensor(3, 3, 3), 4, MultiPrime()).flattening.unsettled == 1
+    assert bound_koszul(matmul_tensor(3, 3, 3), 4, MultiPrime()).flattening.ranked.unsettled == 1
 
 
 def test_bound_bad_prime_exit_3(capsys):

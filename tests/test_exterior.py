@@ -13,6 +13,7 @@ from brlab.errors import InvalidDimension
 from brlab.exterior import (
     WedgeRangeWarning,
     koszul_flattening,
+    koszul_weight_spaces,
     redundancy_cap,
 )
 from brlab.rank_engine import SparseMatrix, rank_exact_q
@@ -221,6 +222,10 @@ def test_koszul_range_warning():
         koszul_flattening(t, 4)
     with pytest.raises(InvalidDimension):
         koszul_flattening(t, -1)
+    # The check is koszul_weight_spaces', which both routes of
+    # flattening_rank call.
+    with pytest.raises(InvalidDimension):
+        koszul_weight_spaces(t, t.dims[0], None)
 
 
 def test_koszul_labels_canonical_order():

@@ -87,8 +87,8 @@ def test_certificate_defaults_and_replace():
     cert = BoundCertificate("m", {}, None, None, None, None, 0, 0, "none", "closed-form")
     assert (cert.p, cert.flags, cert.timings_ms, cert.flattening) == (None, (), 0.0, None)
     fr = bound_koszul(matmul_tensor(2, 2, 2), 1).flattening
-    moved = fr._replace(rank_ms=0.0, orbits=99)
-    assert (moved.orbits, moved.rank_ms, moved.rank) == (99, 0.0, fr.rank)
+    moved = fr._replace(ranked=fr.ranked._replace(rank_ms=0.0), orbits=99)
+    assert (moved.orbits, moved.ranked.rank_ms, moved.rank) == (99, 0.0, fr.rank)
     assert fr.orbits != 99
     with pytest.raises(ValueError):
         fr._replace(not_a_field=1)
@@ -99,8 +99,10 @@ def test_certificate_defaults_and_replace():
 def test_bound_classical_sums_the_three_flattenings_as_before():
     fr = bound_classical(matmul_tensor(3, 3, 3)).flattening
     counts = {name: getattr(fr, name) for name in (
-        "rows", "cols", "rank", "nnz", "soundness", "summands", "classes", "blocks",
-        "unsettled", "settled_mod_2", "orbits", "orbit_weights", "nnz_written")}
+        "rows", "cols", "rank", "nnz", "soundness", "summands", "classes", "orbits",
+        "orbit_weights")}
+    counts.update({name: getattr(fr.ranked, name) for name in (
+        "blocks", "unsettled", "settled_mod_2")}, nnz_written=fr.ranked.nnz)
     assert counts == {"rows": 81, "cols": 9, "rank": 9, "nnz": 81, "soundness": "exact-Q",
                       "summands": 3, "classes": 1, "blocks": 3, "unsettled": 0,
                       "settled_mod_2": 3, "orbits": 3, "orbit_weights": 9, "nnz_written": 9}
