@@ -162,8 +162,17 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
     _summand_note(args, fr.summands, fr.classes)
 
 
+# The bound flags that only some methods read; any other method given one
+# exits 2 rather than print a certificate that ignores it.
+_FLAG_READERS = {"--p": ("koszul",), "--tensor": ("classical", "strassen", "koszul")}
+
+
 def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag[2:]) is not None and method not in readers:
+            print(f"error: method {method} does not read {flag}", file=sys.stderr)
+            return EXIT_USAGE
     strategy = _parse_strategy(args.field)
 
     if method in ("theorem1-formula", "lickteig-square"):

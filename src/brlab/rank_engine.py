@@ -20,9 +20,10 @@ nothing.  Sparse ranks of what is left run per row block (`_blocks`): a
 matrix that is block diagonal after a row and column permutation has the
 sum of its blocks' ranks.  The split is made on the exact entries and stays
 valid mod every prime, since reduction mod p can only make entries vanish,
-never create new ones.  Under exact Q a block of a rational matrix has each
-row scaled by the lcm of its denominators (`_scaled_row`), which keeps its
-rank over Q, so that every block is ranked on ints.  (Most repeats are
+never create new ones.  Under exact Q each row of a block is scaled to a
+primitive integer row (`_primitive`: times the lcm of its denominators,
+over its content), which keeps its rank over Q, so that every block is
+ranked on ints with no power of 2 shared by a row.  (Most repeats are
 taken out before a block forms: the l identical copies that the third index
 gives are split off on the tensor, by `tensor.direct_summands`, and of each
 orbit of weight spaces under the tensor's index symmetries only one is
@@ -34,10 +35,10 @@ Every strategy peels and ranks in one loop, `_rank_blocks`, which also
 makes the soundness argument: `rank_mod_p` runs it with one prime,
 multi-prime certification with the strategy's primes, and `rank_exact_q`
 with three steps per block, all on ints: a bit-packed F_2 pass with 2-adic
-lifts (`_lift_f2`), which settles a block as full rank or short, then, only
-when the lift runs out of budget, the first default certification prime
-(2^30 - 35), and fraction-free elimination where the lift finds the block
-short or the prime leaves it short.
+lifts (`_lift_f2`), which decides the block's rank, then, only when the
+lift runs out of budget, the first default certification prime
+(2^30 - 35), which settles a block of full rank, and fraction-free
+elimination where the prime leaves the block short.
 
 One sparse elimination loop, `_eliminate`, serves both fields, with one
 inner loop for each: mod p, with the pivot row left unscaled, or over the
@@ -58,19 +59,22 @@ from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
 from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
 
 
-def _scaled_row(row: dict) -> dict:
-    """A row over Q times the lcm of its denominators: ints, and the same
-    row up to a nonzero factor, so a matrix keeps its rank over Q.  A row
-    of ints is returned as it is.
+def _primitive(block: list[dict], integral: bool) -> list[dict]:
+    """A block's rows over Q as primitive integer rows: each times the lcm
+    of its denominators (no scan when the matrix is integral), then divided
+    by its content, the gcd of its entries.  Each is the same row up to a
+    nonzero factor, so the block keeps its rank over Q; a row of ints with
+    content 1 is kept as it is.
     """
-    d = 1
-    for v in row.values():
-        if type(v) is not int:
-            d = lcm(d, v.denominator)
-    if d == 1:
-        return row
-    return {c: v * d if type(v) is int else v.numerator * (d // v.denominator)
-            for c, v in row.items()}
+    rows = []
+    for row in block:
+        if not integral:
+            d = lcm(*(v.denominator for v in row.values()))
+            if d != 1:
+                row = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        g = gcd(*row.values())
+        rows.append(row if g == 1 else {c: v // g for c, v in row.items()})
+    return rows
 
 
 class SparseMatrix:
@@ -149,16 +153,16 @@ class RankResult(namedtuple("RankResult", "rank nnz peeled blocks unsettled sett
     and blocks the row blocks left and ranked (`_rank_blocks`), both in
     each matrix once whatever its copies.  unsettled counts the blocks
     whose rank stayed below min(block rows, block columns) mod every prime
-    tried, or that the exact-Q lift (`_lift_f2`) found short; under exact Q
-    these are the ones that fraction-free elimination ranked.
-    settled_mod_2 counts those that the exact-Q F_2 pass, with its lifts,
-    found to have full rank (always 0 for the other strategies); the
-    remaining ones were settled mod a prime.  nnz counts the entries read:
-    the matrix's, or the sum over a stream's matrices, each once whatever
-    its copies.  split_ms is the time spent splitting the peeled matrices
-    into row blocks, rank_ms that of peeling, of scaling rational rows and
-    of the rank passes over the blocks; neither counts the writing of a
-    streamed matrix.  Results compare as tuples, times included.
+    tried; under exact Q these are the ones that fraction-free elimination
+    ranked.  settled_mod_2 counts those whose rank the exact-Q F_2 pass,
+    with its lifts, decided, full or short (always 0 for the other
+    strategies); the remaining ones were settled mod a prime.  nnz counts
+    the entries read: the matrix's, or the sum over a stream's matrices,
+    each once whatever its copies.  split_ms is the time spent splitting
+    the peeled matrices into row blocks, rank_ms that of peeling, of making
+    rows primitive and of the rank passes over the blocks; neither counts
+    the writing of a streamed matrix.  Results compare as tuples, times
+    included.
     """
 
     __slots__ = ()
@@ -284,17 +288,6 @@ def _blocks(rows: dict[int, dict]) -> list[list[dict]]:
 # elimination core
 # ---------------------------------------------------------------------------
 
-def _strip_content(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
-
-
 def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     """Sparse Gaussian elimination on integer row dicts (consumed): the rank
     over F_p, whose entries are residues in [1, p), or over Q when p is
@@ -305,10 +298,10 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     is row <- row + f*piv, one multiply-add per pivot entry, with the
     factor f negated beforehand, and the F_p and Q loops are written apart.
     Over F_p the pivot row is kept as it is, f = -row[c]/piv[c] mod p, and
-    each sum is reduced mod p.  Over Q the pivot row loses its integer
-    content, the row is multiplied by the pivot entry g with f = -row[c],
-    and the updated row loses its content, so entries stay integers with
-    no exactness caveats.
+    each sum is reduced mod p.  Over Q the row is multiplied by the pivot
+    entry g with f = -row[c], and the updated row is divided by its
+    content, so entries stay integers with no exactness caveats, and rows
+    given primitive (`_primitive`) stay so, pivot rows included.
     """
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(rows):
@@ -332,8 +325,6 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
         rs.discard(r)  # now the rows to update
         piv = rows[r]
         rows[r] = None
-        if p is None and rs:
-            _strip_content(piv)
         g = piv.pop(c)
         for cc in piv:
             col_rows[cc].discard(r)
@@ -376,7 +367,10 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
                         else:
                             del row[cc]
                             col_rows[cc].discard(rr)
-                _strip_content(row)
+                k = gcd(*row.values())  # 0 for a row that cancelled
+                if k > 1:
+                    for cc in row:
+                        row[cc] //= k
     return rank
 
 
@@ -398,27 +392,29 @@ def _block_mod_p(block: list[dict], tag: FieldTag) -> list[dict[int, int]]:
     return rows
 
 
-def _lift_f2(block: list[dict], full: int) -> bool | None:
-    """Whether an integer block has full rank over Q: True, False, or None
-    once it has read more than 16 times its entries.  An F_2 pass settles
-    most blocks, 2-adic lifts of it (after Dixon's p-adic lifting) the rest.
+def _lift_f2(block: list[dict], full: int) -> int | None:
+    """The rank over Q of an integer block, or None once the pass has read
+    more than 16 times its entries.  An F_2 pass settles most blocks, 2-adic
+    lifts of it (after Dixon's p-adic lifting) the rest.
 
-    The pass runs on the short side (a transpose keeps the rank), so that
-    every line must join the basis: the rows, or a tall block's columns,
-    packed straight from its rows with bit r for row r.  A line is one int,
-    a bit per odd entry, with the history bit 1 << j of its index j below,
-    reduced against a basis keyed by leading bit.  A line that vanishes mod
-    2 names by its history bits the lines whose sum cancels it mod 2, and
-    is replaced by (itself + those lines) / 2, on integer lines built at
-    the first lift: an invertible rational operation, so the Q-rank does
-    not change.  It is tried again until it joins.
+    The pass runs on the short side (a transpose keeps the rank): the rows,
+    or a tall block's columns, packed straight from its rows with bit r for
+    row r.  A line is one int, a bit per odd entry, with the history bit
+    1 << j of its index j below, reduced against a basis keyed by leading
+    bit.  A line that vanishes mod 2 names by its history bits the lines
+    whose sum cancels it mod 2, and is replaced by (itself + those lines) /
+    2, on integer lines built at the first lift: an invertible rational
+    operation, so the span of the lines read so far does not change.  It is
+    tried again until it joins the basis or is proven to lie in its span.
 
-    True: every line joined, and rank_2 <= rank_Q for an integer matrix.
-    False: the basis is fixed while a line is lifted, so its next state
-    depends only on its current state; if a state S recurs after k steps,
-    S = S / 2^k + c with c in span_Q(basis), so S is in that span and the
-    block is short, as it is when a halved sum is exactly zero.  None: the
-    budget bounds time only.
+    The lines that join are independent mod 2, hence over Q.  A line lies
+    in the span when a halved sum is exactly zero, or when a state recurs:
+    the basis is fixed while a line is lifted, so its next state depends
+    only on its current state; if a state S recurs after k steps,
+    S = S / 2^k + c with c in span_Q(basis), so S is in that span.  Such a
+    line is dropped, so once every line is read the basis spans the block's
+    lines over Q, and its size is the rank.  None: the budget bounds time
+    only.
     """
     labels: dict[int, int] = {}
     label = labels.setdefault
@@ -484,12 +480,12 @@ def _lift_f2(block: list[dict], full: int) -> bool | None:
             lines[j] = line = {c: v >> 1 for c, v in s.items() if v}
             key = frozenset(line.items())
             if not line or key in seen:
-                return False
+                break  # in the span of the basis: dropped
             if budget < 0:
                 return None
             seen.add(key)
             x = pack(line)
-    return True
+    return len(basis)
 
 
 def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
@@ -511,14 +507,12 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
     settled: no prime can raise it.  For each prime the matrix's rank is
     the sum of its block ranks, so the sum of per-block maxes is a sound
     lower bound on the Q-rank, and never below the whole matrix's max over
-    the primes.  When exact, each row of a block of a matrix that is not
-    integral is first scaled by the lcm of its denominators (`_scaled_row`),
-    which keeps the Q-rank, so that every block holds ints, and each block
-    is first ranked over F_2 and lifted (`_lift_f2`).  Found full rank, it
-    is settled mod 2 with no prime; found short, it is ranked by
-    fraction-free elimination, since no prime can bring it to full rank.
-    Only a block whose lift runs out of budget runs the primes, and one that
-    stays unsettled is ranked by fraction-free elimination.
+    the primes.  When exact, each row of a block is first made a primitive
+    integer row (`_primitive`), which keeps the Q-rank, and the block is
+    ranked over F_2 and lifted (`_lift_f2`), which decides its rank: it is
+    settled mod 2, full rank or short, with no prime.  Only a block whose
+    lift runs out of budget runs the primes, and one that stays unsettled
+    is ranked by fraction-free elimination.
     With integer_only, a matrix with a non-integer entry raises BadPrime.
     """
     tags = [FieldTag.prime_field(p) for p in primes]
@@ -548,17 +542,15 @@ def _rank_blocks(m, primes: tuple[int, ...], exact: bool,
         t2 = time.perf_counter()
         blocks += len(split)
         for block in split:
-            if exact and not integral:
-                block = [_scaled_row(row) for row in block]
+            if exact:
+                block = _primitive(block, integral)
             full = min(len(block), len(set().union(*block)))
-            settled = _lift_f2(block, full) if exact else None
-            if settled:
+            r = _lift_f2(block, full) if exact else None
+            if r is not None:
                 settled_mod_2 += 1
-                r = full
             else:
                 r = 0
-                # A block that the lift found short reaches full rank mod no prime.
-                for tag in tags if settled is None else ():
+                for tag in tags:
                     r = max(r, _eliminate(_block_mod_p(block, tag), tag.p))
                     if r == full:
                         break
@@ -584,13 +576,14 @@ def rank_mod_p(m, p: int) -> RankResult:
 
 
 def rank_exact_q(m) -> RankResult:
-    """Exact rank over Q by the rank loop: peeling, then per row block a
-    bit-packed F_2 pass with 2-adic lifts (`_lift_f2`), which settles the
-    block as full rank or sends it, found short, to fraction-free
-    elimination, whose entries grow on dense blocks.  Only a block whose
-    lift runs out of budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
-    (2^30 - 35) first.  Both moduli are fixed, not read from BRLAB_PRIMES:
-    they never decide a rank, they only skip work.
+    """Exact rank over Q by the rank loop: peeling, then per row block of
+    primitive integer rows a bit-packed F_2 pass with 2-adic lifts
+    (`_lift_f2`), which decides the block's rank.  Only a block whose lift
+    runs out of budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
+    (2^30 - 35), which settles it at full rank, and else fraction-free
+    elimination, whose entries grow on dense blocks.  Both moduli are
+    fixed, not read from BRLAB_PRIMES: they never decide a rank, they only
+    skip work.
     """
     return _rank_blocks(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 

@@ -30,6 +30,28 @@ Q = FieldTag.rationals()
 FIRST_PRIME = MultiPrime((DEFAULT_CERTIFICATION_PRIMES[0],))
 
 
+def _slice(fix, first, second, dense):
+    """The entries of a 2x2 matrix placed in a tensor: fix(x, y, value) for
+    x in first and y in second."""
+    return [fix(x, y, v) for x, row in zip(first, dense) for y, v in zip(second, row)]
+
+
+# Three direct summands, each a 2x2 matrix in indices of its own, so every
+# index is in two entries, no column of a flattening has a single entry
+# and nothing is peeled.  The slice det 2^40 at k = 0 is a 2x2 block of
+# the i and j flattenings, past the lift's budget and settled mod p; the
+# slice det 2^40 P at i = 2 is one of the j and k flattenings, past the
+# budget and of rank 1 mod P, so it falls back; H (det -2) at k = 3 is
+# one of the i and j flattenings, settled mod 2 by the lift.  Each slice
+# is one 4x1 block, settled mod 2, of the remaining flattening.  Over the
+# three: 9 blocks, 5 settled mod 2, 2 mod p and 2 that fall back.
+P = DEFAULT_CERTIFICATION_PRIMES[0]
+CLASSICAL_COUNTS_TENSOR = Tensor3((5, 6, 4), (
+    _slice(lambda i, j, v: (i, j, 0, v), (0, 1), (0, 1), [[1, 1], [1, 1 + 2 ** 40]])
+    + _slice(lambda j, k, v: (2, j, k, v), (2, 3), (1, 2), [[1, 1], [1, 1 + P * 2 ** 40]])
+    + _slice(lambda i, j, v: (i, j, 3, v), (3, 4), (4, 5), [[1, 1], [1, -1]])), Q)
+
+
 def test_bound_classical_examples():
     assert bound_classical(matmul_tensor(2, 2, 2)).bound == 4
     assert bound_classical(rank_one_tensor([1, 2], [3], [1, 1])).bound == 1
@@ -37,15 +59,7 @@ def test_bound_classical_examples():
 
 
 def test_bound_classical_sums_class_counts_of_the_three_flattenings(monkeypatch):
-    # Every index of each factor is in two entries, so no column of a
-    # flattening has a single entry and nothing is peeled.  Over the three
-    # flattenings: 5 blocks, 3 settled mod 2, 1 mod p (mode B's 3x2 block
-    # of rows (1, 0), (0, 2^40), (3, 2^40), of rank 1 mod 2, whose 2-adic
-    # lift runs out of budget before its 40 halvings) and 1 that falls
-    # back (mode C's 3x3 block of rank 2).
-    big = 2 ** 40
-    t = Tensor3((3, 3, 3), [(0, 0, 0, -1), (0, 0, 1, 3), (2, 1, 1, big), (2, 1, 2, big),
-                            (2, 2, 0, 1), (2, 2, 2, 3)], Q)
+    t = CLASSICAL_COUNTS_TENSOR
     frs = []
 
     def ranked_mode(*args):
@@ -61,8 +75,8 @@ def test_bound_classical_sums_class_counts_of_the_three_flattenings(monkeypatch)
     for key in set(RankResult._fields) - {"rank"}:
         assert getattr(fr.ranked, key) == sum(getattr(f.ranked, key) for f in frs)
     res = fr.ranked
-    assert (res.peeled, res.blocks, res.settled_mod_2, res.unsettled) == (0, 5, 3, 1)
-    assert [f.rank for f in frs] == [2, 3, 2] and fr.rank == 3 == res.rank
+    assert (res.peeled, res.blocks, res.settled_mod_2, res.unsettled) == (0, 9, 5, 2)
+    assert [f.rank for f in frs] == [5, 6, 4] and fr.rank == 6 == res.rank
     assert all(f.ranked.rank == f.rank for f in frs)
 
 

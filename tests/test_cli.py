@@ -112,6 +112,21 @@ def test_bound_missing_inputs_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method,flag", [
+    (method, "--p") for method in ("classical", "strassen", "koszul-restricted",
+                                   "theorem1-formula", "lickteig-square")] + [
+    (method, "--tensor") for method in ("koszul-restricted", "theorem1-formula",
+                                        "lickteig-square")])
+def test_bound_flag_its_method_does_not_read_exit_2(capsys, tmp_path, method, flag):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": "Q", "dims": [1, 1, 1], "entries": [[0, 0, 0, "1"]]}))
+    value = {"--p": "5", "--tensor": str(path)}[flag]
+    code, out, err = run(capsys, "bound", "--method", method, "--m", "3", "--n", "3",
+                         "--l", "3", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: method {method} does not read {flag}\n"
+
+
 def test_bound_strassen_cli(capsys):
     code, out, _ = run(capsys, "bound", "--method", "strassen",
                        "--m", "2", "--n", "2", "--l", "2")
@@ -428,10 +443,11 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
     # Five of the 9 written spaces peel to nothing; the other 4 leave 3
-    # blocks with no single-entry column, of which the 12x12 one falls back.
-    # The 3 equal summands are written once.
-    assert err.splitlines()[1:] == ["exact-Q: 11 peeled, 3 blocks, 2 settled mod 2, 0 mod p, "
-                                    "1 fell back",
+    # blocks with no single-entry column, each settled mod 2: the 12x12 one
+    # is short, and the lift finds its rank.  The 3 equal summands are
+    # written once.
+    assert err.splitlines()[1:] == ["exact-Q: 11 peeled, 3 blocks, 3 settled mod 2, 0 mod p, "
+                                    "0 fell back",
                                     "orbits: 9 of 126 weights written, nnz 60 of 1890",
                                     "summands: 3 in 1 class"]
     # Telemetry only: the certificate is that of a quiet run.
@@ -452,6 +468,21 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
                        "--tensor", str(path), "--verbose")
     assert code == 0
     assert "exact-Q: 0 peeled, 1 block, 1 settled mod 2, 0 mod p, 0 fell back" in err.splitlines()
+    # Each class of block, summed over the three classical flattenings of
+    # three 2x2 slices: det 2^40 (past the lift's budget, settled mod p),
+    # det 2^40 P (past the budget and short mod P, so it falls back) and
+    # det -2 (settled mod 2 by the lift).
+    p = 2 ** 30 - 35
+    slices = ([(i, j, 0, v) for i, j, v in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1 + 2 ** 40))]
+              + [(2, j, k, v) for j, k, v in ((2, 1, 1), (2, 2, 1), (3, 1, 1),
+                                              (3, 2, 1 + p * 2 ** 40))]
+              + [(i, j, 3, v) for i, j, v in ((3, 4, 1), (3, 5, 1), (4, 4, 1), (4, 5, -1))])
+    path.write_text(json.dumps({"field": "Q", "dims": [5, 6, 4], "entries": [
+        [i, j, k, str(v)] for i, j, k, v in slices]}))
+    code, out, err = run(capsys, "bound", "--method", "classical", "--tensor", str(path),
+                         "--verbose")
+    assert (code, json.loads(out)["rank"]) == (0, 6)
+    assert "exact-Q: 0 peeled, 9 blocks, 5 settled mod 2, 2 mod p, 2 fell back" in err.splitlines()
 
 
 @pytest.mark.parametrize("field,value,expected", [
