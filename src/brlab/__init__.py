@@ -44,11 +44,7 @@ from .repcomb import (
     kernel_modules,
     pieri_add_box,
 )
-from .scalars import (
-    DEFAULT_CERTIFICATION_PRIMES,
-    FieldTag,
-    certification_primes,
-)
+from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from .tensor import (
     Tensor3,
     add_tensors,
@@ -79,7 +75,6 @@ __all__ = [
     "bound_koszul",
     "bound_matmul_restricted",
     "cauchy_wedge",
-    "certification_primes",
     "compare_table",
     "conjugate",
     "dim_schur",

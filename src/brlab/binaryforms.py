@@ -16,7 +16,7 @@ from math import comb
 from .errors import InvalidDimension, OrderViolation
 from .exterior import KoszulMatrix, koszul_flattening
 from .rank_engine import rank_mod_p
-from .scalars import FieldTag, certification_primes
+from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from .tensor import Tensor3
 
 
@@ -59,5 +59,5 @@ def dual_surjectivity_check(m: int, n: int) -> bool:
     """
     km = restricted_koszul(m, n, 1)
     target_dim = n * comb(m + n - 1, n - 1)
-    result = rank_mod_p(km.matrix.transpose(), certification_primes()[0])
+    result = rank_mod_p(km.matrix.transpose(), DEFAULT_CERTIFICATION_PRIMES[0])
     return result.rank == target_dim

@@ -29,7 +29,7 @@ from .repcomb import (
     kernel_dim_formula,
     kernel_dim_pieri,
 )
-from .scalars import FieldTag, certification_primes, parse_natural
+from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, parse_natural
 from .tensor import load_tensor, matmul_tensor, rank_one_tensor, save_tensor, tensor_to_json
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _parse_strategy(spec: str | int | None):
     if spec == "multiprime":
         return MultiPrime()
     if spec == "fp":
-        return MultiPrime((certification_primes()[0],))
+        return MultiPrime(DEFAULT_CERTIFICATION_PRIMES[:1])
     return MultiPrime((FieldTag.prime_field(spec).p,))
 
 
@@ -162,63 +162,60 @@ def _rank_notes(args: argparse.Namespace, cert) -> None:
     _summand_note(args, fr.summands, fr.classes)
 
 
-# The bound flags that only some methods read; any other method given one
-# exits 2 rather than print a certificate that ignores it.
-_FLAG_READERS = {"--p": ("koszul",), "--tensor": ("classical", "strassen", "koszul")}
+# For each bound method, the flags it reads besides --out and --verbose,
+# and the flag sets one of which it needs.  A flag it does not read (the
+# first in _BOUND_FLAGS order is named), --tensor with matmul dims, or no
+# needed set given whole exits 2 before anything is loaded or ranked.
+_BOUND_FLAGS = ("--p", "--tensor", "--m", "--n", "--l", "--field")
+_DIMS = ("--m", "--n", "--l")
+_ON_TENSOR = (_BOUND_FLAGS[1:], (("--tensor",), _DIMS))
+_BOUND_METHODS = {
+    "classical": _ON_TENSOR,
+    "strassen": _ON_TENSOR,
+    "koszul": (_BOUND_FLAGS, (("--p", "--tensor"), ("--p",) + _DIMS)),
+    "koszul-restricted": (_DIMS + ("--field",), (_DIMS,)),
+    "theorem1-formula": (_DIMS, (_DIMS,)),
+    "lickteig-square": (("--n",), (("--n",),)),
+}
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method
-    for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag[2:]) is not None and method not in readers:
-            print(f"error: method {method} does not read {flag}", file=sys.stderr)
-            return EXIT_USAGE
+    reads, needs = _BOUND_METHODS[method]
+    given = [flag for flag in _BOUND_FLAGS if getattr(args, flag[2:]) is not None]
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        refusal = f"does not read {unread[0]}"
+    elif "--tensor" in given and any(flag in given for flag in _DIMS):
+        refusal = "reads --tensor or --m --n --l, not both"
+    elif not any(set(flags) <= set(given) for flags in needs):
+        refusal = "needs " + " or ".join(" ".join(flags) for flags in needs)
+    else:
+        refusal = None
+    if refusal:
+        print(f"error: method {method} {refusal}", file=sys.stderr)
+        return EXIT_USAGE
     strategy = _parse_strategy(args.field)
 
-    if method in ("theorem1-formula", "lickteig-square"):
-        if method == "lickteig-square":
-            if args.n is None:
-                print("lickteig-square needs --n", file=sys.stderr)
-                return EXIT_USAGE
-            cert = formula_certificate(method, args.n, args.n, args.n)
-        else:
-            if None in (args.m, args.n, args.l):
-                print("theorem1-formula needs --m --n --l", file=sys.stderr)
-                return EXIT_USAGE
-            cert = formula_certificate(method, args.m, args.n, args.l)
-        _emit(cert.to_json(), args.out)
-        return EXIT_OK
-
-    if method == "koszul-restricted":
-        if None in (args.m, args.n, args.l):
-            print("koszul-restricted needs --m --n --l", file=sys.stderr)
-            return EXIT_USAGE
+    if method == "lickteig-square":
+        cert = formula_certificate(method, args.n, args.n, args.n)
+    elif method == "theorem1-formula":
+        cert = formula_certificate(method, args.m, args.n, args.l)
+    elif method == "koszul-restricted":
         cert = bound_matmul_restricted(args.m, args.n, args.l, strategy)
+    else:  # classical / strassen / koszul act on a tensor: from a file or matmul dims
+        if args.tensor is not None:
+            t, descriptor = load_tensor(args.tensor), None
+        else:
+            t = matmul_tensor(args.m, args.n, args.l)
+            descriptor = {"m": args.m, "n": args.n, "l": args.l}
+        if method == "classical":
+            cert = bound_classical(t, strategy, descriptor=descriptor)
+        else:
+            p = 1 if method == "strassen" else args.p
+            cert = bound_koszul(t, p, strategy, descriptor=descriptor)
+    if cert.flattening is not None:
         _rank_notes(args, cert)
-        _emit(cert.to_json(), args.out)
-        return EXIT_OK
-
-    # classical / strassen / koszul act on a tensor: from a file or matmul dims
-    if args.tensor is not None:
-        t = load_tensor(args.tensor)
-        descriptor = None
-    elif None not in (args.m, args.n, args.l):
-        t = matmul_tensor(args.m, args.n, args.l)
-        descriptor = {"m": args.m, "n": args.n, "l": args.l}
-    else:
-        print(f"method {method} needs --tensor FILE or --m --n --l", file=sys.stderr)
-        return EXIT_USAGE
-
-    if method == "classical":
-        cert = bound_classical(t, strategy, descriptor=descriptor)
-    elif method == "strassen":
-        cert = bound_koszul(t, 1, strategy, descriptor=descriptor)
-    else:  # koszul
-        if args.p is None:
-            print("koszul needs --p", file=sys.stderr)
-            return EXIT_USAGE
-        cert = bound_koszul(t, args.p, strategy, descriptor=descriptor)
-    _rank_notes(args, cert)
     _emit(cert.to_json(), args.out)
     return EXIT_OK
 

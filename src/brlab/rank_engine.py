@@ -56,7 +56,7 @@ from collections import namedtuple
 from math import gcd, lcm
 
 from .errors import BadPrime, FieldMismatch, FormatError, InvalidDimension
-from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag, certification_primes
+from .scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 
 
 def _primitive(block: list[dict], integral: bool) -> list[dict]:
@@ -168,15 +168,11 @@ class RankResult(namedtuple("RankResult", "rank nnz peeled blocks unsettled sett
     __slots__ = ()
 
 
-class MultiPrime(namedtuple("MultiPrime", "primes")):
-    """Take the max of ranks over a list of primes (a tuple), by default the
-    active certification primes, resolved once at construction (`_replace`
-    resolves nothing)."""
+class MultiPrime(namedtuple("MultiPrime", "primes", defaults=(DEFAULT_CERTIFICATION_PRIMES,))):
+    """Take the max of ranks over a list of primes (a tuple), by default
+    DEFAULT_CERTIFICATION_PRIMES."""
 
     __slots__ = ()
-
-    def __new__(cls, primes: tuple[int, ...] | None = None) -> "MultiPrime":
-        return super().__new__(cls, certification_primes() if primes is None else primes)
 
 
 class ExactQ(namedtuple("ExactQ", "")):
@@ -582,8 +578,7 @@ def rank_exact_q(m) -> RankResult:
     runs out of budget runs a pass mod DEFAULT_CERTIFICATION_PRIMES[0]
     (2^30 - 35), which settles it at full rank, and else fraction-free
     elimination, whose entries grow on dense blocks.  Both moduli are
-    fixed, not read from BRLAB_PRIMES: they never decide a rank, they only
-    skip work.
+    fixed: they never decide a rank, they only skip work.
     """
     return _rank_blocks(m, DEFAULT_CERTIFICATION_PRIMES[:1], True)
 

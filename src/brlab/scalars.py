@@ -16,22 +16,21 @@ All values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BadPrime, DivisionByZero, FormatError
 
-# Bound on a user-given modulus ("Fp:<p>", --field fp:P, BRLAB_PRIMES),
-# well inside the range where is_prime is exact.
+# Bound on a user-given modulus ("Fp:<p>", --field fp:P), well inside the
+# range where is_prime is exact.
 PRIME_MODULUS_CAP = 1 << 62
 
 # Fixed certification primes: the three largest primes below 2^30.  CPython
 # ints have 30-bit digits, so each residue is one digit and elimination mod
-# these primes runs on the small-int fast paths.  The first one is also the
-# prime rank_exact_q settles blocks with.  Override the list (not the
-# settle prime) with BRLAB_PRIMES="p1,p2,..." when needed.
+# these primes runs on the small-int fast paths.  --field multiprime ranks
+# mod all three, --field fp mod the first, which is also the prime
+# rank_exact_q settles blocks with.
 DEFAULT_CERTIFICATION_PRIMES = (1073741789, 1073741783, 1073741741)
 
 # Witnesses making Miller-Rabin deterministic for all n < 2^64.
@@ -61,25 +60,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def certification_primes() -> tuple[int, ...]:
-    """Active certification prime list: BRLAB_PRIMES override, else defaults."""
-    raw = os.environ.get("BRLAB_PRIMES")
-    if raw is None:
-        return DEFAULT_CERTIFICATION_PRIMES
-    try:
-        primes = tuple(parse_natural(tok) for tok in raw.replace(",", " ").split())
-    except FormatError as exc:
-        raise BadPrime(f"BRLAB_PRIMES is not a list of integers: {raw!r}") from exc
-    if not primes:
-        raise BadPrime("BRLAB_PRIMES is set but empty")
-    for p in primes:
-        if not (2 <= p < PRIME_MODULUS_CAP):
-            raise BadPrime(f"BRLAB_PRIMES entry {p} outside [2, 2^62)")
-        if not is_prime(p):
-            raise BadPrime(f"BRLAB_PRIMES entry {p} is not prime")
-    return primes
 
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

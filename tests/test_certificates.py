@@ -183,7 +183,6 @@ GOLDEN = [
 @pytest.mark.parametrize("name,code,argv,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_canonical_output_is_pinned(name, code, argv, expected, tmp_path, capsys,
                                     monkeypatch):
-    monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     paths = {}
     for key, doc in (("q", Q_DOC), ("fp", FP_DOC), ("dense", DENSE_DOC)):
         paths[key] = tmp_path / f"{key}.json"

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import brlab.cli as cli
-from brlab.bounds import bound_koszul
+from brlab.bounds import bound_classical, bound_koszul
 from brlab.rank_engine import ExactQ, MultiPrime
 from brlab.tensor import load_tensor, matmul_tensor
 
@@ -110,21 +110,44 @@ def test_bound_missing_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "bound", "--method", "lickteig-square")
     assert code == 2
+    code, out, err = run(capsys, "bound", "--method", "koszul", "--p", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: method koszul needs --p --tensor or --p --m --n --l\n"
+    code, out, err = run(capsys, "bound", "--method", "theorem1-formula", "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: method theorem1-formula needs --m --n --l\n"
 
 
-@pytest.mark.parametrize("method,flag", [
-    (method, "--p") for method in ("classical", "strassen", "koszul-restricted",
-                                   "theorem1-formula", "lickteig-square")] + [
-    (method, "--tensor") for method in ("koszul-restricted", "theorem1-formula",
-                                        "lickteig-square")])
-def test_bound_flag_its_method_does_not_read_exit_2(capsys, tmp_path, method, flag):
+_DIMS_333 = ["--m", "3", "--n", "3", "--l", "3"]
+_UNREAD_FLAG_CASES = [
+    pytest.param(method, [*_DIMS_333, flag, value], f"does not read {flag}",
+                 id=f"{method}-{flag}")
+    for flag, value, methods in [
+        ("--p", "5", ("classical", "strassen", "koszul-restricted", "theorem1-formula",
+                      "lickteig-square")),
+        ("--tensor", "{tensor}", ("koszul-restricted", "theorem1-formula", "lickteig-square"))]
+    for method in methods] + [
+    pytest.param("lickteig-square", ["--m", "5", "--n", "3", "--l", "7"], "does not read --m",
+                 id="lickteig-square-dims"),
+    pytest.param("classical", ["--tensor", "{tensor}", "--m", "2", "--n", "2", "--l", "2"],
+                 "reads --tensor or --m --n --l, not both", id="classical-tensor-and-dims"),
+    pytest.param("theorem1-formula", ["--m", "2", "--n", "2", "--l", "2", "--field", "fp:4"],
+                 "does not read --field", id="theorem1-formula---field-fp4"),
+    pytest.param("theorem1-formula", [*_DIMS_333, "--field", "q"], "does not read --field",
+                 id="theorem1-formula---field"),
+    pytest.param("lickteig-square", ["--n", "3", "--field", "multiprime"],
+                 "does not read --field", id="lickteig-square---field"),
+]
+
+
+@pytest.mark.parametrize("method,argv,refusal", _UNREAD_FLAG_CASES)
+def test_bound_flag_its_method_does_not_read_exit_2(capsys, tmp_path, method, argv, refusal):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"field": "Q", "dims": [1, 1, 1], "entries": [[0, 0, 0, "1"]]}))
-    value = {"--p": "5", "--tensor": str(path)}[flag]
-    code, out, err = run(capsys, "bound", "--method", method, "--m", "3", "--n", "3",
-                         "--l", "3", flag, value)
+    code, out, err = run(capsys, "bound", "--method", method,
+                         *[arg.format(tensor=path) for arg in argv])
     assert (code, out) == (2, "")
-    assert err == f"error: method {method} does not read {flag}\n"
+    assert err == f"error: method {method} {refusal}\n"
 
 
 def test_bound_strassen_cli(capsys):
@@ -289,23 +312,25 @@ def test_table_reversed_range_exit_2(capsys):
     assert code == 2
 
 
-def test_multiprime_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
-    code, out, _ = run(capsys, "bound", "--method", "classical", "--m", "2",
-                       "--n", "2", "--l", "2", "--field", "multiprime")
-    assert code == 0
-    doc = json.loads(out)
+def test_multiprime_label_names_every_prime():
+    doc = bound_classical(matmul_tensor(2, 2, 2), MultiPrime((101, 103))).to_json()
     assert doc["field"] == "multiprime:101,103"
     assert doc["bound"] == 4
 
 
-@pytest.mark.parametrize("env", ["6", "", "101,x"])
+@pytest.mark.parametrize("env", ["6", "", "101,x", "garbage"])
 @pytest.mark.parametrize("field", ["multiprime", "fp"])
-def test_multiprime_malformed_env_exit_3(capsys, monkeypatch, env, field):
+def test_certification_primes_ignore_the_environment(capsys, monkeypatch, env, field):
+    # The primes follow from the command line alone: BRLAB_PRIMES, which
+    # once overrode them, is read by nothing.
     monkeypatch.setenv("BRLAB_PRIMES", env)
-    code, _, err = run(capsys, "bound", "--method", "classical", "--m", "2",
-                       "--n", "2", "--l", "2", "--field", field)
-    assert code == 3 and "BRLAB_PRIMES" in err
+    code, out, err = run(capsys, "bound", "--method", "classical", "--m", "2",
+                         "--n", "2", "--l", "2", "--field", field)
+    assert (code, err) == (0, "")
+    label = {"multiprime": "multiprime:1073741789,1073741783,1073741741",
+             "fp": "Fp:1073741789"}[field]
+    doc = json.loads(out)
+    assert (doc["field"], doc["bound"]) == (label, 4)
 
 
 def test_determinism_same_flags(capsys):
@@ -436,10 +461,8 @@ def test_bound_huge_first_dimension_one_entry(tmp_path, capsys, method, a):
     assert time.perf_counter() - start < 5.0
 
 
-def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
+def test_verbose_counts_exact_q_classes(tmp_path, capsys):
     argv = ["bound", "--method", "koszul", "--p", "4", "--m", "3", "--n", "3", "--l", "3"]
-    # The exact-Q shortcut uses a fixed prime and reads no BRLAB_PRIMES.
-    monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     code, out, err = run(capsys, *argv, "--field", "q", "--verbose")
     assert code == 0
     # Five of the 9 written spaces peel to nothing; the other 4 leave 3
@@ -455,7 +478,6 @@ def test_verbose_counts_exact_q_classes(tmp_path, capsys, monkeypatch):
     drop = lambda doc: {k: v for k, v in json.loads(doc).items() if k != "timings_ms"}
     assert drop(out) == drop(quiet)
     # No exact-Q line when no exact-Q rank ran.
-    monkeypatch.delenv("BRLAB_PRIMES")
     code, _, err = run(capsys, *argv, "--field", "fp", "--verbose")
     assert code == 0 and "exact-Q:" not in err
     # A dense tensor whose one block has full rank over Q but not mod 2 is

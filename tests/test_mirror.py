@@ -18,7 +18,7 @@ from brlab.bounds import bound_classical, flattening_rank
 from brlab.exterior import (WedgeRangeWarning, classical_tensor, koszul_flattening,
                             koszul_weight_spaces)
 from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
-from brlab.scalars import FieldTag, certification_primes
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
 Q = FieldTag.rationals()
@@ -117,7 +117,7 @@ def cases(seed, eps, field):
 def test_split_rank_matches_the_whole_flattening(seed, eps, field):
     for t in cases(seed, eps, field):
         if field.is_q:
-            strategies = [ExactQ(), MultiPrime((certification_primes()[0],)), MultiPrime()]
+            strategies = [ExactQ(), MultiPrime(DEFAULT_CERTIFICATION_PRIMES[:1]), MultiPrime()]
             if not integral(t):
                 strategies = strategies[:1]
         else:

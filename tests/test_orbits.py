@@ -21,13 +21,13 @@ from brlab.bounds import bound_classical, flattening_rank
 from brlab.exterior import WedgeRangeWarning, classical_tensor, koszul_flattening, \
     koszul_weight_spaces
 from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, rank_certified
-from brlab.scalars import FieldTag, certification_primes
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, \
     mirror_grading
 
 Q = FieldTag.rationals()
 F7 = FieldTag.prime_field(7)
-FIELDS = [(Q, [ExactQ(), MultiPrime((certification_primes()[0],))]), (F7, [MultiPrime((7,))])]
+FIELDS = [(Q, [ExactQ(), MultiPrime(DEFAULT_CERTIFICATION_PRIMES[:1])]), (F7, [MultiPrime((7,))])]
 
 
 def automorphic(t, g) -> bool:
@@ -263,7 +263,6 @@ def _cli(argv, seed):
     src = str(Path(brlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONHASHSEED": str(seed),
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    env.pop("BRLAB_PRIMES", None)
     res = subprocess.run([sys.executable, "-m", "brlab.cli", *argv], capture_output=True,
                          text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stderr

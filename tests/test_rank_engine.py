@@ -338,14 +338,10 @@ def test_field_mismatch_inside_a_stream():
         rank_certified(stream, MultiPrime((11,)))
 
 
-def test_multiprime_resolves_primes_at_construction(monkeypatch):
-    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
-    strategy = MultiPrime()
+def test_multiprime_resolves_primes_at_construction():
+    strategy = MultiPrime((101, 103))
     assert strategy.primes == (101, 103)
-    monkeypatch.setenv("BRLAB_PRIMES", "not a prime list")
     assert rank_certified(_identity(3), strategy).rank == 3
-    with pytest.raises(BadPrime):
-        MultiPrime()
 
 
 def test_multiprime_counts_unsettled_classes():
@@ -509,20 +505,14 @@ def _block(dense):
 
 
 def test_settle_prime_is_first_certification_prime(monkeypatch):
-    monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     calls = _count_passes(monkeypatch)
     # The lift runs out of budget, so the block reaches the mod-p pass.
     assert rank_exact_q(_diagonal(DET_2_40)).rank == 2
     assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
-
-
-def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
-    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
-    calls = _count_passes(monkeypatch)
     # det 2^40 again, with rows (1, 3) and (3, 9 + 2^40).
     res = rank_exact_q(_diagonal([[1, 3], [3, 9 + 2 ** 40]]))
     assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 0, 0)
-    assert calls == [P]
+    assert calls == [P, P]
 
 
 def test_exact_q_unlucky_prime_falls_back():

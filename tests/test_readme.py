@@ -50,7 +50,6 @@ def _check_comment(comment: str, out: str) -> None:
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("BRLAB_PRIMES", raising=False)
     examples = _cli_examples()
     assert len(examples) >= 10
     for argv, comment in examples:

@@ -10,7 +10,7 @@ from brlab.errors import BadPrime
 from brlab.exterior import KoszulMatrix, koszul_flattening
 from brlab.rank_engine import ExactQ, MultiPrime, RankResult, rank_certified
 from brlab.repcomb import IsotypicSummand, cauchy_wedge
-from brlab.scalars import FieldTag
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import matmul_tensor
 
 
@@ -60,12 +60,9 @@ def test_tags_differ_by_value_and_by_class():
     assert repr(ExactQ()) == "ExactQ()"
 
 
-def test_multiprime_reads_brlab_primes_when_constructed(monkeypatch):
-    monkeypatch.setenv("BRLAB_PRIMES", "7,11")
-    strategy = MultiPrime()
-    monkeypatch.setenv("BRLAB_PRIMES", "13")
-    assert strategy.primes == (7, 11)
-    assert MultiPrime().primes == (13,)
+def test_multiprime_defaults_to_the_certification_primes():
+    assert MultiPrime() == MultiPrime(DEFAULT_CERTIFICATION_PRIMES)
+    assert MultiPrime((7, 11)).primes == (7, 11)
     assert MultiPrime((5,)).primes == (5,)
 
 

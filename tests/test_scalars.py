@@ -11,7 +11,6 @@ from brlab.scalars import (
     DEFAULT_CERTIFICATION_PRIMES,
     PRIME_MODULUS_CAP,
     FieldTag,
-    certification_primes,
     is_prime,
     parse_natural,
     parse_rational,
@@ -100,19 +99,6 @@ def test_default_primes_are_prime_and_capped():
     for p in DEFAULT_CERTIFICATION_PRIMES:
         assert is_prime(p)
         assert p < 2 ** 30
-
-
-def test_certification_primes_env_override(monkeypatch):
-    monkeypatch.delenv("BRLAB_PRIMES", raising=False)
-    assert certification_primes() == DEFAULT_CERTIFICATION_PRIMES
-    monkeypatch.setenv("BRLAB_PRIMES", "5,7,11")
-    assert certification_primes() == (5, 7, 11)
-    monkeypatch.setenv("BRLAB_PRIMES", "6")
-    with pytest.raises(BadPrime):
-        certification_primes()
-    monkeypatch.setenv("BRLAB_PRIMES", "")
-    with pytest.raises(BadPrime):
-        certification_primes()
 
 
 def test_is_prime_small_values():

@@ -34,7 +34,6 @@ _NOT_LOADED = ("dataclasses", "inspect", "hashlib")
 def _python(*args):
     src = str(Path(brlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    env.pop("BRLAB_PRIMES", None)
     res = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                          timeout=120)
     assert res.returncode == 0, res.stderr

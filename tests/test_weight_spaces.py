@@ -12,7 +12,7 @@ from brlab.binaryforms import restrict_matmul
 from brlab.bounds import flattening_rank
 from brlab.exterior import WedgeRangeWarning, koszul_flattening, koszul_weight_spaces
 from brlab.rank_engine import ExactQ, MultiPrime, SparseMatrix, _blocks, rank_certified
-from brlab.scalars import FieldTag, certification_primes
+from brlab.scalars import DEFAULT_CERTIFICATION_PRIMES, FieldTag
 from brlab.tensor import Tensor3, direct_summands, index_symmetries, matmul_tensor, mirror_grading
 
 Q = FieldTag.rationals()
@@ -55,7 +55,7 @@ def streamed(fr):
 
 
 @pytest.mark.parametrize("field,strategies", [
-    (Q, [ExactQ(), MultiPrime((certification_primes()[0],))]),
+    (Q, [ExactQ(), MultiPrime(DEFAULT_CERTIFICATION_PRIMES[:1])]),
     (F7, [MultiPrime((7,))]),
 ], ids=["Q", "F7"])
 def test_streamed_rank_matches_the_assembled_flattening(field, strategies):
