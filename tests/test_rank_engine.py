@@ -509,10 +509,16 @@ def test_settle_prime_is_first_certification_prime(monkeypatch):
     # The lift runs out of budget, so the block reaches the mod-p pass.
     assert rank_exact_q(_diagonal(DET_2_40)).rank == 2
     assert calls == [DEFAULT_CERTIFICATION_PRIMES[0]]
+
+
+def test_exact_q_settles_mod_fixed_prime_whatever_brlab_primes(monkeypatch):
+    # BRLAB_PRIMES is not read: the settle prime stays P whatever it holds.
+    monkeypatch.setenv("BRLAB_PRIMES", "101,103")
+    calls = _count_passes(monkeypatch)
     # det 2^40 again, with rows (1, 3) and (3, 9 + 2^40).
     res = rank_exact_q(_diagonal([[1, 3], [3, 9 + 2 ** 40]]))
     assert (res.rank, res.unsettled, res.settled_mod_2) == (2, 0, 0)
-    assert calls == [P, P]
+    assert calls == [P]
 
 
 def test_exact_q_unlucky_prime_falls_back():
